@@ -1,8 +1,13 @@
-"""Packed block-compressed store vs the per-key JSON file layout.
+"""Packed block-compressed store vs a per-key JSON file layout.
 
-Not a paper figure — this benchmarks the storage layer the packed
-:class:`~repro.cache.store.GraphStore` format rests on, at the byte
-level both layouts share (one serialised mined graph per key):
+Not a paper figure — this benchmarks the storage layer the
+:class:`~repro.cache.store.GraphStore` segments rest on against the
+one-file-per-record layout earlier versions served (and
+``GraphStore.export_json`` still writes), at the byte level both share
+(one serialised mined graph per key).  The per-key layout is a small
+reference kept in this file: files named ``<key><table suffix>``, and
+an LRU prune that finds every table's files, stats each, ranks by mtime
+and unlinks the oldest keys.
 
 * **populate** — N single-key saves.  JSON writes one file per key; the
   packed segment appends one RECORD frame per save (the L0 path).
@@ -42,7 +47,7 @@ from pathlib import Path
 
 from repro.cache.blockstore import SegmentReader
 from repro.cache.serialize import graph_to_jsonl_bytes
-from repro.cache.store import GraphStore
+from repro.cache.store import TABLES, GraphStore
 from repro.graph.build import build_interaction_graph
 from repro.logs import SDSSLogGenerator
 
@@ -78,6 +83,28 @@ def _payloads() -> list[bytes]:
     ]
 
 
+def _json_path(root: Path, i: int) -> Path:
+    return root / (GraphStore.key(_log_fp(i), OPTS_FP) + TABLES[0].suffix)
+
+
+def _prune_json(root: Path, keep: int) -> int:
+    """LRU-prune the per-key layout to ``keep`` keys: find every table's
+    files, stat each, rank keys by mtime and unlink the oldest."""
+    by_key: dict[str, list[Path]] = {}
+    for table in TABLES:
+        for path in root.glob("*" + table.suffix):
+            by_key.setdefault(path.name[: -len(table.suffix)], []).append(path)
+    ranked = sorted(
+        (max(path.stat().st_mtime for path in files), key)
+        for key, files in by_key.items()
+    )
+    doomed = ranked[: max(0, len(ranked) - keep)]
+    for _mtime, key in doomed:
+        for path in by_key[key]:
+            path.unlink()
+    return len(doomed)
+
+
 def _sweep_json(root: Path) -> int:
     total = 0
     for path in sorted(root.iterdir()):
@@ -100,14 +127,14 @@ def test_store_format_speedups(benchmark):
     def run():
         out: dict[str, float] = {}
 
-        json_store = GraphStore(json_dir, format="json")
+        json_dir.mkdir(parents=True)
         t0 = time.perf_counter()
         for i in range(N_KEYS):
-            json_store.path_for(_log_fp(i), OPTS_FP).write_bytes(payloads[i])
+            _json_path(json_dir, i).write_bytes(payloads[i])
         out["populate_json_seconds"] = time.perf_counter() - t0
 
-        packed_store = GraphStore(packed_dir, format="packed")
-        segment = packed_store._segment("graphs")
+        packed_store = GraphStore(packed_dir)
+        segment = packed_store._segments["graphs"]
         t0 = time.perf_counter()
         for i in range(N_KEYS):
             segment.append_records(
@@ -148,14 +175,10 @@ def test_store_format_speedups(benchmark):
         out["warm_load_packed_seconds"] = min(warm_packed)
 
         t0 = time.perf_counter()
-        removed_json = GraphStore(json_dir, format="json").prune(
-            max_entries=PRUNE_KEEP
-        )
+        removed_json = _prune_json(json_dir, PRUNE_KEEP)
         out["prune_json_seconds"] = time.perf_counter() - t0
         t0 = time.perf_counter()
-        removed_packed = GraphStore(packed_dir, format="packed").prune(
-            max_entries=PRUNE_KEEP
-        )
+        removed_packed = GraphStore(packed_dir).prune(max_entries=PRUNE_KEEP)
         out["prune_packed_seconds"] = time.perf_counter() - t0
         assert removed_json == removed_packed == N_KEYS - PRUNE_KEEP
         return out

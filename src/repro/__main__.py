@@ -26,12 +26,14 @@ Subcommands:
   ``Ctrl-C`` (clean exit 0).
 * ``cache``   — manage a persistent cache directory: ``cache stats``
   reports occupancy (per-segment live/tombstoned counts and compaction
-  debt for the packed layout), ``cache prune`` evicts
+  debt), ``cache prune`` evicts
   least-recently-used entries down to ``--max-bytes``/``--max-entries``,
-  ``cache clear`` empties it, and ``cache migrate --to packed|json``
-  converts the on-disk layout in place (losslessly, in either
-  direction).  All exit cleanly (code 0) on a store directory that
-  exists but holds no entries.
+  ``cache clear`` empties it, ``cache import`` folds a legacy
+  one-file-per-record JSON layout in the directory into its segments,
+  and ``cache export --dest DIR`` writes the store out in that layout
+  (byte for byte, so an export imports back to identical records).  All
+  exit cleanly (code 0) on a store directory that exists but holds no
+  entries.
 * ``lint``    — run the :mod:`repro.analysis` invariant linter over the
   repository's own source (exit 0 clean, 1 findings, 2 usage error).
 
@@ -58,7 +60,8 @@ Example::
     python -m repro cache stats --cache-dir .repro-cache --json
     python -m repro cache stats --cache-dir .repro-cache --remote /tmp/repro.sock
     python -m repro cache prune --cache-dir .repro-cache --max-entries 100
-    python -m repro cache migrate --cache-dir .repro-cache --to json
+    python -m repro cache export --cache-dir .repro-cache --dest backup
+    python -m repro cache import --cache-dir backup
 """
 
 from __future__ import annotations
@@ -395,17 +398,14 @@ def _cmd_cache(args: argparse.Namespace) -> int:
                 f"{payload['total_bytes']} bytes"
             )
             for table, n_bytes in payload["bytes_by_table"].items():
-                if payload["format"] == "packed":
-                    entry = payload["tables"][table]
-                    print(
-                        f"  {table}: {n_bytes} bytes "
-                        f"({entry['n_live']} live, "
-                        f"{entry['n_tombstoned']} tombstoned, "
-                        f"{entry['compaction_debt_bytes']} bytes "
-                        f"compaction debt)"
-                    )
-                else:
-                    print(f"  {table}: {n_bytes} bytes")
+                entry = payload["tables"][table]
+                print(
+                    f"  {table}: {n_bytes} bytes "
+                    f"({entry['n_live']} live, "
+                    f"{entry['n_tombstoned']} tombstoned, "
+                    f"{entry['compaction_debt_bytes']} bytes "
+                    f"compaction debt)"
+                )
             daemon = payload.get("daemon")
             if daemon:
                 print(
@@ -419,20 +419,29 @@ def _cmd_cache(args: argparse.Namespace) -> int:
                         f"{meter['refused']} refused"
                     )
         return 0
-    if args.cache_command == "migrate":
-        try:
-            summary = store.migrate(args.to)
-        except ValueError as exc:
-            raise ReproError(str(exc)) from exc
+    if args.cache_command == "import":
+        summary = store.import_json()
         payload = {**summary, **store.stats()}
         if args.json:
             print(json.dumps(payload, indent=2))
         else:
             print(
-                f"migrated {summary['migrated_keys']} key(s) to "
-                f"{summary['format']}; "
+                f"imported {summary['imported_keys']} key(s); "
                 f"{summary['orphans_dropped']} orphan(s) dropped, "
                 f"{payload['total_bytes']} bytes"
+            )
+        return 0
+    if args.cache_command == "export":
+        try:
+            summary = store.export_json(args.dest)
+        except ValueError as exc:
+            raise ReproError(str(exc)) from exc
+        if args.json:
+            print(json.dumps({**summary, "dest": args.dest}, indent=2))
+        else:
+            print(
+                f"exported {summary['exported_keys']} key(s) to {args.dest}; "
+                f"{summary['orphans_dropped']} orphan(s) dropped"
             )
         return 0
     if args.cache_command == "prune":
@@ -569,7 +578,8 @@ def main(argv: list[str] | None = None) -> int:
         ("stats", "report the cache directory's occupancy"),
         ("prune", "evict least-recently-used entries down to the caps"),
         ("clear", "remove every cached entry"),
-        ("migrate", "convert the store layout in place"),
+        ("import", "fold legacy JSON-layout files into the store"),
+        ("export", "write the store out in the legacy JSON layout"),
     ):
         sub = cache_commands.add_parser(sub_name, help=sub_help)
         sub.add_argument("--cache-dir", required=True,
@@ -586,10 +596,9 @@ def main(argv: list[str] | None = None) -> int:
                              help="keep at most this many bytes of entries")
             sub.add_argument("--max-entries", type=int,
                              help="keep at most this many cached keys")
-        if sub_name == "migrate":
-            sub.add_argument("--to", required=True,
-                             choices=("packed", "json"),
-                             help="target on-disk layout")
+        if sub_name == "export":
+            sub.add_argument("--dest", required=True,
+                             help="directory to write the JSON files to")
         sub.set_defaults(fn=_cmd_cache)
 
     lint = commands.add_parser(

@@ -40,9 +40,6 @@ class LintConfig:
     #: call names (function or method) that mutate store-owned state
     store_mutating_calls: tuple[str, ...] = (
         "save_graph",
-        "save_widgets",
-        "save_proofs",
-        "save_diff_memo",
         "unlink",
         "replace",
         "rename",
@@ -79,7 +76,7 @@ class LintConfig:
     # RL004 — proof polarity
     #: callables that persist or exchange closure proofs
     proof_sinks: tuple[str, ...] = (
-        "save_proofs",
+        "save_closure_proofs",
         "proofs_to_dict",
         "import_proofs",
     )

@@ -2,10 +2,11 @@
 
 One :class:`Segment` is one append-only ``*.seg`` record log (framing in
 :mod:`repro.cache.format`).  The store keeps one segment per table —
-``graphs.seg``, ``widgets.seg``, ``proofs.seg``, ``diffmemos.seg`` — so
-a save appends one record instead of writing a file, eviction appends a
-tombstone instead of unlinking, and ``stats``/``prune`` read one footer
-per table instead of statting every entry in the directory.
+``graphs.seg``, ``widgets.seg``, ``proofs.seg``, ``diffmemos.seg``,
+``compiled.seg`` — so a save appends one record instead of writing a
+file, eviction appends a tombstone instead of unlinking, and
+``stats``/``prune`` read one footer per table instead of statting every
+entry in the directory.
 
 Readers (:class:`SegmentReader`) are **lock-free**: they mmap the file,
 locate the TRAILER at EOF, decode the FOOTER index it points at, and
@@ -14,18 +15,15 @@ trailer is missing or corrupt (a writer crashed mid-append) they fall
 back to a sequential scan from the header that stops at the first bad
 frame — every committed record stays readable, the torn tail is ignored.
 A lookup is then a bisect over the sorted footer index plus a single
-block decompression; bulk reads can decompress blocks on a thread pool
-(zlib releases the GIL).
+block decompression.
 
 Two frame granularities coexist.  A plain ``save`` appends one RECORD
 frame per key — cheap, one zlib unit per payload.  Bulk writers
-(migration importing a whole store, compaction rewriting one) pack ~64
+(a JSON import of a whole store, compaction rewriting one) pack ~64
 records into each BLOCK frame, so a bulk warm load pays one
-decompression per block instead of one per record — that is where the
-packed format's load speedup over per-key JSON files comes from.  The
-index addresses a blocked record as ``(block offset, slot)``; a point
-lookup decompresses its whole block (cached, so clustered lookups pay
-once).
+decompression per block instead of one per record.  The index addresses
+a blocked record as ``(block offset, slot)``; a point lookup
+decompresses its whole block (cached, so clustered lookups pay once).
 
 Writers are serialised by the store's :class:`~repro.cache.lock.
 StoreLock` — the same lock instance the owning ``GraphStore`` uses, held
@@ -50,7 +48,6 @@ from __future__ import annotations
 import os
 import time
 from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path as FilePath
 from typing import Iterable, Iterator, NamedTuple
 from uuid import uuid4
@@ -85,7 +82,7 @@ DEFAULT_FOOTER_EVERY = 1 << 18
 DEFAULT_COMPACT_MIN_BYTES = 1 << 16
 DEFAULT_COMPACT_RATIO = 0.5
 
-#: records per BLOCK frame written by bulk paths (migration, compaction)
+#: records per BLOCK frame written by bulk paths (JSON import, compaction)
 BLOCK_RECORDS = 64
 
 #: an append batch at least this large is packed into BLOCK frames;
@@ -487,87 +484,42 @@ class SegmentReader:
             return None
         return self._payload_at(entry)
 
-    def items(self, parallel: int | None = None) -> Iterator[tuple[str, bytes]]:
+    def items(self) -> Iterator[tuple[str, bytes]]:
         """Yield ``(key, payload)`` for every live record in key order.
 
         Each BLOCK frame is decompressed once however many live records
-        it holds — the bulk warm-load path.  With ``parallel`` > 1 the
-        decompression runs on a thread pool (zlib releases the GIL).
-        Records that fail their checksum are skipped, not raised.
+        it holds — the bulk warm-load path.  Records that fail their
+        checksum are skipped, not raised.
         """
         live = self.index()
         blocked: dict[int, list[IndexEntry]] = {}
-        plain: list[IndexEntry] = []
+        results: dict[str, bytes] = {}
         for entry in live.values():
             if entry.slot >= 0:
                 blocked.setdefault(entry.offset, []).append(entry)
-            else:
-                plain.append(entry)
-
-        def decode_block_group(
-            group: tuple[int, list[IndexEntry]],
-        ) -> list[tuple[str, bytes]]:
-            # decodes without the shared one-block cache: pool workers
-            # must not race on it
-            offset, entries = group
+                continue
+            record = self._record_at(entry)
+            if record is None:
+                continue
+            try:
+                results[entry.key] = segformat.decompress_record(record)
+            except SegmentFormatError:
+                continue
+        for offset, entries in blocked.items():
             end = min(offset + entries[0].frame_len, self.size)
             try:
                 kind, body, _ = segformat.read_frame(self._data, offset, end)
                 if kind != KIND_BLOCK:
-                    return []
+                    continue
                 block = segformat.decode_block_body(body)
             except SegmentFormatError:
-                return []
-            out = []
+                continue
             for entry in entries:
                 if (
                     0 <= entry.slot < len(block.keys)
                     and block.keys[entry.slot] == entry.key
                 ):
-                    out.append((entry.key, block.payloads[entry.slot]))
-            return out
-
-        def decode_plain_batch(
-            batch: list[IndexEntry],
-        ) -> list[tuple[str, bytes]]:
-            out = []
-            for entry in batch:
-                record = self._record_at(entry)
-                if record is None:
-                    continue
-                try:
-                    out.append((entry.key, segformat.decompress_record(record)))
-                except SegmentFormatError:
-                    continue
-            return out
-
-        results: dict[str, bytes] = {}
-        if parallel is not None and parallel > 1 and len(live) > 64:
-            # plain records are chunked so pool-dispatch overhead
-            # amortises (one future per record would swamp the work);
-            # each block group is already a naturally sized task
-            chunk = max(32, len(plain) // (parallel * 8)) if plain else 1
-            batches = [
-                plain[start : start + chunk]
-                for start in range(0, len(plain), chunk)
-            ]
-            tasks: list[tuple[str, object]] = [
-                ("block", group) for group in blocked.items()
-            ] + [("plain", batch) for batch in batches]
-
-            def run(task: tuple[str, object]) -> list[tuple[str, bytes]]:
-                tag, arg = task
-                if tag == "block":
-                    return decode_block_group(arg)  # type: ignore[arg-type]
-                return decode_plain_batch(arg)  # type: ignore[arg-type]
-
-            with ThreadPoolExecutor(max_workers=parallel) as pool:
-                for decoded in pool.map(run, tasks):
-                    results.update(decoded)
-        else:
-            for group in blocked.items():
-                results.update(decode_block_group(group))
-            results.update(decode_plain_batch(plain))
+                    results[entry.key] = block.payloads[entry.slot]
         for key in live:
             payload = results.get(key)
             if payload is not None:
@@ -820,7 +772,7 @@ class Segment:
                 had_footer = ws.had_footer
 
             if len(filtered) >= BLOCK_MIN_BATCH:
-                # bulk batch (migration, import): pack into BLOCK
+                # bulk batch (JSON import): pack into BLOCK
                 # frames, key-sorted so a block holds a contiguous
                 # key run and bulk reads decode it once
                 deduped = {key: (key, payload, ts) for key, payload, ts in filtered}
@@ -985,13 +937,6 @@ class Segment:
                 live_frame_bytes=live,
                 block_refs=refs,
             )
-            self.invalidate_reader()
-
-    def remove(self) -> None:
-        """Delete the segment file (migration away from packed format)."""
-        with self._lock.held():
-            self.path.unlink(missing_ok=True)
-            self._wstate = None
             self.invalidate_reader()
 
     # ------------------------------------------------------------------

@@ -18,19 +18,18 @@ everything after loads as a miss, never as a wrong answer.
 Frame kinds:
 
 * ``RECORD`` — one table entry: key, append timestamp, and the payload
-  block-compressed with zlib.  The payload bytes are exactly what the
-  JSON codec writes to a standalone file, which is what makes the packed
-  and JSON formats byte-identical interchange formats.
+  block-compressed with zlib.  The payload bytes are exactly the content
+  of the legacy one-file-per-record JSON layout, which is what makes
+  ``GraphStore.import_json``/``export_json`` byte-exact.
 * ``BLOCK`` — many records sharing one zlib block: a struct-packed
   directory (count, key/payload lengths, timestamps) followed by the
   concatenated keys and payloads, compressed as one unit.  Bulk writers
-  (migration, compaction) emit these so a warm load pays one
+  (JSON import, compaction) emit these so a warm load pays one
   decompression per ~64 records instead of one per record; the footer
   addresses a blocked record as ``(block offset, slot)``.
 * ``TOMBSTONE`` — the key's entry is deleted (LRU eviction appends one
   of these instead of rewriting files; compaction reclaims the space).
-* ``TOUCH`` — recency bump for a key (the packed store's equivalent of
-  the JSON layout's mtime ``os.utime``), batched by the store.
+* ``TOUCH`` — recency bump for a key, batched by the store.
 * ``FOOTER`` — the segment's index: a zlib-compressed, sorted
   ``key -> (frame offset, frame length, slot, timestamp)`` table, so a
   lookup is an mmap + bisect + single-block decode instead of a

@@ -2,15 +2,15 @@
 
 The :class:`~repro.cache.store.GraphStore` is shared by many processes —
 the ``generate_many`` shards, every :class:`~repro.service.SessionPool`
-worker, and any concurrently running CLI invocation.  Its *single-file*
-operations are already safe through atomic write-then-rename, but the
-*multi-file* operations are not: LRU eviction removes a key's graph,
-widget-set, and proof files as one unit, and a save of a derived file
-(widgets, proofs) must observe a consistent answer to "does this key's
-graph entry still exist?".  Without mutual exclusion, two pruners can
+worker, and any concurrently running CLI invocation.  Every write
+appends to shared segment files, and several must be atomic as a unit:
+LRU eviction tombstones a key in every table at once, and a save of a
+derived record (widgets, proofs) must observe a consistent answer to
+"does this key's graph record still exist?".  Without mutual exclusion,
+two writers can interleave frames in one segment, two pruners can
 interleave their scans and evictions, and a pruner can slip between a
-worker's graph save and widget save, leaving an orphaned
-``.widgets.json`` behind.
+worker's graph save and widget save, leaving an orphaned widget record
+behind.
 
 :class:`StoreLock` provides the mutual exclusion: an advisory ``flock``
 on a dedicated ``.lock`` file inside the store directory.  Advisory is
@@ -21,8 +21,7 @@ produce as corrupt entries, i.e. misses).
 
 On platforms without ``fcntl`` (Windows), the lock degrades to a
 process-local :class:`threading.Lock` — single-process correctness is
-kept, and the cross-process guarantees match what the store offered
-before locking existed (atomic single-file ops only).
+kept; concurrent writers from several processes are then unsupported.
 """
 
 from __future__ import annotations

@@ -6,14 +6,15 @@ between sessions.  This module turns an :class:`~repro.graph.interaction.
 InteractionGraph` (queries, edges, diffs) plus its
 :class:`~repro.graph.build.BuildStats` into plain JSON values and back.
 
-Two layouts share the same record encoders:
-
-* ``graph_to_dict`` / ``graph_from_dict`` — one JSON object, convenient
-  for embedding (the session snapshot uses it);
-* ``save_graph`` / ``load_graph`` — JSON *lines*: a header record followed
-  by one record per interned subtree, per query, per diff, and per edge.
-  Large graphs stream line by line instead of materialising one giant
-  document, and a truncated file fails loudly on the record count check.
+A graph is encoded as JSON *lines*: a header record followed by one
+record per interned subtree, per query, per diff, and per edge; a
+truncated payload fails loudly on the record count check.
+:func:`graph_to_jsonl_bytes` / :func:`graph_from_jsonl_bytes` are the
+store's graph codec, and :func:`save_graph` / :func:`load_graph` write
+and read the same bytes as a file (the session snapshot).  The derived
+tables (widget sets, closure proofs, diff memos, compiled pages) each
+have a ``*_to_json_bytes`` / ``*_from_json_bytes`` pair over one JSON
+document.
 
 Sharing is preserved, twice over:
 
@@ -61,34 +62,24 @@ __all__ = [
     "node_from_dict",
     "diff_to_dict",
     "diff_from_dict",
-    "graph_to_dict",
-    "graph_from_dict",
     "save_graph",
     "load_graph",
     "graph_to_jsonl_bytes",
     "graph_from_jsonl_bytes",
     "widgets_to_dict",
     "widgets_from_dict",
-    "save_widgets",
-    "load_widgets",
     "widgets_to_json_bytes",
     "widgets_from_json_bytes",
     "proofs_to_dict",
     "proofs_from_dict",
-    "save_proofs",
-    "load_proofs",
     "proofs_to_json_bytes",
     "proofs_from_json_bytes",
     "diff_memo_to_dict",
     "diff_memo_from_dict",
-    "save_diff_memo",
-    "load_diff_memo",
     "diff_memo_to_json_bytes",
     "diff_memo_from_json_bytes",
     "compiled_page_to_dict",
     "compiled_page_from_dict",
-    "save_compiled_page",
-    "load_compiled_page",
     "compiled_page_to_json_bytes",
     "compiled_page_from_json_bytes",
     "derived_interval_annotations",
@@ -292,32 +283,6 @@ def _stats_from(payload: dict[str, Any] | None) -> BuildStats:
     )
 
 
-def graph_to_dict(
-    graph: InteractionGraph,
-    stats: BuildStats | None = None,
-    extra: dict[str, Any] | None = None,
-) -> dict[str, Any]:
-    """Encode a graph (and optionally its build stats) as one JSON object.
-
-    ``extra`` rides along verbatim under the ``"extra"`` key — the session
-    snapshot stores its own metadata there.
-    """
-    trees, query_refs, diffs, edges = _encode_parts(graph)
-    out: dict[str, Any] = {
-        "version": FORMAT_VERSION,
-        "trees": trees,
-        "queries": query_refs,
-        "diffs": diffs,
-        "edges": edges,
-    }
-    stats_payload = _stats_payload(stats)
-    if stats_payload is not None:
-        out["stats"] = stats_payload
-    if extra:
-        out["extra"] = extra
-    return out
-
-
 def _decode_graph(
     tree_payloads: list[dict[str, Any]],
     query_refs: list[int],
@@ -329,32 +294,6 @@ def _decode_graph(
     diffs = [diff_from_dict(d, trees) for d in diff_payloads]
     edges = [_edge_from_dict(e, diffs) for e in edge_payloads]
     return InteractionGraph(queries=queries, edges=edges, diffs=diffs)
-
-
-def graph_from_dict(
-    payload: dict[str, Any],
-) -> tuple[InteractionGraph, BuildStats, dict[str, Any]]:
-    """Decode a :func:`graph_to_dict` payload.
-
-    Returns ``(graph, stats, extra)``; ``stats`` is zeroed when the payload
-    carried none.
-
-    Raises:
-        CacheError: on a version mismatch or a malformed payload.
-    """
-    version = payload.get("version")
-    if version != FORMAT_VERSION:
-        raise CacheError(
-            f"unsupported graph format version {version!r} "
-            f"(this build reads version {FORMAT_VERSION})"
-        )
-    try:
-        graph = _decode_graph(
-            payload["trees"], payload["queries"], payload["diffs"], payload["edges"]
-        )
-    except (KeyError, TypeError) as exc:
-        raise CacheError("malformed graph payload") from exc
-    return graph, _stats_from(payload.get("stats")), payload.get("extra", {})
 
 
 # ----------------------------------------------------------------------
@@ -400,9 +339,8 @@ def graph_to_jsonl_bytes(
 ) -> bytes:
     """The exact bytes :func:`save_graph` would write for this graph.
 
-    The packed store's record payloads go through here, so a packed entry
-    and a JSON-file entry for the same graph are byte-identical by
-    construction (the parity the migration and format tests assert).
+    The store's graph records are these bytes, so a record and a
+    :func:`save_graph` file of the same graph are byte-identical.
     """
     return "".join(
         line + "\n" for line in _jsonl_lines(graph, stats, extra)
@@ -439,7 +377,8 @@ def load_graph(
 ) -> tuple[InteractionGraph, BuildStats, dict[str, Any]]:
     """Read a :func:`save_graph` file back.
 
-    Returns ``(graph, stats, extra)`` exactly as :func:`graph_from_dict`.
+    Returns ``(graph, stats, extra)``; ``stats`` is zeroed when the
+    file carried none.
 
     Raises:
         CacheError: on version mismatch, malformed records, or a record
@@ -605,9 +544,8 @@ def widgets_from_dict(
 
 
 def _json_doc_bytes(payload: dict[str, Any]) -> bytes:
-    """The exact bytes :func:`_write_json_atomic` writes for ``payload`` —
-    the packed store's record payloads for the derived tables go through
-    here, keeping packed and JSON-file entries byte-identical."""
+    """One derived-table record: ``payload`` as one sorted-key JSON
+    document plus a newline."""
     # sort_keys: derived tables must be byte-deterministic across
     # processes for digest-based comparison
     return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
@@ -623,56 +561,10 @@ def _json_doc_from_bytes(data: bytes, label: str) -> dict[str, Any]:
     return payload
 
 
-def _write_json_atomic(path: str | FilePath, payload: dict[str, Any]) -> None:
-    """Write one JSON document via a writer-unique temp file + rename, so
-    concurrent readers never observe a half-written derived table."""
-    target = FilePath(path)
-    tmp = target.with_name(f"{target.name}.{os.getpid()}-{uuid4().hex[:8]}.tmp")
-    try:
-        with open(tmp, "wb") as handle:
-            handle.write(_json_doc_bytes(payload))
-        tmp.replace(target)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-def save_widgets(
-    path: str | FilePath, widgets: list[Widget], graph: InteractionGraph
-) -> None:
-    """Atomically write a widget-set payload next to its graph entry."""
-    _write_json_atomic(path, widgets_to_dict(widgets, graph))
-
-
-def load_widgets(
-    path: str | FilePath,
-    graph: InteractionGraph,
-    library: list[WidgetType],
-    annotations: GrammarAnnotations,
-) -> list[Widget]:
-    """Read a :func:`save_widgets` file back against its loaded graph.
-
-    Raises:
-        CacheError: on unreadable files, bad JSON, or any
-            :func:`widgets_from_dict` failure.
-    """
-    file_path = FilePath(path)
-    try:
-        text = file_path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CacheError(f"cannot read widget-set file {file_path}") from exc
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CacheError(f"bad JSON in widget-set file {file_path}") from exc
-    if not isinstance(payload, dict):
-        raise CacheError(f"{file_path} is not a widget-set payload")
-    return widgets_from_dict(payload, graph, library, annotations)
-
-
 def widgets_to_json_bytes(
     widgets: list[Widget], graph: InteractionGraph
 ) -> bytes:
-    """The exact bytes :func:`save_widgets` would write (packed payload)."""
+    """A widget set's record payload (see :func:`widgets_to_dict`)."""
     return _json_doc_bytes(widgets_to_dict(widgets, graph))
 
 
@@ -683,10 +575,11 @@ def widgets_from_json_bytes(
     annotations: GrammarAnnotations,
     label: str = "<widget-set record>",
 ) -> list[Widget]:
-    """Decode :func:`widgets_to_json_bytes` output (packed read path).
+    """Decode :func:`widgets_to_json_bytes` output.  ``label`` names
+    the source in error messages.
 
     Raises:
-        CacheError: exactly as :func:`load_widgets` for the same content.
+        CacheError: on bad JSON or any :func:`widgets_from_dict` failure.
     """
     return widgets_from_dict(
         _json_doc_from_bytes(data, label), graph, library, annotations
@@ -754,46 +647,18 @@ def proofs_from_dict(payload: dict[str, Any]) -> list[tuple[Node, Node, "Path"]]
     return triples
 
 
-def save_proofs(
-    path: str | FilePath, triples: list[tuple[Node, Node, "Path"]]
-) -> None:
-    """Atomically write a proof-set payload next to its graph entry."""
-    _write_json_atomic(path, proofs_to_dict(triples))
-
-
-def load_proofs(path: str | FilePath) -> list[tuple[Node, Node, "Path"]]:
-    """Read a :func:`save_proofs` file back.
-
-    Raises:
-        CacheError: on unreadable files, bad JSON, or any
-            :func:`proofs_from_dict` failure.
-    """
-    file_path = FilePath(path)
-    try:
-        text = file_path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CacheError(f"cannot read proof-set file {file_path}") from exc
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CacheError(f"bad JSON in proof-set file {file_path}") from exc
-    if not isinstance(payload, dict):
-        raise CacheError(f"{file_path} is not a proof-set payload")
-    return proofs_from_dict(payload)
-
-
 def proofs_to_json_bytes(triples: list[tuple[Node, Node, "Path"]]) -> bytes:
-    """The exact bytes :func:`save_proofs` would write (packed payload)."""
+    """A proof set's record payload (see :func:`proofs_to_dict`)."""
     return _json_doc_bytes(proofs_to_dict(triples))
 
 
 def proofs_from_json_bytes(
     data: bytes, label: str = "<proof-set record>"
 ) -> list[tuple[Node, Node, "Path"]]:
-    """Decode :func:`proofs_to_json_bytes` output (packed read path).
+    """Decode :func:`proofs_to_json_bytes` output.
 
     Raises:
-        CacheError: exactly as :func:`load_proofs` for the same content.
+        CacheError: on bad JSON or any :func:`proofs_from_dict` failure.
     """
     return proofs_from_dict(_json_doc_from_bytes(data, label))
 
@@ -859,46 +724,18 @@ def diff_memo_from_dict(payload: dict[str, Any]) -> list[tuple[Node, Node, bool]
     return pairs
 
 
-def save_diff_memo(
-    path: str | FilePath, pairs: list[tuple[Node, Node, bool]]
-) -> None:
-    """Atomically write a diff-memo payload next to its graph entry."""
-    _write_json_atomic(path, diff_memo_to_dict(pairs))
-
-
-def load_diff_memo(path: str | FilePath) -> list[tuple[Node, Node, bool]]:
-    """Read a :func:`save_diff_memo` file back.
-
-    Raises:
-        CacheError: on unreadable files, bad JSON, or any
-            :func:`diff_memo_from_dict` failure.
-    """
-    file_path = FilePath(path)
-    try:
-        text = file_path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CacheError(f"cannot read diff-memo file {file_path}") from exc
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CacheError(f"bad JSON in diff-memo file {file_path}") from exc
-    if not isinstance(payload, dict):
-        raise CacheError(f"{file_path} is not a diff-memo payload")
-    return diff_memo_from_dict(payload)
-
-
 def diff_memo_to_json_bytes(pairs: list[tuple[Node, Node, bool]]) -> bytes:
-    """The exact bytes :func:`save_diff_memo` would write (packed payload)."""
+    """A diff memo's record payload (see :func:`diff_memo_to_dict`)."""
     return _json_doc_bytes(diff_memo_to_dict(pairs))
 
 
 def diff_memo_from_json_bytes(
     data: bytes, label: str = "<diff-memo record>"
 ) -> list[tuple[Node, Node, bool]]:
-    """Decode :func:`diff_memo_to_json_bytes` output (packed read path).
+    """Decode :func:`diff_memo_to_json_bytes` output.
 
     Raises:
-        CacheError: exactly as :func:`load_diff_memo` for the same content.
+        CacheError: on bad JSON or any :func:`diff_memo_from_dict` failure.
     """
     return diff_memo_from_dict(_json_doc_from_bytes(data, label))
 
@@ -941,46 +778,20 @@ def compiled_page_from_dict(payload: dict[str, Any]) -> dict[str, Any]:
     return state
 
 
-def save_compiled_page(path: str | FilePath, state: dict[str, Any]) -> None:
-    """Atomically write a compiled-page payload next to its graph entry."""
-    _write_json_atomic(path, compiled_page_to_dict(state))
-
-
-def load_compiled_page(path: str | FilePath) -> dict[str, Any]:
-    """Read a :func:`save_compiled_page` file back.
-
-    Raises:
-        CacheError: on unreadable files, bad JSON, or any
-            :func:`compiled_page_from_dict` failure.
-    """
-    file_path = FilePath(path)
-    try:
-        text = file_path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CacheError(f"cannot read compiled-page file {file_path}") from exc
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CacheError(f"bad JSON in compiled-page file {file_path}") from exc
-    if not isinstance(payload, dict):
-        raise CacheError(f"{file_path} is not a compiled-page payload")
-    return compiled_page_from_dict(payload)
-
-
 def compiled_page_to_json_bytes(state: dict[str, Any]) -> bytes:
-    """The exact bytes :func:`save_compiled_page` would write (packed
-    payload)."""
+    """A compiled page's record payload (see
+    :func:`compiled_page_to_dict`)."""
     return _json_doc_bytes(compiled_page_to_dict(state))
 
 
 def compiled_page_from_json_bytes(
     data: bytes, label: str = "<compiled-page record>"
 ) -> dict[str, Any]:
-    """Decode :func:`compiled_page_to_json_bytes` output (packed read path).
+    """Decode :func:`compiled_page_to_json_bytes` output.
 
     Raises:
-        CacheError: exactly as :func:`load_compiled_page` for the same
-            content.
+        CacheError: on bad JSON or any :func:`compiled_page_from_dict`
+            failure.
     """
     return compiled_page_from_dict(_json_doc_from_bytes(data, label))
 

@@ -3,7 +3,8 @@ closure proofs, diff memos, and compiled interface pages.
 
 A :class:`GraphStore` is a directory of cache entries keyed by
 ``(log fingerprint, options fingerprint)``.  Each key owns up to five
-records — five content-addressed tables over the same key space:
+records — five content-addressed tables over the same key space, listed
+once in the :data:`TABLES` registry:
 
 * **graphs** — the mined interaction graph (JSONL payload, see
   :func:`~repro.cache.serialize.graph_to_jsonl_bytes`), skipping the Mine
@@ -24,25 +25,21 @@ records — five content-addressed tables over the same key space:
   first page — and warms its closure-slice cache — without re-rendering
   anything.
 
-Two on-disk formats carry the same payload bytes:
+Each table is one append-only block-compressed segment file
+(``graphs.seg``, ``widgets.seg``, ``proofs.seg``, ``diffmemos.seg``,
+``compiled.seg``; see :mod:`repro.cache.blockstore`).  A save appends
+one record, a lookup is an mmap + bisect + single-block decode, eviction
+appends a tombstone, and ``stats()``/``prune()`` read five footers.
+Every typed load and save goes through one get path and one put path
+(:meth:`record_get` / :meth:`record_put`), whichever transport serves
+them.
 
-* ``format="packed"`` (the default for new stores) — one append-only
-  block-compressed segment file per table (``graphs.seg``,
-  ``widgets.seg``, ``proofs.seg``, ``diffmemos.seg``, ``compiled.seg``;
-  see :mod:`repro.cache.blockstore`).  A save appends one record, a
-  lookup is an mmap + bisect + single-block decode, eviction appends a
-  tombstone, and ``stats()``/``prune()`` read five footers instead of
-  statting every file in the directory;
-* ``format="json"`` — the legacy one-file-per-table-per-key layout
-  (``<key>.graph.jsonl`` + four ``.json`` derived files), kept as the
-  interchange/debug path.  A packed record's payload is the *exact
-  bytes* of the corresponding JSON file, so the two formats are
-  byte-identical per entry and :meth:`migrate` converts either way
-  losslessly.
-
-``format="auto"`` (constructor default) opens whatever the directory
-already holds — segments win when both are present (a migration that was
-interrupted mid-way) — and picks packed for an empty directory.
+A record's payload is the exact content of the one-file-per-record JSON
+layout earlier versions wrote (``<key>.graph.jsonl`` plus four
+``.json`` files per key).  That layout is no longer served; it survives
+as maintenance: :meth:`GraphStore.import_json` folds such files into the
+segments in place, and :meth:`GraphStore.export_json` writes a store out
+in it, byte for byte.
 
 The key is content-addressed, so there is no explicit invalidation
 protocol for correctness: a changed log or changed options simply hashes
@@ -55,8 +52,8 @@ Space management is optional and LRU: construct the store with
 least-recently-*used* keys until the caps hold; :meth:`prune` applies
 caps on demand and :meth:`stats` reports occupancy.  Eviction is per-key
 — a key's graph, widget, proof, memo, and compiled records leave
-together, never orphaning a derived entry.  Recency in packed mode is a record timestamp:
-loads batch recency bumps in memory and the next save (or
+together, never orphaning a derived entry.  Recency is a record
+timestamp: loads batch recency bumps in memory and the next save (or
 :meth:`flush_recency`, or :meth:`prune`) appends them as TOUCH markers,
 so cross-process recency is exact at every eviction decision.
 
@@ -66,9 +63,7 @@ concurrent CLI invocations.  All *writes* to the shared segment files
 are serialised by the advisory :class:`~repro.cache.lock.StoreLock` on
 ``<root>/.lock``; because segments are append-only and compaction
 replaces them atomically, *loads* stay deliberately lock-free — a reader
-racing an eviction simply misses.  In JSON mode single-file saves are
-atomic (write-then-rename) and only multi-file operations take the lock,
-exactly as before.
+racing an eviction simply misses.
 
 Remote mode: constructed with ``remote=<socket path>``, the store
 becomes a thin client of a :class:`~repro.service.daemon.StoreDaemon` —
@@ -76,8 +71,7 @@ the same public API, but every byte operation (record get/put, prune,
 stats) travels over a unix-domain socket to the one process that owns
 the segment files.  Encoding/decoding stays in this process; the daemon
 only moves bytes.  When no daemon answers (never started, crashed), the
-store *fails open* to direct in-process access — behaviourally the
-pre-daemon store — and keeps working; see
+store *fails open* to direct in-process access and keeps working; see
 :mod:`repro.cache.client` for the transport and failure semantics.
 """
 
@@ -85,10 +79,10 @@ from __future__ import annotations
 
 import os
 from pathlib import Path as FilePath
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, TypeVar
 from uuid import uuid4
 
-from repro.cache.blockstore import DEFAULT_LEVEL, Segment
+from repro.cache.blockstore import Segment
 from repro.cache.client import DaemonUnavailable, QuotaExceeded, StoreClient
 from repro.cache.lock import StoreLock
 from repro.cache.serialize import (
@@ -98,18 +92,8 @@ from repro.cache.serialize import (
     diff_memo_to_json_bytes,
     graph_from_jsonl_bytes,
     graph_to_jsonl_bytes,
-    load_compiled_page,
-    load_diff_memo,
-    load_graph,
-    load_proofs,
-    load_widgets,
     proofs_from_json_bytes,
     proofs_to_json_bytes,
-    save_compiled_page,
-    save_diff_memo,
-    save_graph,
-    save_proofs,
-    save_widgets,
     widgets_from_json_bytes,
     widgets_to_json_bytes,
 )
@@ -125,87 +109,75 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sqlparser.grammar import GrammarAnnotations
     from repro.widgets.base import Widget, WidgetType
 
-__all__ = ["GraphStore"]
+__all__ = ["GraphStore", "TABLES", "Table"]
+
+_T = TypeVar("_T")
 
 #: Hex digits of each fingerprint kept in the key.  16 of each
 #: (64 bits log + 64 bits options) keeps keys short while making
 #: accidental collisions vanishingly unlikely for any realistic store.
 _KEY_DIGITS = 16
 
-_SUFFIX = ".graph.jsonl"
-_WIDGETS_SUFFIX = ".widgets.json"
-_PROOFS_SUFFIX = ".proofs.json"
-_DIFFMEMO_SUFFIX = ".diffmemo.json"
-_COMPILED_SUFFIX = ".compiled.json"
 
-#: Suffixes of the derived tables — files that are only meaningful next
-#: to their key's graph entry.
-_DERIVED_SUFFIXES = (
-    _WIDGETS_SUFFIX,
-    _PROOFS_SUFFIX,
-    _DIFFMEMO_SUFFIX,
-    _COMPILED_SUFFIX,
+class Table(NamedTuple):
+    """One store table: its name (in ``stats()`` and on the daemon
+    wire), its segment file, the file suffix of its legacy JSON layout,
+    and the ``stats()`` counter of its live records."""
+
+    name: str
+    segment: str
+    suffix: str
+    counter: str
+
+
+#: The table registry.  Graphs come first, so a derived record is never
+#: written (or imported) before the graph record it belongs to.
+TABLES = (
+    Table("graphs", "graphs.seg", ".graph.jsonl", "n_graphs"),
+    Table("widget_sets", "widgets.seg", ".widgets.json", "n_widget_sets"),
+    Table("proof_sets", "proofs.seg", ".proofs.json", "n_proof_sets"),
+    Table("diff_memos", "diffmemos.seg", ".diffmemo.json", "n_diff_memos"),
+    Table("compiled", "compiled.seg", ".compiled.json", "n_compiled"),
 )
 
-#: stats() table names, keyed by entry-file suffix (JSON layout).
-_TABLE_NAMES = {
-    _SUFFIX: "graphs",
-    _WIDGETS_SUFFIX: "widget_sets",
-    _PROOFS_SUFFIX: "proof_sets",
-    _DIFFMEMO_SUFFIX: "diff_memos",
-    _COMPILED_SUFFIX: "compiled",
-}
-
-#: Table processing order: graphs first, so a derived record is never
-#: written (or migrated) before the graph record it belongs to.
-_TABLE_ORDER = ("graphs", "widget_sets", "proof_sets", "diff_memos", "compiled")
-
-#: Segment file per table (packed layout).
-_SEGMENT_FILES = {
-    "graphs": "graphs.seg",
-    "widget_sets": "widgets.seg",
-    "proof_sets": "proofs.seg",
-    "diff_memos": "diffmemos.seg",
-    "compiled": "compiled.seg",
-}
-
-#: JSON entry-file suffix per table (inverse of _TABLE_NAMES).
-_SUFFIX_BY_TABLE = {name: suffix for suffix, name in _TABLE_NAMES.items()}
+_BY_NAME = {table.name: table for table in TABLES}
 
 #: Tables a caller may drop wholesale via invalidate_table (never the
 #: graphs table — that would orphan every derived record).
-_DERIVED_TABLES = ("widget_sets", "proof_sets", "diff_memos", "compiled")
+_DERIVED_TABLES = tuple(table.name for table in TABLES[1:])
 
-#: Keys migrated per append batch.  Batching keeps json->packed
-#: migration O(keys) instead of O(keys^2) footer rebuilds, while an
-#: interruption loses at most one batch of progress (the source files of
-#: a batch are only removed after its records are committed).
-_MIGRATE_BATCH = 256
+#: Keys imported per append batch.  Batching keeps a JSON import
+#: O(keys) instead of O(keys^2) footer rebuilds, while an interruption
+#: loses at most one batch of progress (the source files of a batch are
+#: only removed after its records are committed).
+_IMPORT_BATCH = 256
 
 #: Sentinel returned by ``GraphStore._via_remote`` when the daemon
 #: vanished mid-operation and the store fell open to direct access — the
-#: caller then re-runs the operation against the local layout.
+#: caller then re-runs the operation against the local segments.
 _FELL_BACK = object()
 
 
+def _check_table(name: str) -> None:
+    if name not in _BY_NAME:
+        raise ValueError(f"unknown table {name!r}")
+
+
 class GraphStore:
-    """Load/save/invalidate cached graphs and widget sets under one
-    directory.
+    """Load/save/invalidate cached graphs and their derived records
+    under one directory.
 
     Args:
         root: the cache directory; created (with parents) if missing.
         max_bytes: optional cap on the total on-disk size of the store;
             exceeding saves evict least-recently-used keys.
         max_entries: optional cap on the number of distinct keys.
-        format: ``"auto"`` (open whatever the directory holds, packed for
-            a fresh one), ``"packed"``, or ``"json"``.
-        zlib_level: compression level for packed segments (0-9).
         remote: unix-domain socket of a running
             :class:`~repro.service.daemon.StoreDaemon`; when set, all
-            store operations go through the daemon (``format`` and the
-            caps then describe the *fallback* store).  When no daemon
-            answers — at construction or later — the store fails open to
-            direct access on ``root``.
+            store operations go through the daemon (the caps then
+            describe the *fallback* store).  When no daemon answers — at
+            construction or later — the store fails open to direct
+            access on ``root``.
     """
 
     def __init__(
@@ -213,32 +185,27 @@ class GraphStore:
         root: str | FilePath,
         max_bytes: int | None = None,
         max_entries: int | None = None,
-        format: str = "auto",
-        zlib_level: int = DEFAULT_LEVEL,
         remote: str | None = None,
     ) -> None:
         if max_bytes is not None and max_bytes < 0:
             raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
         if max_entries is not None and max_entries < 0:
             raise ValueError(f"max_entries must be >= 0, got {max_entries}")
-        if format not in ("auto", "packed", "json"):
-            raise ValueError(
-                f"format must be 'auto', 'packed', or 'json', got {format!r}"
-            )
-        if not 0 <= zlib_level <= 9:
-            raise ValueError(f"zlib_level must be in 0..9, got {zlib_level}")
         self.root = FilePath(root)
         self.max_bytes = max_bytes
         self.max_entries = max_entries
-        self.zlib_level = zlib_level
         self.root.mkdir(parents=True, exist_ok=True)
         self._lock = StoreLock(self.root)
-        self._requested_format = format
-        self._segments: dict[str, Segment] = {}
+        # opening a Segment touches no file: the remote mode keeps these
+        # ready for a fail-open
+        self._segments = {
+            table.name: Segment(self.root / table.segment, self._lock, table.name)
+            for table in TABLES
+        }
         #: loads record recency here; the next locked write appends the
         #: batch as TOUCH markers (see flush_recency)
         self._pending_touches: dict[str, set[str]] = {
-            table: set() for table in _TABLE_ORDER
+            table.name: set() for table in TABLES
         }
         self._remote: StoreClient | None = None
         if remote is not None:
@@ -250,18 +217,6 @@ class GraphStore:
                 # fail open at construction: no daemon is a degraded
                 # deployment, not an error
                 client.close()
-        if self._remote is not None:
-            self._format = "remote"
-        else:
-            self._attach_local()
-
-    def _attach_local(self) -> None:
-        """Resolve the on-disk format and open it for direct access (the
-        daemon-less constructor path, and the fail-open path)."""
-        self._format = self._resolve_format(self._requested_format)
-        if self._format == "packed":
-            self._init_segments()
-        self._heal_mixed_state()
 
     def _fail_open(self) -> None:
         """Drop an unreachable daemon and continue with direct access.
@@ -274,7 +229,6 @@ class GraphStore:
         if self._remote is not None:
             self._remote.close()
             self._remote = None
-        self._attach_local()
 
     def _via_remote(self, fn: Any, *args: Any) -> Any:
         """Run one remote operation; on transport failure fall open and
@@ -286,195 +240,76 @@ class GraphStore:
             self._fail_open()
             return _FELL_BACK
 
-    def _resolve_format(self, requested: str) -> str:
-        if requested != "auto":
-            return requested
-        # segments win over leftover json files: an interrupted
-        # json->packed migration must resume as packed
-        for name in _SEGMENT_FILES.values():
-            if (self.root / name).exists():
-                return "packed"
-        if next(self.root.glob("*" + _SUFFIX), None) is not None:
-            return "json"
-        return "packed"
-
-    def _init_segments(self) -> None:
-        self._segments = {
-            table: Segment(
-                self.root / _SEGMENT_FILES[table],
-                self._lock,
-                table,
-                level=self.zlib_level,
-            )
-            for table in _TABLE_ORDER
-        }
-
-    def _heal_mixed_state(self) -> None:
-        """Finish an interrupted layout migration.
-
-        A ``cache migrate`` killed between batches leaves *both* segment
-        files and legacy per-key JSON files in the directory.  Opening
-        such a store used to silently serve only one side — ``auto``
-        resolves to packed, so the not-yet-migrated JSON keys became
-        invisible misses, and an explicitly-``json`` open would write new
-        entries that a later ``auto`` open (which prefers segments)
-        would never see.  Now the mixed state is detected at open and
-        the migration is *resumed* toward the resolved format, so the
-        store always presents every key in exactly one layout.  Both
-        directions are lossless: the torn run's already-converted keys
-        and still-pending keys are disjoint (a batch's source files are
-        only removed after its records commit), and payloads are
-        byte-identical across layouts.
-        """
-        if self._format == "packed":
-            strays = next(self.root.glob("*" + _SUFFIX), None) is not None or any(
-                next(self.root.glob("*" + suffix), None) is not None
-                for suffix in _DERIVED_SUFFIXES
-            )
-            if strays:
-                self._migrate_to_packed()
-        elif self._format == "json":
-            if any(
-                (self.root / name).exists() for name in _SEGMENT_FILES.values()
-            ):
-                self._migrate_to_json()
-
     @property
     def format(self) -> str:
-        """The resolved on-disk format — ``"packed"`` or ``"json"`` —
-        or ``"remote"`` while attached to a store daemon."""
-        return self._format
+        """``"packed"``, or ``"remote"`` while attached to a store
+        daemon."""
+        return "remote" if self._remote is not None else "packed"
 
     @property
     def remote(self) -> str | None:
         """The daemon socket this store is attached to, or ``None`` when
-        operating directly on the local layout (including after a
+        operating directly on the local segments (including after a
         fail-open)."""
         return self._remote.socket_path if self._remote is not None else None
 
     # ------------------------------------------------------------------
-    # keys
+    # keys and recency
     # ------------------------------------------------------------------
     @staticmethod
     def key(log_fingerprint: str, options_fingerprint: str) -> str:
         """The store key for a (log, options) pair."""
         return f"{log_fingerprint[:_KEY_DIGITS]}-{options_fingerprint[:_KEY_DIGITS]}"
 
-    def path_for(self, log_fingerprint: str, options_fingerprint: str) -> FilePath:
-        """Where the JSON-layout graph entry for this key lives (whether
-        or not it exists; in packed mode the entry lives in
-        ``graphs.seg`` instead)."""
-        return self.root / (self.key(log_fingerprint, options_fingerprint) + _SUFFIX)
-
-    def widgets_path_for(
-        self, log_fingerprint: str, options_fingerprint: str
-    ) -> FilePath:
-        """Where the JSON-layout widget-set entry for this key lives."""
-        return self.root / (
-            self.key(log_fingerprint, options_fingerprint) + _WIDGETS_SUFFIX
-        )
-
-    def proofs_path_for(
-        self, log_fingerprint: str, options_fingerprint: str
-    ) -> FilePath:
-        """Where the JSON-layout closure-proof entry for this key lives."""
-        return self.root / (
-            self.key(log_fingerprint, options_fingerprint) + _PROOFS_SUFFIX
-        )
-
-    def diffmemo_path_for(
-        self, log_fingerprint: str, options_fingerprint: str
-    ) -> FilePath:
-        """Where the JSON-layout diff-memo entry for this key lives."""
-        return self.root / (
-            self.key(log_fingerprint, options_fingerprint) + _DIFFMEMO_SUFFIX
-        )
-
-    def compiled_path_for(
-        self, log_fingerprint: str, options_fingerprint: str
-    ) -> FilePath:
-        """Where the JSON-layout compiled-page entry for this key lives."""
-        return self.root / (
-            self.key(log_fingerprint, options_fingerprint) + _COMPILED_SUFFIX
-        )
-
-    # ------------------------------------------------------------------
-    # packed-mode plumbing
-    # ------------------------------------------------------------------
-    def _segment(self, table: str) -> Segment:
-        return self._segments[table]
-
-    def _load_record(self, table: str, key: str) -> bytes | None:
-        """Lock-free packed lookup; a hit queues a recency touch."""
-        payload = self._segment(table).get(key)
-        if payload is not None:
-            self._pending_touches[table].add(key)
-        return payload
-
     def _flush_touches_locked(self) -> None:
         """Append pending recency bumps as TOUCH markers (under lock)."""
         with self._lock.held():
-            for table in _TABLE_ORDER:
-                keys = self._pending_touches[table]
+            for table, keys in self._pending_touches.items():
                 if keys:
-                    self._segment(table).append_touches(sorted(keys))
+                    self._segments[table].append_touches(sorted(keys))
                     keys.clear()
 
     def flush_recency(self) -> None:
-        """Persist batched load-recency (packed mode; json loads touch
-        mtimes directly, so this is a no-op there).
+        """Persist batched load-recency.
 
         Saves, :meth:`prune`, and the pipeline's cache stage call this
         automatically; long-running read-only consumers may call it so
-        their hits count for cross-process LRU.
+        their hits count for cross-process LRU.  Through a daemon every
+        load already updated the daemon's exact recency, so there is
+        nothing to flush.
         """
-        if self._remote is not None:
-            # every load already went through the daemon, whose recency
-            # is exact — there is nothing batched locally to flush
-            return
-        if self._format != "packed":
-            return
-        if any(self._pending_touches[table] for table in _TABLE_ORDER):
+        if self._remote is None and any(self._pending_touches.values()):
             with self._lock.held():
                 self._flush_touches_locked()
 
     # ------------------------------------------------------------------
-    # byte-level record surface
+    # byte-level record surface: the one get path and the one put path
     # ------------------------------------------------------------------
     # The daemon serves these over its socket: records travel as raw
-    # payload bytes (identical across layouts), so the daemon never
-    # encodes or decodes a graph and its lock hold times stay tiny.
+    # payload bytes, so the daemon never encodes or decodes a graph and
+    # its lock hold times stay tiny.
 
     def record_get(self, table: str, key: str) -> bytes | None:
         """Raw payload bytes of one record, or ``None`` on a miss.  A
-        hit counts as recency (TOUCH marker / mtime bump)."""
-        if table not in _TABLE_ORDER:
-            raise ValueError(f"unknown table {table!r}")
+        hit counts as recency (a TOUCH marker)."""
+        _check_table(table)
         if self._remote is not None:
             outcome = self._via_remote(self._remote_record_get, table, key)
             if outcome is not _FELL_BACK:
                 return outcome  # type: ignore[no-any-return]
-        if self._format == "packed":
-            return self._load_record(table, key)
-        path = self.root / (key + _SUFFIX_BY_TABLE[table])
-        try:
-            data = path.read_bytes()
-        except OSError:
-            return None
-        _touch(path)
-        return data
+        payload = self._segments[table].get(key)
+        if payload is not None:
+            self._pending_touches[table].add(key)
+        return payload
 
     def record_has(self, table: str, key: str) -> bool:
         """True when a live record exists for ``key`` in ``table``."""
-        if table not in _TABLE_ORDER:
-            raise ValueError(f"unknown table {table!r}")
+        _check_table(table)
         if self._remote is not None:
             outcome = self._via_remote(self._remote_record_has, table, key)
             if outcome is not _FELL_BACK:
                 return bool(outcome)
-        if self._format == "packed":
-            return self._segment(table).reader().has(key)
-        return (self.root / (key + _SUFFIX_BY_TABLE[table])).exists()
+        return self._segments[table].reader().has(key)
 
     def record_put(
         self,
@@ -488,50 +323,91 @@ class GraphStore:
         Derived tables keep the no-orphan invariant: when the key has no
         live graph record the save is refused (returns ``False``) unless
         ``graph_payload`` is supplied, in which case the graph record is
-        written first under the same lock — the byte-level equivalent of
-        :meth:`save_widget_set`'s re-save-if-evicted guarantee.
+        written first under the same lock.  A daemon's quota refusal
+        also returns ``False``.
         """
-        if table not in _TABLE_ORDER:
-            raise ValueError(f"unknown table {table!r}")
+        try:
+            return self._put(table, key, payload, graph_payload)
+        except QuotaExceeded:
+            # saves are an optimisation; over quota they are skipped, and
+            # the daemon's per-client counters make the denial visible
+            return False
+
+    def _put(
+        self,
+        table: str,
+        key: str,
+        payload: bytes,
+        graph_payload: bytes | None = None,
+    ) -> bool:
+        """:meth:`record_put`, with a quota refusal raised as
+        :class:`~repro.cache.client.QuotaExceeded` so that the typed
+        saves can tell it from a missing graph record."""
+        _check_table(table)
         if self._remote is not None:
             outcome = self._via_remote(
                 self._remote_record_put, table, key, payload, graph_payload
             )
             if outcome is not _FELL_BACK:
                 return bool(outcome)
-        if self._format == "packed":
-            with self._lock.held():
-                if table != "graphs" and not self._segment("graphs").reader().has(
-                    key
-                ):
-                    if graph_payload is None:
-                        return False
-                    self._segment("graphs").append_records(
-                        [(key, graph_payload, None)]
-                    )
-                self._segment(table).append_records([(key, payload, None)])
-                self._flush_touches_locked()
-            self._enforce_caps()
-            return True
-        graph_path = self.root / (key + _SUFFIX)
         with self._lock.held():
-            writes: list[tuple[FilePath, bytes]] = []
-            if table != "graphs" and not graph_path.exists():
+            graphs = self._segments["graphs"]
+            if table != "graphs" and not graphs.reader().has(key):
                 if graph_payload is None:
                     return False
-                writes.append((graph_path, graph_payload))
-            writes.append((self.root / (key + _SUFFIX_BY_TABLE[table]), payload))
-            for target, data in writes:
-                tmp = target.with_name(
-                    f"{target.name}.{os.getpid()}-{uuid4().hex[:8]}.tmp"
-                )
-                try:
-                    tmp.write_bytes(data)
-                    tmp.replace(target)
-                finally:
-                    tmp.unlink(missing_ok=True)
+                graphs.append_records([(key, graph_payload, None)])
+            self._segments[table].append_records([(key, payload, None)])
+            self._flush_touches_locked()
         self._enforce_caps()
         return True
+
+    def _load(
+        self,
+        table: str,
+        log_fingerprint: str,
+        options_fingerprint: str,
+        decode: Callable[[bytes, str], _T],
+    ) -> _T | None:
+        """The typed loads' shared path: fetch one record and decode it.
+        A miss and a record that fails to decode (foreign version, stale
+        library, corruption) both return ``None``: the caller recomputes
+        and overwrites, which is always safe because the store is
+        content-addressed."""
+        key = self.key(log_fingerprint, options_fingerprint)
+        payload = self.record_get(table, key)
+        if payload is None:
+            return None
+        try:
+            return decode(payload, f"{table}[{key}]")
+        except CacheError:
+            return None
+
+    def _save(
+        self,
+        table: str,
+        log_fingerprint: str,
+        options_fingerprint: str,
+        payload: bytes,
+        graph: InteractionGraph | None = None,
+    ) -> FilePath | None:
+        """The typed saves' shared path; returns the segment written, or
+        ``None`` when nothing was.
+
+        A derived record whose key has no live graph record is refused.
+        A caller that holds the graph passes it as ``graph``: the record
+        is then resent together with the encoded graph — encoded only on
+        that refusal, so a flush encodes each graph once.  Without
+        ``graph`` the save is skipped rather than orphaning a record.  A
+        daemon's quota refusal is not retried.
+        """
+        key = self.key(log_fingerprint, options_fingerprint)
+        try:
+            stored = self._put(table, key, payload)
+            if not stored and graph is not None:
+                stored = self._put(table, key, payload, graph_to_jsonl_bytes(graph))
+        except QuotaExceeded:
+            return None
+        return self.root / _BY_NAME[table].segment if stored else None
 
     # ------------------------------------------------------------------
     # remote dispatch (thin byte shims over StoreClient)
@@ -565,19 +441,14 @@ class GraphStore:
         payload: bytes,
         graph_payload: bytes | None,
     ) -> bool:
-        try:
-            header, _ = self._client().call(
-                "put",
-                payload=payload,
-                extra=graph_payload or b"",
-                table=table,
-                key=key,
-                has_graph_payload=graph_payload is not None,
-            )
-        except QuotaExceeded:
-            # saves are an optimisation; over quota they are skipped, and
-            # the daemon's per-client counters make the denial visible
-            return False
+        header, _ = self._client().call(
+            "put",
+            payload=payload,
+            extra=graph_payload or b"",
+            table=table,
+            key=key,
+            has_graph_payload=graph_payload is not None,
+        )
         return bool(header.get("stored"))
 
     def _remote_keys(self) -> list[str]:
@@ -617,19 +488,14 @@ class GraphStore:
         return bool(header.get("rewritten"))
 
     # ------------------------------------------------------------------
-    # graph table
+    # typed tables
     # ------------------------------------------------------------------
     def has(self, log_fingerprint: str, options_fingerprint: str) -> bool:
         """True when a graph entry exists for this key (it may still fail
         to load if written by an incompatible version)."""
-        if self._remote is not None:
-            return self.record_has(
-                "graphs", self.key(log_fingerprint, options_fingerprint)
-            )
-        if self._format == "packed":
-            key = self.key(log_fingerprint, options_fingerprint)
-            return self._segment("graphs").reader().has(key)
-        return self.path_for(log_fingerprint, options_fingerprint).exists()
+        return self.record_has(
+            "graphs", self.key(log_fingerprint, options_fingerprint)
+        )
 
     def load(
         self, log_fingerprint: str, options_fingerprint: str
@@ -637,42 +503,13 @@ class GraphStore:
         """Return the cached ``(graph, stats)`` for this key, or ``None``.
 
         A missing entry, a version mismatch, or a corrupt record all load
-        as ``None`` (a miss): the caller re-mines and overwrites, which is
-        always safe because the store is content-addressed.  A successful
-        load touches the entry (LRU recency for eviction).
+        as ``None`` (a miss).  A successful load touches the entry (LRU
+        recency for eviction).
         """
-        key = self.key(log_fingerprint, options_fingerprint)
-        if self._remote is not None:
-            payload = self.record_get("graphs", key)
-            if payload is None:
-                return None
-            try:
-                graph, stats, _extra = graph_from_jsonl_bytes(
-                    payload, label=f"daemon:graphs[{key}]"
-                )
-            except CacheError:
-                return None
-            return graph, stats
-        if self._format == "packed":
-            payload = self._load_record("graphs", key)
-            if payload is None:
-                return None
-            try:
-                graph, stats, _extra = graph_from_jsonl_bytes(
-                    payload, label=f"graphs.seg[{key}]"
-                )
-            except CacheError:
-                return None
-            return graph, stats
-        path = self.path_for(log_fingerprint, options_fingerprint)
-        if not path.exists():
-            return None
-        try:
-            graph, stats, _extra = load_graph(path)
-        except CacheError:
-            return None
-        _touch(path)
-        return graph, stats
+        decoded = self._load(
+            "graphs", log_fingerprint, options_fingerprint, graph_from_jsonl_bytes
+        )
+        return None if decoded is None else (decoded[0], decoded[1])
 
     def save(
         self,
@@ -681,36 +518,12 @@ class GraphStore:
         graph: InteractionGraph,
         stats: BuildStats | None = None,
     ) -> FilePath:
-        """Persist a mined graph under this key; returns the file the
-        entry landed in (the key's own file in JSON mode, ``graphs.seg``
-        in packed mode)."""
-        if self._remote is not None:
-            key = self.key(log_fingerprint, options_fingerprint)
-            self.record_put("graphs", key, graph_to_jsonl_bytes(graph, stats))
-            if self._format == "json":  # fell open mid-save
-                return self.path_for(log_fingerprint, options_fingerprint)
-            return self.root / _SEGMENT_FILES["graphs"]
-        if self._format == "packed":
-            key = self.key(log_fingerprint, options_fingerprint)
-            payload = graph_to_jsonl_bytes(graph, stats)
-            with self._lock.held():
-                self._segment("graphs").append_records([(key, payload, None)])
-                self._flush_touches_locked()
-            self._enforce_caps()
-            return self.root / _SEGMENT_FILES["graphs"]
-        path = self.path_for(log_fingerprint, options_fingerprint)
-        # Deliberately lock-free: save_graph is a single-file atomic
-        # write-then-rename, so a concurrent reader sees either the old
-        # complete entry or the new one — the lock only serialises
-        # *multi-file* operations (prune/invalidate/derived tables).
-        # repro-lint: disable=RL001
-        save_graph(path, graph, stats)
-        self._enforce_caps()
-        return path
+        """Persist a mined graph under this key; returns the segment file
+        the entry lands in (``graphs.seg``)."""
+        payload = graph_to_jsonl_bytes(graph, stats)
+        self._save("graphs", log_fingerprint, options_fingerprint, payload)
+        return self.root / _BY_NAME["graphs"].segment
 
-    # ------------------------------------------------------------------
-    # widget-set table
-    # ------------------------------------------------------------------
     def load_widget_set(
         self,
         log_fingerprint: str,
@@ -723,47 +536,13 @@ class GraphStore:
         ``graph``, or ``None``.
 
         ``graph`` must be the graph loaded from the *same* key — widget
-        records reference its diffs table by index.  Any decode failure
-        (foreign version, stale library, corruption) is a miss.
+        records reference its diffs table by index.
         """
-        key = self.key(log_fingerprint, options_fingerprint)
-        if self._remote is not None:
-            payload = self.record_get("widget_sets", key)
-            if payload is None:
-                return None
-            try:
-                return widgets_from_json_bytes(
-                    payload,
-                    graph,
-                    library,
-                    annotations,
-                    label=f"daemon:widgets[{key}]",
-                )
-            except CacheError:
-                return None
-        if self._format == "packed":
-            payload = self._load_record("widget_sets", key)
-            if payload is None:
-                return None
-            try:
-                return widgets_from_json_bytes(
-                    payload,
-                    graph,
-                    library,
-                    annotations,
-                    label=f"widgets.seg[{key}]",
-                )
-            except CacheError:
-                return None
-        path = self.widgets_path_for(log_fingerprint, options_fingerprint)
-        if not path.exists():
-            return None
-        try:
-            widgets = load_widgets(path, graph, library, annotations)
-        except CacheError:
-            return None
-        _touch(path)
-        return widgets
+
+        def decode(data: bytes, label: str) -> list[Widget]:
+            return widgets_from_json_bytes(data, graph, library, annotations, label)
+
+        return self._load("widget_sets", log_fingerprint, options_fingerprint, decode)
 
     def save_widget_set(
         self,
@@ -772,54 +551,21 @@ class GraphStore:
         widgets: list[Widget],
         graph: InteractionGraph,
     ) -> FilePath:
-        """Persist a mapped widget set under this key; returns the file
-        the entry landed in.
+        """Persist a mapped widget set under this key; returns the
+        segment file the entry lands in.
 
-        Taken under the store lock so a concurrent pruner cannot evict the
-        key's graph entry between our check and our write: if the graph
-        entry is gone (evicted since the caller loaded/saved it), it is
-        re-saved together with the widgets — the caller holds the graph in
-        hand — so a widget record never exists without its graph.
+        If the key's graph entry is gone (a pruner evicted it since the
+        caller loaded or saved it), it is re-saved together with the
+        widgets under one lock — the caller holds the graph in hand — so
+        a widget record never exists without its graph.
 
         Raises:
             CacheError: when the widgets do not belong to ``graph``.
         """
-        if self._remote is not None:
-            key = self.key(log_fingerprint, options_fingerprint)
-            self.record_put(
-                "widget_sets",
-                key,
-                widgets_to_json_bytes(widgets, graph),
-                graph_payload=graph_to_jsonl_bytes(graph),
-            )
-            if self._format == "json":  # fell open mid-save
-                return self.widgets_path_for(log_fingerprint, options_fingerprint)
-            return self.root / _SEGMENT_FILES["widget_sets"]
-        if self._format == "packed":
-            key = self.key(log_fingerprint, options_fingerprint)
-            payload = widgets_to_json_bytes(widgets, graph)
-            with self._lock.held():
-                if not self._segment("graphs").reader().has(key):
-                    self._segment("graphs").append_records(
-                        [(key, graph_to_jsonl_bytes(graph), None)]
-                    )
-                self._segment("widget_sets").append_records([(key, payload, None)])
-                self._flush_touches_locked()
-            self._enforce_caps()
-            return self.root / _SEGMENT_FILES["widget_sets"]
-        path = self.widgets_path_for(log_fingerprint, options_fingerprint)
-        with self._lock.held():
-            if not self.path_for(log_fingerprint, options_fingerprint).exists():
-                save_graph(
-                    self.path_for(log_fingerprint, options_fingerprint), graph
-                )
-            save_widgets(path, widgets, graph)
-        self._enforce_caps()
-        return path
+        payload = widgets_to_json_bytes(widgets, graph)
+        self._save("widget_sets", log_fingerprint, options_fingerprint, payload, graph)
+        return self.root / _BY_NAME["widget_sets"].segment
 
-    # ------------------------------------------------------------------
-    # closure-proof table
-    # ------------------------------------------------------------------
     def load_proof_triples(
         self, log_fingerprint: str, options_fingerprint: str
     ) -> list[tuple[Node, Node, Path]] | None:
@@ -828,38 +574,11 @@ class GraphStore:
         The triples are only sound for the key's own (deterministic)
         widget set; feed them to
         :meth:`~repro.core.closure.ClosureCache.import_proofs` against
-        exactly those widgets.  Any decode failure is a miss.
+        exactly those widgets.
         """
-        key = self.key(log_fingerprint, options_fingerprint)
-        if self._remote is not None:
-            payload = self.record_get("proof_sets", key)
-            if payload is None:
-                return None
-            try:
-                return proofs_from_json_bytes(
-                    payload, label=f"daemon:proofs[{key}]"
-                )
-            except CacheError:
-                return None
-        if self._format == "packed":
-            payload = self._load_record("proof_sets", key)
-            if payload is None:
-                return None
-            try:
-                return proofs_from_json_bytes(
-                    payload, label=f"proofs.seg[{key}]"
-                )
-            except CacheError:
-                return None
-        path = self.proofs_path_for(log_fingerprint, options_fingerprint)
-        if not path.exists():
-            return None
-        try:
-            triples = load_proofs(path)
-        except CacheError:
-            return None
-        _touch(path)
-        return triples
+        return self._load(
+            "proof_sets", log_fingerprint, options_fingerprint, proofs_from_json_bytes
+        )
 
     def load_closure_proofs(
         self,
@@ -889,46 +608,20 @@ class GraphStore:
         widgets: list[Widget],
     ) -> FilePath | None:
         """Persist the cache's positive proofs for ``widgets`` under this
-        key; returns the file written, or ``None`` when nothing was.
+        key; returns the segment written, or ``None`` when nothing was.
 
         Nothing is written when the cache holds no proofs for exactly this
         widget set, or when the key's graph entry no longer exists (a
         pruner evicted it): proofs are a pure accelerator, and unlike
         :meth:`save_widget_set` the caller cannot re-create the graph
-        entry from what it holds, so the save is skipped rather than
-        orphaning a proof record.
+        entry from what it holds.
         """
         triples = cache.export_proofs(widgets)
         if not triples:
             return None
-        if self._remote is not None:
-            key = self.key(log_fingerprint, options_fingerprint)
-            if not self.record_put("proof_sets", key, proofs_to_json_bytes(triples)):
-                return None
-            if self._format == "json":  # fell open mid-save
-                return self.proofs_path_for(log_fingerprint, options_fingerprint)
-            return self.root / _SEGMENT_FILES["proof_sets"]
-        if self._format == "packed":
-            key = self.key(log_fingerprint, options_fingerprint)
-            payload = proofs_to_json_bytes(triples)
-            with self._lock.held():
-                if not self._segment("graphs").reader().has(key):
-                    return None
-                self._segment("proof_sets").append_records([(key, payload, None)])
-                self._flush_touches_locked()
-            self._enforce_caps()
-            return self.root / _SEGMENT_FILES["proof_sets"]
-        path = self.proofs_path_for(log_fingerprint, options_fingerprint)
-        with self._lock.held():
-            if not self.path_for(log_fingerprint, options_fingerprint).exists():
-                return None
-            save_proofs(path, triples)
-        self._enforce_caps()
-        return path
+        payload = proofs_to_json_bytes(triples)
+        return self._save("proof_sets", log_fingerprint, options_fingerprint, payload)
 
-    # ------------------------------------------------------------------
-    # diff-memo table
-    # ------------------------------------------------------------------
     def load_diff_memo_pairs(
         self, log_fingerprint: str, options_fingerprint: str
     ) -> list[tuple[Node, Node, bool]] | None:
@@ -937,39 +630,14 @@ class GraphStore:
 
         Feed them to :meth:`~repro.treediff.memo.DiffMemo.import_pairs`:
         each pair is re-aligned once by the current algorithm, so a stale
-        or foreign record can cost time but never correctness.  Any decode
-        failure is a miss.
+        or foreign record can cost time but never correctness.
         """
-        key = self.key(log_fingerprint, options_fingerprint)
-        if self._remote is not None:
-            payload = self.record_get("diff_memos", key)
-            if payload is None:
-                return None
-            try:
-                return diff_memo_from_json_bytes(
-                    payload, label=f"daemon:diffmemos[{key}]"
-                )
-            except CacheError:
-                return None
-        if self._format == "packed":
-            payload = self._load_record("diff_memos", key)
-            if payload is None:
-                return None
-            try:
-                return diff_memo_from_json_bytes(
-                    payload, label=f"diffmemos.seg[{key}]"
-                )
-            except CacheError:
-                return None
-        path = self.diffmemo_path_for(log_fingerprint, options_fingerprint)
-        if not path.exists():
-            return None
-        try:
-            pairs = load_diff_memo(path)
-        except CacheError:
-            return None
-        _touch(path)
-        return pairs
+        return self._load(
+            "diff_memos",
+            log_fingerprint,
+            options_fingerprint,
+            diff_memo_from_json_bytes,
+        )
 
     def load_diff_memo(
         self, log_fingerprint: str, options_fingerprint: str
@@ -990,61 +658,24 @@ class GraphStore:
         memo: DiffMemo,
     ) -> FilePath | None:
         """Persist the memo's representative shape pairs under this key;
-        returns the file written, or ``None`` when nothing was.
+        returns the segment written, or ``None`` when nothing was.
 
         Nothing is written for an empty memo, for a memo whose
         representative trees cannot be JSON-encoded, or when the key's
-        graph entry no longer exists (a pruner evicted it): like closure
-        proofs, a memo is a pure accelerator, so the save is skipped
-        rather than orphaning a derived record.
+        graph entry no longer exists: like closure proofs, a memo is a
+        pure accelerator.
         """
         pairs = memo.export_pairs()
         if not pairs:
             return None
-        if self._remote is not None:
-            key = self.key(log_fingerprint, options_fingerprint)
-            try:
-                payload = diff_memo_to_json_bytes(pairs)
-            except CacheError:
-                # a representative tree with non-JSON attribute values:
-                # the memo stays in-memory only
-                return None
-            if not self.record_put("diff_memos", key, payload):
-                return None
-            if self._format == "json":  # fell open mid-save
-                return self.diffmemo_path_for(log_fingerprint, options_fingerprint)
-            return self.root / _SEGMENT_FILES["diff_memos"]
-        if self._format == "packed":
-            key = self.key(log_fingerprint, options_fingerprint)
-            try:
-                payload = diff_memo_to_json_bytes(pairs)
-            except CacheError:
-                # a representative tree with non-JSON attribute values:
-                # the memo stays in-memory only
-                return None
-            with self._lock.held():
-                if not self._segment("graphs").reader().has(key):
-                    return None
-                self._segment("diff_memos").append_records([(key, payload, None)])
-                self._flush_touches_locked()
-            self._enforce_caps()
-            return self.root / _SEGMENT_FILES["diff_memos"]
-        path = self.diffmemo_path_for(log_fingerprint, options_fingerprint)
-        with self._lock.held():
-            if not self.path_for(log_fingerprint, options_fingerprint).exists():
-                return None
-            try:
-                save_diff_memo(path, pairs)
-            except CacheError:
-                # a representative tree with non-JSON attribute values:
-                # the memo stays in-memory only
-                return None
-        self._enforce_caps()
-        return path
+        try:
+            payload = diff_memo_to_json_bytes(pairs)
+        except CacheError:
+            # a representative tree with non-JSON attribute values: the
+            # memo stays in-memory only
+            return None
+        return self._save("diff_memos", log_fingerprint, options_fingerprint, payload)
 
-    # ------------------------------------------------------------------
-    # compiled-page table
-    # ------------------------------------------------------------------
     def load_compiled_page(
         self, log_fingerprint: str, options_fingerprint: str
     ) -> dict[str, Any] | None:
@@ -1054,39 +685,14 @@ class GraphStore:
         :meth:`~repro.compiler.incremental.IncrementalCompiler.import_state`:
         every adopted artifact and closure slice is revalidated against
         the session's own widgets by fingerprint, so a stale or foreign
-        record can cost time but never correctness.  Any decode failure
-        is a miss.
+        record can cost time but never correctness.
         """
-        key = self.key(log_fingerprint, options_fingerprint)
-        if self._remote is not None:
-            payload = self.record_get("compiled", key)
-            if payload is None:
-                return None
-            try:
-                return compiled_page_from_json_bytes(
-                    payload, label=f"daemon:compiled[{key}]"
-                )
-            except CacheError:
-                return None
-        if self._format == "packed":
-            payload = self._load_record("compiled", key)
-            if payload is None:
-                return None
-            try:
-                return compiled_page_from_json_bytes(
-                    payload, label=f"compiled.seg[{key}]"
-                )
-            except CacheError:
-                return None
-        path = self.compiled_path_for(log_fingerprint, options_fingerprint)
-        if not path.exists():
-            return None
-        try:
-            state = load_compiled_page(path)
-        except CacheError:
-            return None
-        _touch(path)
-        return state
+        return self._load(
+            "compiled",
+            log_fingerprint,
+            options_fingerprint,
+            compiled_page_from_json_bytes,
+        )
 
     def save_compiled_page(
         self,
@@ -1094,41 +700,12 @@ class GraphStore:
         options_fingerprint: str,
         state: dict[str, Any],
     ) -> FilePath | None:
-        """Persist a compiled-page state under this key; returns the file
-        written, or ``None`` when nothing was.
-
-        Nothing is written when the key's graph entry no longer exists (a
-        pruner evicted it): like closure proofs and diff memos, a
-        compiled page is a pure accelerator, and the caller cannot
-        re-create the graph entry from what it holds, so the save is
-        skipped rather than orphaning a derived record.
-        """
-        if self._remote is not None:
-            key = self.key(log_fingerprint, options_fingerprint)
-            if not self.record_put(
-                "compiled", key, compiled_page_to_json_bytes(state)
-            ):
-                return None
-            if self._format == "json":  # fell open mid-save
-                return self.compiled_path_for(log_fingerprint, options_fingerprint)
-            return self.root / _SEGMENT_FILES["compiled"]
-        if self._format == "packed":
-            key = self.key(log_fingerprint, options_fingerprint)
-            payload = compiled_page_to_json_bytes(state)
-            with self._lock.held():
-                if not self._segment("graphs").reader().has(key):
-                    return None
-                self._segment("compiled").append_records([(key, payload, None)])
-                self._flush_touches_locked()
-            self._enforce_caps()
-            return self.root / _SEGMENT_FILES["compiled"]
-        path = self.compiled_path_for(log_fingerprint, options_fingerprint)
-        with self._lock.held():
-            if not self.path_for(log_fingerprint, options_fingerprint).exists():
-                return None
-            save_compiled_page(path, state)
-        self._enforce_caps()
-        return path
+        """Persist a compiled-page state under this key; returns the
+        segment written, or ``None`` when nothing was (the key's graph
+        entry no longer exists: like proofs and memos, a compiled page
+        is a pure accelerator)."""
+        payload = compiled_page_to_json_bytes(state)
+        return self._save("compiled", log_fingerprint, options_fingerprint, payload)
 
     # ------------------------------------------------------------------
     # maintenance
@@ -1139,133 +716,42 @@ class GraphStore:
             outcome = self._via_remote(self._remote_keys)
             if outcome is not _FELL_BACK:
                 return sorted(outcome)
-        if self._format == "packed":
-            return self._segment("graphs").reader().keys()
-        return sorted(path.name[: -len(_SUFFIX)] for path in self.entries())
-
-    def entries(self) -> list[FilePath]:
-        """All JSON-layout graph entry files, sorted by name (always
-        empty in packed mode — use :meth:`keys`)."""
-        return sorted(self.root.glob("*" + _SUFFIX))
-
-    def widget_entries(self) -> list[FilePath]:
-        """All JSON-layout widget-set entry files, sorted."""
-        return sorted(self.root.glob("*" + _WIDGETS_SUFFIX))
-
-    def proof_entries(self) -> list[FilePath]:
-        """All JSON-layout closure-proof entry files, sorted."""
-        return sorted(self.root.glob("*" + _PROOFS_SUFFIX))
-
-    def diffmemo_entries(self) -> list[FilePath]:
-        """All JSON-layout diff-memo entry files, sorted."""
-        return sorted(self.root.glob("*" + _DIFFMEMO_SUFFIX))
-
-    def compiled_entries(self) -> list[FilePath]:
-        """All JSON-layout compiled-page entry files, sorted."""
-        return sorted(self.root.glob("*" + _COMPILED_SUFFIX))
+        return self._segments["graphs"].reader().keys()
 
     def __len__(self) -> int:
         return len(self.keys())
 
-    def __iter__(self) -> Iterator[FilePath]:
-        return iter(self.entries())
-
-    def _files_by_key(self) -> dict[str, list[FilePath]]:
-        """Group every JSON-layout entry file under its store key."""
-        by_key: dict[str, list[FilePath]] = {}
-        for path in self.entries():
-            by_key.setdefault(path.name[: -len(_SUFFIX)], []).append(path)
-        for suffix in _DERIVED_SUFFIXES:
-            for path in sorted(self.root.glob("*" + suffix)):
-                by_key.setdefault(path.name[: -len(suffix)], []).append(path)
-        return by_key
-
     def stats(self) -> dict[str, Any]:
-        """Occupancy counters: entry/record counts, total and *per-table*
-        bytes, and caps.
+        """Occupancy counters: per-table live record counts, total and
+        *per-table* bytes, and caps.
 
-        ``bytes_by_table`` breaks ``total_bytes`` down by table (graphs /
-        widget_sets / proof_sets / diff_memos / compiled), so ``prune``
-        caps are explainable — you can see which table the space went to.
-        In packed mode a ``tables`` sub-report adds live vs tombstoned
-        record counts, live bytes, and ``compaction_debt_bytes`` (bytes a
-        compaction would reclaim) per segment — read from the five
-        segment footers, not from statting every entry.
+        ``bytes_by_table`` breaks ``total_bytes`` down by table, so
+        ``prune`` caps are explainable — you can see which table the
+        space went to.  The ``tables`` sub-report adds live vs
+        tombstoned record counts, live bytes, and
+        ``compaction_debt_bytes`` (bytes a compaction would reclaim) per
+        segment — read from the five segment footers.
 
         Lock-free and therefore a *snapshot*: concurrent writers can move
-        the numbers between two calls, but every individual report is
-        internally consistent (``n_files`` covers exactly the files
-        ``total_bytes`` and ``bytes_by_table`` sum).
-
-        Through a daemon, the report is the daemon store's own (always
-        packed) plus a ``daemon`` sub-report with uptime and the
-        per-client request/byte meters.
+        the numbers between two calls.  Through a daemon, the report is
+        the daemon store's own plus a ``daemon`` sub-report with uptime
+        and the per-client request/byte meters.
         """
         if self._remote is not None:
             outcome = self._via_remote(self._remote_stats)
             if outcome is not _FELL_BACK:
                 return dict(outcome)
-        if self._format == "packed":
-            return self._stats_packed()
-        total_bytes = 0
-        n_files = 0
-        counts = dict.fromkeys(_TABLE_NAMES, 0)
-        bytes_by_suffix = dict.fromkeys(_TABLE_NAMES, 0)
-        surviving_keys: set[str] = set()
-        for key, files in self._files_by_key().items():
-            for path in files:
-                try:
-                    size = path.stat().st_size
-                except OSError:
-                    # racing delete between glob and stat: the file is
-                    # gone, so it must not count anywhere — deriving every
-                    # counter from surviving files is what keeps each
-                    # snapshot internally consistent under concurrency
-                    continue
-                total_bytes += size
-                n_files += 1
-                surviving_keys.add(key)
-                for suffix in counts:
-                    if path.name.endswith(suffix):
-                        counts[suffix] += 1
-                        bytes_by_suffix[suffix] += size
-                        break
-        return {
-            "format": "json",
-            "n_keys": len(surviving_keys),
-            "n_graphs": counts[_SUFFIX],
-            "n_widget_sets": counts[_WIDGETS_SUFFIX],
-            "n_proof_sets": counts[_PROOFS_SUFFIX],
-            "n_diff_memos": counts[_DIFFMEMO_SUFFIX],
-            "n_compiled": counts[_COMPILED_SUFFIX],
-            "n_files": n_files,
-            "total_bytes": total_bytes,
-            "bytes_by_table": {
-                _TABLE_NAMES[suffix]: bytes_by_suffix[suffix]
-                for suffix in _TABLE_NAMES
-            },
-            "max_bytes": self.max_bytes,
-            "max_entries": self.max_entries,
-        }
-
-    def _stats_packed(self) -> dict[str, Any]:
         counts: dict[str, int] = {}
         bytes_by_table: dict[str, int] = {}
         tables: dict[str, dict[str, int]] = {}
         surviving_keys: set[str] = set()
-        total_bytes = 0
-        n_files = 0
-        for table in _TABLE_ORDER:
-            segment = self._segment(table)
-            reader = segment.reader()
+        for table in TABLES:
+            reader = self._segments[table.name].reader()
             seg_stats = reader.stats()
-            counts[table] = seg_stats.n_live
-            bytes_by_table[table] = seg_stats.file_bytes
-            total_bytes += seg_stats.file_bytes
-            if seg_stats.file_bytes:
-                n_files += 1
+            counts[table.counter] = seg_stats.n_live
+            bytes_by_table[table.name] = seg_stats.file_bytes
             surviving_keys.update(reader.keys())
-            tables[table] = {
+            tables[table.name] = {
                 "file_bytes": seg_stats.file_bytes,
                 "n_live": seg_stats.n_live,
                 "n_tombstoned": seg_stats.n_tombstoned,
@@ -1275,24 +761,19 @@ class GraphStore:
         return {
             "format": "packed",
             "n_keys": len(surviving_keys),
-            "n_graphs": counts["graphs"],
-            "n_widget_sets": counts["widget_sets"],
-            "n_proof_sets": counts["proof_sets"],
-            "n_diff_memos": counts["diff_memos"],
-            "n_compiled": counts["compiled"],
-            "n_files": n_files,
-            "total_bytes": total_bytes,
-            "bytes_by_table": dict(bytes_by_table),
+            **counts,
+            "n_files": sum(1 for size in bytes_by_table.values() if size),
+            "total_bytes": sum(bytes_by_table.values()),
+            "bytes_by_table": bytes_by_table,
             "tables": tables,
             "max_bytes": self.max_bytes,
             "max_entries": self.max_entries,
         }
 
     def compact(self) -> bool:
-        """Rewrite every packed segment down to its live records, packing
-        them into multi-record blocks (one decompression per ~64 records
-        on a bulk warm load).  Returns True when any segment was
-        rewritten; a no-op (False) on a JSON-format or debt-free store.
+        """Rewrite every segment down to its live records, packing them
+        into multi-record blocks (one decompression per ~64 records on a
+        bulk warm load).  Returns True when any segment was rewritten.
 
         The store compacts segments on its own when their debt crosses a
         threshold; calling this explicitly is maintenance — reclaim all
@@ -1303,13 +784,11 @@ class GraphStore:
             outcome = self._via_remote(self._remote_compact)
             if outcome is not _FELL_BACK:
                 return bool(outcome)
-        if self._format != "packed":
-            return False
         with self._lock.held():
             self._flush_touches_locked()
             rewritten = False
-            for table in _TABLE_ORDER:
-                rewritten = self._segment(table).compact() or rewritten
+            for segment in self._segments.values():
+                rewritten = segment.compact() or rewritten
             return rewritten
 
     def prune(
@@ -1327,10 +806,11 @@ class GraphStore:
         records whose graph entry is gone (left by a crashed writer
         mid-key) are swept regardless of recency.
 
-        In packed mode eviction appends tombstones and compacts the
-        segments, re-measuring real file sizes until the caps hold —
-        recency comes from record/touch timestamps in the segment
-        footers, so nothing ever stats per-entry files.
+        Eviction appends tombstones and compacts the segments,
+        re-measuring real file sizes until the caps hold — recency comes
+        from record/touch timestamps in the segment footers.  Each round
+        either reclaims dead bytes or evicts at least one key, so the
+        loop terminates.
 
         Raises:
             ValueError: for negative caps (use ``clear()`` to empty the
@@ -1350,68 +830,20 @@ class GraphStore:
         max_entries = max_entries if max_entries is not None else self.max_entries
         if max_bytes is None and max_entries is None:
             return 0
-        if self._format == "packed":
-            return self._prune_packed(max_bytes, max_entries)
-        with self._lock.held():
-            ranked: list[tuple[float, int, str, list[FilePath]]] = []
-            for key, files in self._files_by_key().items():
-                recency = 0.0
-                size = 0
-                alive: list[FilePath] = []
-                has_graph = False
-                for path in files:
-                    try:
-                        stat = path.stat()
-                    except OSError:
-                        continue
-                    alive.append(path)
-                    recency = max(recency, stat.st_mtime)
-                    size += stat.st_size
-                    has_graph = has_graph or path.name.endswith(_SUFFIX)
-                if not alive:
-                    continue
-                if not has_graph:
-                    # orphaned derived files (crashed writer): evict first,
-                    # regardless of recency — they can never hit
-                    recency = -1.0
-                ranked.append((recency, size, key, alive))
-            ranked.sort()  # oldest recency first (orphans lead)
-            n_keys = len(ranked)
-            total = sum(size for _, size, _, _ in ranked)
-            removed = 0
-            for recency, size, _key, files in ranked:
-                over_entries = max_entries is not None and n_keys > max_entries
-                over_bytes = max_bytes is not None and total > max_bytes
-                if not over_entries and not over_bytes and recency >= 0:
-                    break
-                for path in files:
-                    path.unlink(missing_ok=True)
-                n_keys -= 1
-                total -= size
-                removed += 1
-            return removed
-
-    def _prune_packed(
-        self, max_bytes: int | None, max_entries: int | None
-    ) -> int:
-        """Tombstone + compact until the caps hold against *real* file
-        sizes.  Each loop iteration either reclaims dead bytes or evicts
-        at least one key, so it terminates."""
         removed = 0
         with self._lock.held():
             self._flush_touches_locked()
             while True:
                 readers = {}
-                for table in _TABLE_ORDER:
-                    segment = self._segment(table)
+                for table, segment in self._segments.items():
                     segment.invalidate_reader()
                     readers[table] = segment.reader()
                 indexes = {
                     table: reader.index() for table, reader in readers.items()
                 }
                 info: dict[str, tuple[float, int, bool]] = {}
-                for table in _TABLE_ORDER:
-                    for key, entry in indexes[table].items():
+                for table, index in indexes.items():
+                    for key, entry in index.items():
                         recency, size, has_graph = info.get(key, (0.0, 0, False))
                         info[key] = (
                             max(recency, entry.ts),
@@ -1429,22 +861,18 @@ class GraphStore:
                 if over_bytes and total_dead > 0 and not over_entries and not orphans:
                     # over-cap purely from garbage: reclaim before deciding
                     # to evict anything (cannot repeat — debt is 0 after)
-                    for table in _TABLE_ORDER:
-                        self._segment(table).compact()
+                    for segment in self._segments.values():
+                        segment.compact()
                     continue
                 ranked = sorted(
-                    (
-                        recency if has_graph else -1.0,
-                        size,
-                        key,
-                    )
+                    (recency if has_graph else -1.0, size, key)
                     for key, (recency, size, has_graph) in info.items()
                 )
                 if not ranked:
                     # caps smaller than the empty segments' fixed overhead:
                     # nothing left to evict
-                    for table in _TABLE_ORDER:
-                        self._segment(table).compact()
+                    for segment in self._segments.values():
+                        segment.compact()
                     break
                 victims: list[str] = []
                 sim_keys = n_keys
@@ -1459,13 +887,13 @@ class GraphStore:
                     victims.append(key)
                     sim_keys -= 1
                     sim_total -= size
-                for table in _TABLE_ORDER:
+                for table, segment in self._segments.items():
                     doomed = [key for key in victims if key in indexes[table]]
                     if doomed:
-                        self._segment(table).append_tombstones(doomed)
+                        segment.append_tombstones(doomed)
                 removed += len(victims)
-                for table in _TABLE_ORDER:
-                    self._segment(table).compact()
+                for segment in self._segments.values():
+                    segment.compact()
                 if not victims:
                     break
         return removed
@@ -1507,36 +935,18 @@ class GraphStore:
                 return False
             return True
 
-        if self._format == "packed":
-            with self._lock.held():
-                doomed_keys: set[str] = set()
-                doomed_by_table: dict[str, list[str]] = {}
-                for table in _TABLE_ORDER:
-                    segment = self._segment(table)
-                    segment.invalidate_reader()
-                    table_keys = [
-                        key for key in segment.reader().keys() if matches(key)
-                    ]
-                    doomed_by_table[table] = table_keys
-                    doomed_keys.update(table_keys)
-                for table in _TABLE_ORDER:
-                    if doomed_by_table[table]:
-                        self._segment(table).append_tombstones(
-                            doomed_by_table[table]
-                        )
-                    self._pending_touches[table] -= set(doomed_by_table[table])
-                for table in _TABLE_ORDER:
-                    self._segment(table).compact()
-                return len(doomed_keys)
-        removed = 0
         with self._lock.held():
-            for key, files in self._files_by_key().items():
-                if not matches(key):
-                    continue
-                for path in files:
-                    path.unlink(missing_ok=True)
-                removed += 1
-        return removed
+            doomed_keys: set[str] = set()
+            for table, segment in self._segments.items():
+                segment.invalidate_reader()
+                doomed = [key for key in segment.reader().keys() if matches(key)]
+                if doomed:
+                    segment.append_tombstones(doomed)
+                self._pending_touches[table] -= set(doomed)
+                doomed_keys.update(doomed)
+            for segment in self._segments.values():
+                segment.compact()
+            return len(doomed_keys)
 
     def clear(self) -> int:
         """Remove every key; returns how many were removed."""
@@ -1544,9 +954,10 @@ class GraphStore:
 
     def invalidate_table(self, table: str) -> int:
         """Drop every record of one *derived* table (widget_sets,
-        proof_sets, diff_memos, or compiled), leaving graphs intact — the targeted
-        version of :meth:`clear` for forcing a re-map/re-prove after a
-        library or rule change.  Returns the number of records removed.
+        proof_sets, diff_memos, or compiled), leaving graphs intact — the
+        targeted version of :meth:`clear` for forcing a re-map/re-prove
+        after a library or rule change.  Returns the number of records
+        removed.
 
         Raises:
             ValueError: for the graphs table (dropping it would orphan
@@ -1561,159 +972,129 @@ class GraphStore:
             outcome = self._via_remote(self._remote_invalidate_table, table)
             if outcome is not _FELL_BACK:
                 return int(outcome)
-        if self._format == "packed":
-            with self._lock.held():
-                segment = self._segment(table)
-                segment.invalidate_reader()
-                doomed = segment.reader().keys()
-                if doomed:
-                    segment.append_tombstones(doomed)
-                    segment.compact()
-                self._pending_touches[table].clear()
-                return len(doomed)
-        suffix = _SUFFIX_BY_TABLE[table]
-        removed = 0
         with self._lock.held():
-            for path in sorted(self.root.glob("*" + suffix)):
-                path.unlink(missing_ok=True)
-                removed += 1
-        return removed
+            segment = self._segments[table]
+            segment.invalidate_reader()
+            doomed = segment.reader().keys()
+            if doomed:
+                segment.append_tombstones(doomed)
+                segment.compact()
+            self._pending_touches[table].clear()
+            return len(doomed)
 
     # ------------------------------------------------------------------
-    # migration
+    # the legacy JSON layout: import and export
     # ------------------------------------------------------------------
-    def migrate(self, to: str) -> dict[str, Any]:
-        """Convert the store's on-disk layout in place; returns a summary
-        ``{"format", "migrated_keys", "orphans_dropped"}``.
-
-        Payloads are moved as raw bytes (a packed record *is* the JSON
-        file's content), so the conversion is lossless and byte-exact in
-        both directions.  Each direction is atomic per batch and
-        resumable: an interrupted ``json`` → ``packed`` run leaves
-        already-converted keys in the segments and the rest as files
-        (re-running finishes the job; ``format="auto"`` opens such a
-        directory as packed), and an interrupted ``packed`` → ``json``
-        run leaves the segments in place as the source of truth until the
-        final removal.  Derived records whose graph entry is missing are
-        dropped, not migrated.  Recency (LRU order) carries across via
-        file mtimes / record timestamps.
-
-        Raises:
-            ValueError: for a target other than ``"packed"`` / ``"json"``.
-        """
-        if to not in ("packed", "json"):
-            raise ValueError(f"migrate target must be 'packed' or 'json', got {to!r}")
+    def _require_local(self, operation: str) -> None:
         if self._remote is not None:
             raise CacheError(
-                "cannot migrate a store through a daemon: the layout is the "
-                "daemon's to own — stop it and migrate in-process"
+                f"cannot {operation} a store through a daemon: the layout is "
+                "the daemon's to own — stop it and run this in-process"
             )
-        if to == "packed":
-            return self._migrate_to_packed()
-        return self._migrate_to_json()
 
-    def _migrate_to_packed(self) -> dict[str, Any]:
-        migrated = 0
+    def import_json(self) -> dict[str, int]:
+        """Fold legacy JSON-layout files in the store directory (one
+        ``<key><suffix>`` file per table per key) into the segments;
+        returns ``{"imported_keys", "orphans_dropped"}``.
+
+        Each file's bytes become the record's payload unchanged and its
+        mtime the record's recency.  Derived files whose key has no
+        graph file are dropped, not imported.  The import runs in
+        batches and is resumable: a batch's source files are removed
+        only after its records are committed, so an interrupted run
+        loses nothing and a re-run imports what is left.  With no legacy
+        files present it is a no-op.
+
+        Raises:
+            CacheError: through a daemon.
+        """
+        self._require_local("import into")
+        imported = 0
         orphans = 0
         with self._lock.held():
-            if not self._segments:
-                self._init_segments()
-            groups = list(self._files_by_key().items())
-            for start in range(0, len(groups), _MIGRATE_BATCH):
-                batch = groups[start : start + _MIGRATE_BATCH]
+            by_key: dict[str, dict[str, FilePath]] = {}
+            for table in TABLES:
+                for path in self.root.glob("*" + table.suffix):
+                    key = path.name[: -len(table.suffix)]
+                    by_key.setdefault(key, {})[table.name] = path
+            keys = sorted(by_key)
+            for start in range(0, len(keys), _IMPORT_BATCH):
                 pending: dict[str, list[tuple[str, bytes, float | None]]] = {
-                    table: [] for table in _TABLE_ORDER
+                    table.name: [] for table in TABLES
                 }
-                batch_files: list[FilePath] = []
-                for key, files in batch:
-                    present = {
-                        table: self.root / (key + _SUFFIX_BY_TABLE[table])
-                        for table in _TABLE_ORDER
-                    }
-                    if not present["graphs"].exists():
+                imported_files: list[FilePath] = []
+                for key in keys[start : start + _IMPORT_BATCH]:
+                    files = by_key[key]
+                    if "graphs" not in files:
                         # derived files without a graph can never hit:
-                        # drop them instead of migrating an orphan
-                        for path in files:
+                        # drop them instead of importing an orphan
+                        for path in files.values():
                             path.unlink(missing_ok=True)
                         orphans += 1
                         continue
-                    for table in _TABLE_ORDER:
-                        path = present[table]
+                    for table, path in files.items():
                         try:
                             data = path.read_bytes()
                             ts = path.stat().st_mtime
                         except OSError:
                             continue
                         pending[table].append((key, data, ts))
-                    batch_files.extend(files)
-                    migrated += 1
-                for table in _TABLE_ORDER:
-                    if pending[table]:
-                        self._segment(table).append_records(pending[table])
+                    imported_files.extend(files.values())
+                    imported += 1
+                for table, records in pending.items():
+                    if records:
+                        self._segments[table].append_records(records)
                 # source files go only after their records are committed,
                 # so an interruption never loses a key
-                for path in batch_files:
+                for path in imported_files:
                     path.unlink(missing_ok=True)
-            self._format = "packed"
-        return {
-            "format": "packed",
-            "migrated_keys": migrated,
-            "orphans_dropped": orphans,
-        }
+        return {"imported_keys": imported, "orphans_dropped": orphans}
 
-    def _migrate_to_json(self) -> dict[str, Any]:
-        migrated = 0
+    def export_json(self, dest: str | FilePath) -> dict[str, int]:
+        """Write every live record to ``dest`` in the legacy JSON layout
+        (created if missing); returns ``{"exported_keys",
+        "orphans_dropped"}``.
+
+        Each file holds the record's payload bytes unchanged and carries
+        its recency as mtime, so :meth:`import_json` on ``dest`` rebuilds
+        the same records.  Derived records whose key has no graph record
+        are not exported.  Files are written atomically, so re-running
+        an interrupted export finishes it.  The store itself is not
+        modified.
+
+        Raises:
+            ValueError: when ``dest`` is the store's own directory.
+            CacheError: through a daemon.
+        """
+        self._require_local("export")
+        target = FilePath(dest)
+        if target.resolve() == self.root.resolve():
+            raise ValueError("export_json needs a directory other than the store's")
+        target.mkdir(parents=True, exist_ok=True)
+        exported = 0
         orphans = 0
         with self._lock.held():
-            if not self._segments:
-                self._init_segments()
-            graph_reader = self._segment("graphs").reader()
-            graph_keys = set(graph_reader.keys())
-            for table in _TABLE_ORDER:
-                segment = self._segment(table)
-                reader = segment.reader()
-                suffix = _SUFFIX_BY_TABLE[table]
-                for key in reader.keys():
+            self._flush_touches_locked()
+            graph_keys = set(self._segments["graphs"].reader().keys())
+            for table in TABLES:
+                reader = self._segments[table.name].reader()
+                for key, entry in reader.index().items():
                     if key not in graph_keys:
                         orphans += 1
                         continue
-                    entry = reader.entry(key)
                     payload = reader.get(key)
-                    if payload is None or entry is None:
+                    if payload is None:
                         continue
-                    target = self.root / (key + suffix)
-                    tmp = target.with_name(
-                        f"{target.name}.{os.getpid()}-{uuid4().hex[:8]}.tmp"
+                    path = target / (key + table.suffix)
+                    tmp = path.with_name(
+                        f"{path.name}.{os.getpid()}-{uuid4().hex[:8]}.tmp"
                     )
                     try:
                         tmp.write_bytes(payload)
-                        tmp.replace(target)
+                        os.utime(tmp, (entry.ts, entry.ts))
+                        tmp.replace(path)
                     finally:
                         tmp.unlink(missing_ok=True)
-                    try:
-                        os.utime(target, (entry.ts, entry.ts))
-                    except OSError:
-                        pass
-                    if table == "graphs":
-                        migrated += 1
-            # the files are all in place: the segments stop being the
-            # source of truth only now
-            for table in _TABLE_ORDER:
-                self._segment(table).remove()
-            self._segments = {}
-            self._format = "json"
-            for table in _TABLE_ORDER:
-                self._pending_touches[table].clear()
-        return {
-            "format": "json",
-            "migrated_keys": migrated,
-            "orphans_dropped": orphans,
-        }
-
-
-def _touch(path: FilePath) -> None:
-    """Best-effort mtime bump (LRU recency); racing deletes are fine."""
-    try:
-        os.utime(path)
-    except OSError:
-        pass
+                    if table.name == "graphs":
+                        exported += 1
+        return {"exported_keys": exported, "orphans_dropped": orphans}

@@ -50,7 +50,7 @@ from pathlib import Path as FilePath
 from typing import Any, Iterator
 
 from repro.cache.client import read_message, write_message
-from repro.cache.store import _TABLE_ORDER, GraphStore
+from repro.cache.store import TABLES, GraphStore
 from repro.errors import CacheError, ServiceError
 
 __all__ = ["ClientMeter", "StoreDaemon", "running_daemon"]
@@ -62,7 +62,7 @@ _METERED_OPS = frozenset(
     {"get", "put", "has", "keys", "prune", "invalidate", "invalidate_table", "compact"}
 )
 
-_TABLES = _TABLE_ORDER
+_TABLES = frozenset(table.name for table in TABLES)
 
 
 class ClientMeter:
@@ -150,7 +150,6 @@ class StoreDaemon:
             error.
         max_bytes / max_entries: eviction caps for the owned store —
             under a daemon these are the fleet-wide caps.
-        format: store layout (daemon-owned stores default to ``auto``).
         quota_requests / quota_bytes: optional per-client caps on total
             requests / total transferred bytes; exceeded clients get
             ``code="quota"`` refusals (reads degrade to misses
@@ -169,14 +168,11 @@ class StoreDaemon:
         socket_path: str | FilePath,
         max_bytes: int | None = None,
         max_entries: int | None = None,
-        format: str = "auto",
         quota_requests: int | None = None,
         quota_bytes: int | None = None,
     ) -> None:
         self.socket_path = str(socket_path)
-        self.store = GraphStore(
-            root, max_bytes=max_bytes, max_entries=max_entries, format=format
-        )
+        self.store = GraphStore(root, max_bytes=max_bytes, max_entries=max_entries)
         self.quota_requests = quota_requests
         self.quota_bytes = quota_bytes
         self._ops_lock = threading.RLock()

@@ -31,9 +31,10 @@ falls back to a full alignment and records a new plan.
 The memo is in-memory and process-salted (skeleton hashes build on
 ``hash``), so it is persisted as *representative pairs*: one concrete
 ``(a, b, prune)`` triple per plan (see
-:func:`repro.cache.serialize.save_diff_memo`).  Loading re-aligns each
-representative once — O(unique shapes), the exact steady-state cost the
-memo admits — and every subsequent pair of a known shape replays.
+:func:`repro.cache.serialize.diff_memo_to_json_bytes`).  Loading
+re-aligns each representative once — O(unique shapes), the exact
+steady-state cost the memo admits — and every subsequent pair of a known
+shape replays.
 """
 
 from __future__ import annotations
@@ -262,7 +263,7 @@ class DiffMemo:
 
         The trees are shared with whatever produced them (typically the
         graph's query list), so exporting allocates no tree copies.  Feed
-        the result to :func:`repro.cache.serialize.save_diff_memo`.
+        the result to :func:`repro.cache.serialize.diff_memo_to_json_bytes`.
         """
         out: list[tuple[Node, Node, bool]] = []
         for (_ska, _skb, prune), entries in self._plans.items():
@@ -272,11 +273,11 @@ class DiffMemo:
 
     def import_pairs(self, pairs: Iterable[tuple[Node, Node, bool]]) -> int:
         """Warm the memo from representative pairs (a loaded
-        ``.diffmemo.json`` table).
+        ``diff_memos`` record).
 
         Each pair is re-aligned *once* with the current algorithm — plans
         are never trusted across processes or versions, only shapes are —
-        so a stale file can cost time but never correctness.  Pairs whose
+        so a stale record can cost time but never correctness.  Pairs whose
         shape and pattern are already covered are skipped.  Returns the
         number of plans added.
         """

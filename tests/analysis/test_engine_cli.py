@@ -214,12 +214,12 @@ def test_repro_cli_has_a_lint_subcommand(tmp_path, capsys):
 def test_shipped_tree_lints_clean():
     """The acceptance gate: `repro lint src/repro` exits 0 on this tree.
 
-    Every suppression in the tree is deliberate and counted, so a newly
-    introduced violation (or a suppression that stopped matching) fails
-    this test before it fails CI.
+    The tree carries no suppressions, so a newly introduced violation —
+    or a new suppression hiding one — fails this test before it fails
+    CI.
     """
     config = load_config(REPO_ROOT / "pyproject.toml")
     run = lint_paths([REPO_ROOT / "src" / "repro"], config)
     assert run.findings == []
     assert run.n_files > 50
-    assert run.n_suppressed >= 1  # the lock-free save_graph in store.py
+    assert run.n_suppressed == 0

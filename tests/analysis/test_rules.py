@@ -175,8 +175,8 @@ class TestFrozenResultImmutability:
 class TestProofPolarity:
     def test_flags_negative_source_fed_to_proof_sink(self):
         source = """
-        def flush(store, key, memo):
-            store.save_proofs(key, memo)
+        def flush(store, log_fp, opts_fp, memo, widgets):
+            store.save_closure_proofs(log_fp, opts_fp, memo, widgets)
         """
         assert rule_ids(source) == ["RL004"]
 
@@ -197,8 +197,8 @@ class TestProofPolarity:
 
     def test_quiet_on_positive_triples(self):
         source = """
-        def flush(store, key, cache, widgets):
-            store.save_proofs(key, cache.export_proofs(widgets))
+        def flush(store, log_fp, opts_fp, cache, widgets):
+            store.save_closure_proofs(log_fp, opts_fp, cache, widgets)
 
         def adopt(cache, widgets, triples):
             cache.import_proofs(widgets, triples)
@@ -209,8 +209,8 @@ class TestProofPolarity:
         # "memo" must not flag "diff_memo": the diff memo has no
         # polarity, only closure memos do
         source = """
-        def flush(store, key, diff_memo):
-            store.save_proofs(key, proofs_of(diff_memo))
+        def flush(store, log_fp, opts_fp, diff_memo, widgets):
+            store.save_closure_proofs(log_fp, opts_fp, proofs_of(diff_memo), widgets)
         """
         assert rule_ids(source) == []
 

@@ -169,21 +169,25 @@ class TestCacheCli:
 
     def test_migrate_round_trip_via_cli(self, log_file, tmp_path, capsys):
         cache_dir = str(tmp_path / "store")
+        exported = str(tmp_path / "exported")
         assert main(["mine", log_file, "--cache-dir", cache_dir, "--json"]) == 0
         capsys.readouterr()
-        assert main(["cache", "migrate", "--cache-dir", cache_dir,
-                     "--to", "json", "--json"]) == 0
+        assert main(["cache", "export", "--cache-dir", cache_dir,
+                     "--dest", exported, "--json"]) == 0
         payload = _json_out(capsys)
-        assert payload["format"] == "json"
-        assert payload["migrated_keys"] == 1
+        assert payload["exported_keys"] == 1
         assert payload["orphans_dropped"] == 0
-        assert main(["cache", "migrate", "--cache-dir", cache_dir,
-                     "--to", "packed", "--json"]) == 0
+        assert main(["cache", "import", "--cache-dir", exported, "--json"]) == 0
         payload = _json_out(capsys)
         assert payload["format"] == "packed"
-        assert payload["migrated_keys"] == 1
-        # the migrated store still serves a full hit
-        assert main(["mine", log_file, "--cache-dir", cache_dir, "--json"]) == 0
+        assert payload["imported_keys"] == 1
+        assert main(["cache", "stats", "--cache-dir", cache_dir, "--json"]) == 0
+        original = _json_out(capsys)
+        for count in ("n_keys", "n_graphs", "n_widget_sets", "n_proof_sets",
+                      "n_diff_memos", "n_compiled"):
+            assert payload[count] == original[count], count
+        # the imported store still serves a full hit
+        assert main(["mine", log_file, "--cache-dir", exported, "--json"]) == 0
         stages = {s["name"]: s["stats"] for s in _json_out(capsys)["run"]["stages"]}
         assert stages["cache"]["widgets_hit"] is True
 
@@ -193,9 +197,8 @@ class TestCacheCli:
         cache_dir = str(tmp_path / "store")
         assert main(["mine", log_file, "--cache-dir", cache_dir, "--json"]) == 0
         capsys.readouterr()
-        assert main(["cache", "migrate", "--cache-dir", cache_dir,
-                     "--to", "packed"]) == 0
-        assert "migrated 0 key(s)" in capsys.readouterr().out
+        assert main(["cache", "import", "--cache-dir", cache_dir]) == 0
+        assert "imported 0 key(s)" in capsys.readouterr().out
 
     def test_stats_text_reports_segment_accounting(
         self, log_file, tmp_path, capsys

@@ -159,12 +159,16 @@ class TestSegmentBasics:
         assert reader.get("k") is None
         assert reader.stats().file_bytes == 0
 
-    def test_items_parallel_decode(self, segment):
+    def test_items_decode_blocks_and_records(self, segment):
         records = [(f"k{i:03d}", f"payload-{i}".encode() * 50, None)
                    for i in range(40)]
-        segment.append_records(records)
-        decoded = dict(segment.reader().items(parallel=4))
-        assert decoded == {key: payload for key, payload, _ in records}
+        segment.append_records(records)  # bulk: BLOCK frames
+        segment.append_records([("k999", b"standalone", None)])  # a RECORD
+        decoded = dict(segment.reader().items())
+        assert decoded == {
+            **{key: payload for key, payload, _ in records},
+            "k999": b"standalone",
+        }
 
 
 class TestCorruption:

@@ -1,10 +1,10 @@
 """The store's fifth table: persisted compiled pages.
 
 Covers the serialisation round trip, the store's skip-if-no-graph and
-per-key eviction guarantees, byte parity between the packed and JSON
-layouts (including migration in both directions and through the
-daemon), ``stats()``'s per-table accounting, and the session-level
-adopt/flush wiring.
+per-key eviction guarantees (each also observed through the legacy JSON
+layout: exported, then imported into a fresh store), byte parity with
+that layout and through the daemon, ``stats()``'s per-table accounting,
+and the session-level adopt/flush wiring.
 """
 
 import json
@@ -19,9 +19,9 @@ from repro.cache.blockstore import SegmentReader
 from repro.cache.fingerprint import log_fingerprint, options_fingerprint
 from repro.cache.serialize import (
     compiled_page_from_dict,
+    compiled_page_from_json_bytes,
     compiled_page_to_dict,
-    load_compiled_page,
-    save_compiled_page,
+    compiled_page_to_json_bytes,
 )
 from repro.cache.store import GraphStore
 from repro.compiler.incremental import IncrementalCompiler
@@ -59,26 +59,34 @@ def _payload():
     }
 
 
+def _observed(store, fmt, tmp_path):
+    """The store as ``fmt`` observes it: itself (``packed``), or a fresh
+    store imported from its JSON export (``json``)."""
+    if fmt == "packed":
+        return store
+    dest = tmp_path / f"exported-{len(list(tmp_path.iterdir()))}"
+    store.export_json(dest)
+    imported = GraphStore(dest)
+    imported.import_json()
+    return imported
+
+
 class TestSerialisation:
     def test_dict_round_trip(self):
         state = _payload()["state"]
         assert compiled_page_from_dict(compiled_page_to_dict(state)) == state
 
-    def test_file_round_trip(self, tmp_path):
+    def test_file_round_trip(self):
         state = _payload()["state"]
-        path = tmp_path / "page.compiled.json"
-        save_compiled_page(path, state)
-        assert load_compiled_page(path) == state
+        data = compiled_page_to_json_bytes(state)
+        assert compiled_page_from_json_bytes(data) == state
 
-    def test_version_mismatch_refused(self, tmp_path):
+    def test_version_mismatch_refused(self):
         state = _payload()["state"]
-        path = tmp_path / "page.compiled.json"
-        save_compiled_page(path, state)
-        payload = json.loads(path.read_text())
+        payload = json.loads(compiled_page_to_json_bytes(state))
         payload["version"] = 999
-        path.write_text(json.dumps(payload))
         with pytest.raises(CacheError):
-            load_compiled_page(path)
+            compiled_page_from_json_bytes(json.dumps(payload).encode())
 
     def test_malformed_payload_refused(self):
         with pytest.raises(CacheError):
@@ -89,41 +97,45 @@ class TestSerialisation:
 class TestStoreTable:
     def test_save_needs_graph_entry(self, tmp_path, fmt):
         p = _payload()
-        store = GraphStore(tmp_path, format=fmt)
+        store = GraphStore(tmp_path / "store")
         # no graph entry yet: the save is skipped, never orphaning
         assert store.save_compiled_page(p["log_fp"], p["opts_fp"], p["state"]) is None
-        assert store.load_compiled_page(p["log_fp"], p["opts_fp"]) is None
+        observed = _observed(store, fmt, tmp_path)
+        assert observed.load_compiled_page(p["log_fp"], p["opts_fp"]) is None
         store.save(p["log_fp"], p["opts_fp"], p["graph"])
         assert (
             store.save_compiled_page(p["log_fp"], p["opts_fp"], p["state"])
             is not None
         )
-        assert store.load_compiled_page(p["log_fp"], p["opts_fp"]) == p["state"]
+        observed = _observed(store, fmt, tmp_path)
+        assert observed.load_compiled_page(p["log_fp"], p["opts_fp"]) == p["state"]
 
     def test_eviction_takes_the_page_with_the_key(self, tmp_path, fmt):
         p = _payload()
-        store = GraphStore(tmp_path, format=fmt)
+        store = GraphStore(tmp_path / "store")
         store.save(p["log_fp"], p["opts_fp"], p["graph"])
         store.save_compiled_page(p["log_fp"], p["opts_fp"], p["state"])
         assert store.prune(max_entries=0) == 1
-        assert not store.compiled_entries()
-        assert store.load_compiled_page(p["log_fp"], p["opts_fp"]) is None
+        observed = _observed(store, fmt, tmp_path)
+        assert observed.stats()["n_compiled"] == 0
+        assert observed.load_compiled_page(p["log_fp"], p["opts_fp"]) is None
 
     def test_invalidate_table_drops_only_compiled(self, tmp_path, fmt):
         p = _payload()
-        store = GraphStore(tmp_path, format=fmt)
+        store = GraphStore(tmp_path / "store")
         store.save(p["log_fp"], p["opts_fp"], p["graph"])
         store.save_compiled_page(p["log_fp"], p["opts_fp"], p["state"])
         assert store.invalidate_table("compiled") == 1
-        assert store.load_compiled_page(p["log_fp"], p["opts_fp"]) is None
-        assert store.has(p["log_fp"], p["opts_fp"])  # the graph survives
+        observed = _observed(store, fmt, tmp_path)
+        assert observed.load_compiled_page(p["log_fp"], p["opts_fp"]) is None
+        assert observed.has(p["log_fp"], p["opts_fp"])  # the graph survives
 
     def test_stats_count_table_and_bytes(self, tmp_path, fmt):
         p = _payload()
-        store = GraphStore(tmp_path, format=fmt)
+        store = GraphStore(tmp_path / "store")
         store.save(p["log_fp"], p["opts_fp"], p["graph"])
         store.save_compiled_page(p["log_fp"], p["opts_fp"], p["state"])
-        stats = store.stats()
+        stats = _observed(store, fmt, tmp_path).stats()
         assert stats["n_compiled"] == 1
         assert stats["bytes_by_table"]["compiled"] > 0
         assert sum(stats["bytes_by_table"].values()) == stats["total_bytes"]
@@ -132,47 +144,37 @@ class TestStoreTable:
 class TestLayoutParity:
     def test_corrupt_json_entry_is_a_miss(self, tmp_path):
         p = _payload()
-        store = GraphStore(tmp_path, format="json")
+        store = GraphStore(tmp_path)
         store.save(p["log_fp"], p["opts_fp"], p["graph"])
         store.save_compiled_page(p["log_fp"], p["opts_fp"], p["state"])
-        store.compiled_path_for(p["log_fp"], p["opts_fp"]).write_text("{not json")
+        key = store.key(p["log_fp"], p["opts_fp"])
+        store.record_put("compiled", key, b"{not json")
         assert store.load_compiled_page(p["log_fp"], p["opts_fp"]) is None
 
     def test_packed_record_is_the_json_file_byte_for_byte(self, tmp_path):
         p = _payload()
-        packed = GraphStore(tmp_path / "packed", format="packed")
+        packed = GraphStore(tmp_path / "packed")
         packed.save(p["log_fp"], p["opts_fp"], p["graph"])
         packed.save_compiled_page(p["log_fp"], p["opts_fp"], p["state"])
-        jsons = GraphStore(tmp_path / "json", format="json")
-        jsons.save(p["log_fp"], p["opts_fp"], p["graph"])
-        jsons.save_compiled_page(p["log_fp"], p["opts_fp"], p["state"])
+        packed.export_json(tmp_path / "json")
         key = packed.key(p["log_fp"], p["opts_fp"])
         record = SegmentReader(tmp_path / "packed" / "compiled.seg").get(key)
-        file_bytes = jsons.compiled_path_for(p["log_fp"], p["opts_fp"]).read_bytes()
-        assert record == file_bytes
+        file_bytes = (tmp_path / "json" / f"{key}.compiled.json").read_bytes()
+        assert record == file_bytes == compiled_page_to_json_bytes(p["state"])
 
     def test_migration_round_trip_is_byte_exact(self, tmp_path):
         p = _payload()
-        store = GraphStore(tmp_path, format="packed")
+        store = GraphStore(tmp_path / "store")
         store.save(p["log_fp"], p["opts_fp"], p["graph"])
         store.save_compiled_page(p["log_fp"], p["opts_fp"], p["state"])
         key = store.key(p["log_fp"], p["opts_fp"])
-        original = SegmentReader(tmp_path / "compiled.seg").get(key)
+        original = SegmentReader(tmp_path / "store" / "compiled.seg").get(key)
 
-        assert store.migrate("json")["migrated_keys"] == 1
-        store = GraphStore(tmp_path)
-        assert store.format == "json"
-        assert (
-            store.compiled_path_for(p["log_fp"], p["opts_fp"]).read_bytes()
-            == original
-        )
-        assert store.load_compiled_page(p["log_fp"], p["opts_fp"]) == p["state"]
-
-        assert store.migrate("packed")["migrated_keys"] == 1
-        store = GraphStore(tmp_path)
-        assert store.format == "packed"
-        assert SegmentReader(tmp_path / "compiled.seg").get(key) == original
-        assert store.load_compiled_page(p["log_fp"], p["opts_fp"]) == p["state"]
+        assert store.export_json(tmp_path / "json")["exported_keys"] == 1
+        imported = GraphStore(tmp_path / "json")
+        assert imported.import_json()["imported_keys"] == 1
+        assert SegmentReader(tmp_path / "json" / "compiled.seg").get(key) == original
+        assert imported.load_compiled_page(p["log_fp"], p["opts_fp"]) == p["state"]
 
 
 class TestDaemonTable:
@@ -180,7 +182,7 @@ class TestDaemonTable:
         self, tmp_path, sock_path
     ):
         p = _payload()
-        local = GraphStore(tmp_path / "local", format="packed")
+        local = GraphStore(tmp_path / "local")
         local.save(p["log_fp"], p["opts_fp"], p["graph"])
         local.save_compiled_page(p["log_fp"], p["opts_fp"], p["state"])
         with running_daemon(tmp_path / "served", sock_path):

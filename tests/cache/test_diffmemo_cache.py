@@ -14,9 +14,9 @@ from repro.api import InterfaceSession, generate
 from repro.cache.fingerprint import log_fingerprint, options_fingerprint
 from repro.cache.serialize import (
     diff_memo_from_dict,
+    diff_memo_from_json_bytes,
     diff_memo_to_dict,
-    load_diff_memo,
-    save_diff_memo,
+    diff_memo_to_json_bytes,
 )
 from repro.cache.store import GraphStore
 from repro.core.options import PipelineOptions
@@ -49,21 +49,17 @@ class TestSerialisation:
         assert restored.import_pairs(pairs) == memo.n_plans
         assert restored.n_plans == memo.n_plans
 
-    def test_file_round_trip(self, tmp_path):
+    def test_file_round_trip(self):
         _queries, _graph, memo = _mined()
-        path = tmp_path / "memo.diffmemo.json"
-        save_diff_memo(path, memo.export_pairs())
-        assert load_diff_memo(path)
+        data = diff_memo_to_json_bytes(memo.export_pairs())
+        assert len(diff_memo_from_json_bytes(data)) == memo.n_plans
 
-    def test_version_mismatch_refused(self, tmp_path):
+    def test_version_mismatch_refused(self):
         _queries, _graph, memo = _mined()
-        path = tmp_path / "memo.diffmemo.json"
-        save_diff_memo(path, memo.export_pairs())
-        payload = json.loads(path.read_text())
+        payload = json.loads(diff_memo_to_json_bytes(memo.export_pairs()))
         payload["version"] = 999
-        path.write_text(json.dumps(payload))
         with pytest.raises(CacheError):
-            load_diff_memo(path)
+            diff_memo_from_json_bytes(json.dumps(payload).encode())
 
     def test_malformed_payload_refused(self):
         with pytest.raises(CacheError):
@@ -110,23 +106,23 @@ class TestStoreTable:
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         queries, graph, memo = _mined()
-        store = GraphStore(tmp_path, format="json")
+        store = GraphStore(tmp_path)
         log_fp = log_fingerprint(queries)
         opts_fp = options_fingerprint(PipelineOptions())
         store.save(log_fp, opts_fp, graph)
         store.save_diff_memo(log_fp, opts_fp, memo)
-        store.diffmemo_path_for(log_fp, opts_fp).write_text("{not json")
+        store.record_put("diff_memos", store.key(log_fp, opts_fp), b"{not json")
         assert store.load_diff_memo_pairs(log_fp, opts_fp) is None
 
     def test_eviction_takes_the_memo_with_the_key(self, tmp_path):
         queries, graph, memo = _mined()
-        store = GraphStore(tmp_path, format="json")
+        store = GraphStore(tmp_path)
         log_fp = log_fingerprint(queries)
         opts_fp = options_fingerprint(PipelineOptions())
         store.save(log_fp, opts_fp, graph)
         store.save_diff_memo(log_fp, opts_fp, memo)
         assert store.prune(max_entries=0) == 1
-        assert not store.diffmemo_entries()
+        assert not store.record_has("diff_memos", store.key(log_fp, opts_fp))
         assert store.load_diff_memo_pairs(log_fp, opts_fp) is None
 
     def test_stats_count_table_and_bytes(self, tmp_path):

@@ -1,11 +1,12 @@
-"""The packed GraphStore layout: parity with JSON, migration, eviction.
+"""The GraphStore segment layout: the table registry, eviction, and the
+legacy JSON layout's export and import.
 
-The packed format's core contract is that a segment *record* is the
-JSON layout's *file content*, byte for byte.  These tests hold the two
-layouts side by side through identical save sequences and compare raw
-bytes after every append, then exercise what only the packed layout
-does: in-segment tombstone eviction, batched TOUCH recency, per-table
-segment accounting, and in-place migration in both directions.
+The store's compatibility contract is that a segment *record* is the
+legacy JSON layout's *file content*, byte for byte.  These tests hold a
+store beside its JSON export and compare raw bytes, run every table of
+the registry through one set of no-orphan, eviction and corruption
+checks, and exercise what the segments do: in-segment tombstone
+eviction, batched TOUCH recency, and per-table accounting.
 """
 
 import time
@@ -16,12 +17,14 @@ from repro import parse_sql
 from repro.api import generate
 from repro.cache.blockstore import SegmentReader
 from repro.cache.fingerprint import log_fingerprint, options_fingerprint
-from repro.cache.store import GraphStore
+from repro.cache.store import TABLES, GraphStore
+from repro.compiler.incremental import IncrementalCompiler
 from repro.core.closure import ClosureCache, expresses
 from repro.core.mapper import initialize, merge_widgets
 from repro.core.options import PipelineOptions
 from repro.graph.build import BuildStats, build_interaction_graph
 from repro.treediff.memo import DiffMemo
+from tests.helpers import generate_iface
 
 SQL = [
     "SELECT a FROM t WHERE x = 1",
@@ -32,9 +35,10 @@ SQL = [
 
 
 def _mined(statements=None):
-    """One fully-derived payload set: graph, widgets, proofs, memo."""
+    """One fully-derived payload set: graph, widgets, proofs, memo, page."""
+    statements = statements or SQL
     options = PipelineOptions()
-    queries = [parse_sql(s) for s in (statements or SQL)]
+    queries = [parse_sql(s) for s in statements]
     stats = BuildStats()
     memo = DiffMemo()
     graph = build_interaction_graph(queries, window=2, stats=stats, memo=memo)
@@ -46,6 +50,7 @@ def _mined(statements=None):
     )
     cache = ClosureCache()
     expresses(widgets, queries[0], queries[1], cache=cache)
+    page = IncrementalCompiler(limit=32).compile(generate_iface(statements))
     return {
         "options": options,
         "log_fp": log_fingerprint(queries),
@@ -55,208 +60,244 @@ def _mined(statements=None):
         "widgets": widgets,
         "proofs": cache,
         "memo": memo,
+        "page": page.to_state(),
+    }
+
+
+def _typed(store, payload):
+    """Each table's typed ``(save, load)`` pair for this payload's key."""
+    fps = (payload["log_fp"], payload["opts_fp"])
+    options = payload["options"]
+    return {
+        "graphs": (
+            lambda: store.save(*fps, payload["graph"], payload["stats"]),
+            lambda: store.load(*fps),
+        ),
+        "widget_sets": (
+            lambda: store.save_widget_set(*fps, payload["widgets"], payload["graph"]),
+            lambda: store.load_widget_set(
+                *fps, payload["graph"], options.library, options.annotations
+            ),
+        ),
+        "proof_sets": (
+            lambda: store.save_closure_proofs(*fps, payload["proofs"], payload["widgets"]),
+            lambda: store.load_proof_triples(*fps),
+        ),
+        "diff_memos": (
+            lambda: store.save_diff_memo(*fps, payload["memo"]),
+            lambda: store.load_diff_memo_pairs(*fps),
+        ),
+        "compiled": (
+            lambda: store.save_compiled_page(*fps, payload["page"]),
+            lambda: store.load_compiled_page(*fps),
+        ),
     }
 
 
 def _save_all(store, payload):
-    store.save(payload["log_fp"], payload["opts_fp"],
-               payload["graph"], payload["stats"])
-    store.save_widget_set(payload["log_fp"], payload["opts_fp"],
-                          payload["widgets"], payload["graph"])
-    store.save_closure_proofs(payload["log_fp"], payload["opts_fp"],
-                              payload["proofs"], payload["widgets"])
-    store.save_diff_memo(payload["log_fp"], payload["opts_fp"],
-                         payload["memo"])
+    for save, _load in _typed(store, payload).values():
+        save()
+
+
+def _records(root, key):
+    """Every table's raw record bytes for ``key`` (``None`` when absent)."""
+    return {
+        table.name: SegmentReader(root / table.segment).get(key) for table in TABLES
+    }
+
+
+def _imported(tmp_path, store, name="imported"):
+    """A fresh store built from ``store``'s JSON export."""
+    store.export_json(tmp_path / name)
+    imported = GraphStore(tmp_path / name)
+    imported.import_json()
+    return imported
+
+
+@pytest.mark.parametrize("table", TABLES, ids=[t.name for t in TABLES])
+class TestTableRegistry:
+    """One set of guarantees, checked for every table of the registry."""
+
+    def test_no_orphans_eviction_and_corruption(self, tmp_path, table):
+        payload = _mined()
+        store = GraphStore(tmp_path)
+        key = store.key(payload["log_fp"], payload["opts_fp"])
+        save, load = _typed(store, payload)[table.name]
+        if table.name != "graphs":
+            # a derived record needs a live graph record
+            assert store.record_put(table.name, key, b"{}") is False
+            assert not store.record_has(table.name, key)
+            saved = save()
+            if table.name == "widget_sets":
+                # the caller holds the graph: it is re-created alongside
+                assert store.record_has("graphs", key)
+                assert store.record_has(table.name, key)
+            else:
+                assert saved is None
+                assert not store.record_has(table.name, key)
+        _save_all(store, payload)
+        assert store.record_has(table.name, key) and load() is not None
+
+        assert store.prune(max_entries=0) == 1
+        assert not store.record_has(table.name, key) and load() is None
+
+        _save_all(store, payload)
+        assert store.invalidate(log_fingerprint=payload["log_fp"]) == 1
+        assert not store.record_has(table.name, key) and load() is None
+
+        _save_all(store, payload)
+        assert store.record_put(table.name, key, b"garbage")
+        assert load() is None
 
 
 class TestFormatSelection:
     def test_empty_directory_defaults_to_packed(self, tmp_path):
         assert GraphStore(tmp_path).format == "packed"
+        assert GraphStore(tmp_path).stats()["format"] == "packed"
 
     def test_json_layout_auto_detected(self, tmp_path):
+        """A legacy JSON layout is not served as is: ``import_json``
+        finds its files and folds them into the segments."""
         payload = _mined()
-        json_store = GraphStore(tmp_path, format="json")
-        json_store.save(payload["log_fp"], payload["opts_fp"], payload["graph"])
-        assert GraphStore(tmp_path).format == "json"
+        store = GraphStore(tmp_path / "store")
+        _save_all(store, payload)
+        store.export_json(tmp_path / "legacy")
+        legacy = GraphStore(tmp_path / "legacy")
+        assert not legacy.has(payload["log_fp"], payload["opts_fp"])
+        assert legacy.import_json()["imported_keys"] == 1
+        assert legacy.has(payload["log_fp"], payload["opts_fp"])
 
     def test_packed_layout_auto_detected(self, tmp_path):
         payload = _mined()
         packed = GraphStore(tmp_path)
         packed.save(payload["log_fp"], payload["opts_fp"], payload["graph"])
         assert GraphStore(tmp_path).format == "packed"
+        assert GraphStore(tmp_path).has(payload["log_fp"], payload["opts_fp"])
 
     def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            GraphStore(tmp_path, format="parquet")
+        # segments are the only layout: there is no format to choose
+        with pytest.raises(TypeError):
+            GraphStore(tmp_path, format="json")
 
     def test_bad_zlib_level_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            GraphStore(tmp_path, zlib_level=42)
+        # the segments' compression level is fixed, not a store option
+        with pytest.raises(TypeError):
+            GraphStore(tmp_path, zlib_level=6)
 
 
 class TestParity:
-    """A packed record is the JSON file's content, byte for byte."""
-
-    def _segment_bytes(self, root, name, key):
-        return SegmentReader(root / name).get(key)
+    """A record is the exported JSON file's content, byte for byte."""
 
     def test_all_four_tables_byte_identical(self, tmp_path):
         payload = _mined()
-        json_store = GraphStore(tmp_path / "json", format="json")
-        packed = GraphStore(tmp_path / "packed", format="packed")
-        key = json_store.key(payload["log_fp"], payload["opts_fp"])
-
-        # graph
-        json_store.save(payload["log_fp"], payload["opts_fp"],
-                        payload["graph"], payload["stats"])
-        packed.save(payload["log_fp"], payload["opts_fp"],
-                    payload["graph"], payload["stats"])
-        graph_file = json_store.path_for(payload["log_fp"], payload["opts_fp"])
-        assert (
-            self._segment_bytes(packed.root, "graphs.seg", key)
-            == graph_file.read_bytes()
-        )
-
-        # widget set
-        json_store.save_widget_set(payload["log_fp"], payload["opts_fp"],
-                                   payload["widgets"], payload["graph"])
-        packed.save_widget_set(payload["log_fp"], payload["opts_fp"],
-                               payload["widgets"], payload["graph"])
-        assert self._segment_bytes(
-            packed.root, "widgets.seg", key
-        ) == json_store.widgets_path_for(
-            payload["log_fp"], payload["opts_fp"]
-        ).read_bytes()
-
-        # closure proofs
-        json_store.save_closure_proofs(payload["log_fp"], payload["opts_fp"],
-                                       payload["proofs"], payload["widgets"])
-        packed.save_closure_proofs(payload["log_fp"], payload["opts_fp"],
-                                   payload["proofs"], payload["widgets"])
-        assert self._segment_bytes(
-            packed.root, "proofs.seg", key
-        ) == json_store.proofs_path_for(
-            payload["log_fp"], payload["opts_fp"]
-        ).read_bytes()
-
-        # diff memo
-        json_store.save_diff_memo(payload["log_fp"], payload["opts_fp"],
-                                  payload["memo"])
-        packed.save_diff_memo(payload["log_fp"], payload["opts_fp"],
-                              payload["memo"])
-        assert self._segment_bytes(
-            packed.root, "diffmemos.seg", key
-        ) == json_store.diffmemo_path_for(
-            payload["log_fp"], payload["opts_fp"]
-        ).read_bytes()
+        store = GraphStore(tmp_path / "store")
+        _save_all(store, payload)
+        key = store.key(payload["log_fp"], payload["opts_fp"])
+        store.export_json(tmp_path / "json")
+        for table in TABLES:
+            record = SegmentReader(store.root / table.segment).get(key)
+            assert record is not None, table.name
+            exported = tmp_path / "json" / (key + table.suffix)
+            assert exported.read_bytes() == record, table.name
 
     def test_parity_survives_rewrites(self, tmp_path):
-        """Re-saving a key keeps the layouts byte-identical (the packed
-        store may demote the append to a touch — what's *read* matters)."""
+        """Re-saving a key keeps the export byte-identical (the store may
+        demote the append to a touch — what's *read* matters)."""
         payload = _mined()
-        json_store = GraphStore(tmp_path / "json", format="json")
-        packed = GraphStore(tmp_path / "packed", format="packed")
-        key = json_store.key(payload["log_fp"], payload["opts_fp"])
-        for _ in range(3):
-            json_store.save(payload["log_fp"], payload["opts_fp"],
-                            payload["graph"], payload["stats"])
-            packed.save(payload["log_fp"], payload["opts_fp"],
-                        payload["graph"], payload["stats"])
-            assert self._segment_bytes(
-                packed.root, "graphs.seg", key
-            ) == json_store.path_for(
-                payload["log_fp"], payload["opts_fp"]
-            ).read_bytes()
+        store = GraphStore(tmp_path / "store")
+        key = store.key(payload["log_fp"], payload["opts_fp"])
+        for round_ in range(3):
+            store.save(payload["log_fp"], payload["opts_fp"],
+                       payload["graph"], payload["stats"])
+            store.export_json(tmp_path / f"json{round_}")
+            assert (tmp_path / f"json{round_}" / (key + ".graph.jsonl")).read_bytes() == (
+                SegmentReader(store.root / "graphs.seg").get(key)
+            )
 
     def test_loads_round_trip_identically(self, tmp_path):
         payload = _mined()
         options = payload["options"]
-        json_store = GraphStore(tmp_path / "json", format="json")
-        packed = GraphStore(tmp_path / "packed", format="packed")
-        _save_all(json_store, payload)
-        _save_all(packed, payload)
-        for store in (json_store, packed):
-            graph, stats = store.load(payload["log_fp"], payload["opts_fp"])
+        store = GraphStore(tmp_path / "store")
+        _save_all(store, payload)
+        imported = _imported(tmp_path, store)
+        for each in (store, imported):
+            graph, stats = each.load(payload["log_fp"], payload["opts_fp"])
             assert graph.summary() == payload["graph"].summary()
             assert stats.n_pairs_compared == payload["stats"].n_pairs_compared
-            widgets = store.load_widget_set(
+            widgets = each.load_widget_set(
                 payload["log_fp"], payload["opts_fp"], graph,
                 options.library, options.annotations,
             )
             assert len(widgets) == len(payload["widgets"])
-            assert store.load_closure_proofs(
+            assert each.load_closure_proofs(
                 payload["log_fp"], payload["opts_fp"], payload["widgets"]
             )
             assert (
-                len(store.load_diff_memo_pairs(
+                len(each.load_diff_memo_pairs(
                     payload["log_fp"], payload["opts_fp"]
                 ))
                 == payload["memo"].n_plans
             )
+            assert each.load_compiled_page(
+                payload["log_fp"], payload["opts_fp"]
+            ) == payload["page"]
 
 
 class TestMigration:
     def test_round_trip_is_byte_exact(self, tmp_path):
+        """export_json then import_json rebuilds every table's record
+        byte for byte, with its recency."""
         payload = _mined()
-        store = GraphStore(tmp_path, format="packed")
+        store = GraphStore(tmp_path / "store")
         _save_all(store, payload)
         key = store.key(payload["log_fp"], payload["opts_fp"])
-        packed_bytes = {
-            name: SegmentReader(store.root / name).get(key)
-            for name in ("graphs.seg", "widgets.seg", "proofs.seg",
-                         "diffmemos.seg")
-        }
+        summary = store.export_json(tmp_path / "json")
+        assert summary == {"exported_keys": 1, "orphans_dropped": 0}
+        # the store itself is untouched by an export
+        assert store.has(payload["log_fp"], payload["opts_fp"])
 
-        summary = store.migrate("json")
-        assert summary["format"] == "json" and summary["migrated_keys"] == 1
-        assert store.format == "json"
-        assert not (tmp_path / "graphs.seg").exists()
-        assert store.path_for(
-            payload["log_fp"], payload["opts_fp"]
-        ).read_bytes() == packed_bytes["graphs.seg"]
-        assert GraphStore(tmp_path).format == "json"  # auto-detect agrees
-
-        summary = store.migrate("packed")
-        assert summary["format"] == "packed" and summary["migrated_keys"] == 1
-        assert store.format == "packed"
-        assert not store.entries()
-        for name, expected in packed_bytes.items():
-            assert SegmentReader(store.root / name).get(key) == expected
-        # and the migrated store still loads through the public API
-        graph, _ = store.load(payload["log_fp"], payload["opts_fp"])
-        assert graph.summary() == payload["graph"].summary()
+        imported = GraphStore(tmp_path / "json")
+        assert imported.import_json() == {"imported_keys": 1, "orphans_dropped": 0}
+        assert not list((tmp_path / "json").glob("*.json*"))
+        assert _records(imported.root, key) == _records(store.root, key)
+        for table in TABLES:
+            before = SegmentReader(store.root / table.segment).entry(key)
+            after = SegmentReader(imported.root / table.segment).entry(key)
+            assert after.ts == pytest.approx(before.ts, abs=1e-3), table.name
 
     def test_migrate_to_current_format_is_a_noop(self, tmp_path):
         payload = _mined()
         store = GraphStore(tmp_path)
         _save_all(store, payload)
-        summary = store.migrate("packed")
-        assert summary["migrated_keys"] == 0
+        summary = store.import_json()
+        assert summary["imported_keys"] == 0
         assert store.load(payload["log_fp"], payload["opts_fp"]) is not None
 
     def test_migrate_rejects_unknown_target(self, tmp_path):
+        # exporting into the store's own directory would mix layouts
         with pytest.raises(ValueError):
-            GraphStore(tmp_path).migrate("sqlite")
+            GraphStore(tmp_path).export_json(tmp_path)
 
     def test_packed_to_json_drops_orphans(self, tmp_path):
         payload = _mined()
-        store = GraphStore(tmp_path, format="packed")
+        store = GraphStore(tmp_path / "store")
         _save_all(store, payload)
         # fabricate an orphan: a widgets record whose graph key is gone
-        store._segment("widget_sets").append_records(
+        store._segments["widget_sets"].append_records(
             [("0" * 16 + "-" + "1" * 16, b'{"version": 1}\n', None)]
         )
-        summary = store.migrate("json")
+        summary = store.export_json(tmp_path / "json")
         assert summary["orphans_dropped"] == 1
-        assert len(store.widget_entries()) == 1  # only the real key
+        assert len(list((tmp_path / "json").glob("*.widgets.json"))) == 1
 
     def test_json_to_packed_drops_orphans(self, tmp_path):
         payload = _mined()
-        store = GraphStore(tmp_path, format="json")
-        _save_all(store, payload)
-        orphan = store.root / ("2" * 16 + "-" + "3" * 16 + ".widgets.json")
+        _save_all(GraphStore(tmp_path / "store"), payload)
+        GraphStore(tmp_path / "store").export_json(tmp_path / "json")
+        orphan = tmp_path / "json" / ("2" * 16 + "-" + "3" * 16 + ".widgets.json")
         orphan.write_text('{"version": 1}\n')
-        summary = store.migrate("packed")
+        store = GraphStore(tmp_path / "json")
+        summary = store.import_json()
         assert summary["orphans_dropped"] == 1
         assert not orphan.exists()
         widgets = SegmentReader(store.root / "widgets.seg")
@@ -265,7 +306,7 @@ class TestMigration:
         ]
 
     def test_many_keys_round_trip(self, tmp_path):
-        store = GraphStore(tmp_path, format="json")
+        store = GraphStore(tmp_path / "store")
         fps = []
         for i in range(6):
             statements = [
@@ -274,12 +315,13 @@ class TestMigration:
             payload = _mined(statements)
             _save_all(store, payload)
             fps.append((payload["log_fp"], payload["opts_fp"]))
-        assert store.migrate("packed")["migrated_keys"] == 6
-        assert len(store.keys()) == 6
+        assert store.export_json(tmp_path / "json")["exported_keys"] == 6
+        imported = GraphStore(tmp_path / "json")
+        assert imported.import_json()["imported_keys"] == 6
+        assert imported.keys() == store.keys()
         for log_fp, opts_fp in fps:
-            assert store.load(log_fp, opts_fp) is not None
-        assert store.migrate("json")["migrated_keys"] == 6
-        assert len(store.entries()) == 6
+            assert imported.load(log_fp, opts_fp) is not None
+        assert imported.stats()["n_compiled"] == 6
 
 
 class TestPackedStats:
@@ -294,8 +336,9 @@ class TestPackedStats:
         assert stats["n_widget_sets"] == 1
         assert stats["n_proof_sets"] == 1
         assert stats["n_diff_memos"] == 1
+        assert stats["n_compiled"] == 1
         assert sum(stats["bytes_by_table"].values()) == stats["total_bytes"]
-        for table in ("graphs", "widget_sets", "proof_sets", "diff_memos"):
+        for table in (t.name for t in TABLES):
             entry = stats["tables"][table]
             assert entry["n_live"] == 1
             assert entry["n_tombstoned"] == 0
@@ -306,7 +349,7 @@ class TestPackedStats:
         payload = _mined()
         store = GraphStore(tmp_path)
         _save_all(store, payload)
-        store._segment("graphs").append_tombstones(
+        store._segments["graphs"].append_tombstones(
             [store.key(payload["log_fp"], payload["opts_fp"])]
         )
         entry = store.stats()["tables"]["graphs"]
@@ -320,7 +363,7 @@ class TestCompactApi:
         payload = _mined()
         store = GraphStore(tmp_path)
         _save_all(store, payload)
-        store._segment("graphs").append_tombstones(
+        store._segments["graphs"].append_tombstones(
             [store.key(payload["log_fp"], payload["opts_fp"])]
         )
         before = store.stats()["tables"]["graphs"]
@@ -340,8 +383,14 @@ class TestCompactApi:
         assert store.compact() is False
 
     def test_compact_on_json_store_is_noop(self, tmp_path):
-        store = GraphStore(tmp_path, format="json")
-        assert store.compact() is False
+        """Legacy JSON files waiting for import_json are not the
+        segments' business: compacting leaves them alone."""
+        payload = _mined()
+        _save_all(GraphStore(tmp_path / "store"), payload)
+        GraphStore(tmp_path / "store").export_json(tmp_path / "json")
+        files = sorted((tmp_path / "json").iterdir())
+        assert GraphStore(tmp_path / "json").compact() is False
+        assert sorted((tmp_path / "json").glob("*.json*")) == files
 
 
 class TestPackedEviction:

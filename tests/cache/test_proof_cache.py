@@ -9,10 +9,10 @@ from repro.api import InterfaceSession, generate
 from repro.cache.fingerprint import log_fingerprint, options_fingerprint
 from repro.cache.serialize import (
     FORMAT_VERSION,
-    load_proofs,
     proofs_from_dict,
+    proofs_from_json_bytes,
     proofs_to_dict,
-    save_proofs,
+    proofs_to_json_bytes,
 )
 from repro.cache.store import GraphStore
 from repro.core.closure import ClosureCache, expresses
@@ -74,26 +74,21 @@ class TestSerialisation:
                           "SELECT b FROM u WHERE y = 2"]).interface
         assert cache.export_proofs(other.widgets) == []
 
-    def test_file_round_trip_and_version_check(self, tmp_path, mined):
+    def test_file_round_trip_and_version_check(self, mined):
         cache = _proven_cache(mined)
-        path = tmp_path / "k.proofs.json"
-        save_proofs(path, cache.export_proofs(mined.widgets))
-        assert load_proofs(path)
-        payload = json.loads(path.read_text())
+        data = proofs_to_json_bytes(cache.export_proofs(mined.widgets))
+        assert proofs_from_json_bytes(data)
+        payload = json.loads(data)
         payload["version"] = FORMAT_VERSION + 1
-        path.write_text(json.dumps(payload))
         with pytest.raises(CacheError):
-            load_proofs(path)
+            proofs_from_json_bytes(json.dumps(payload).encode())
 
-    def test_malformed_payloads_raise(self, tmp_path):
-        path = tmp_path / "bad.proofs.json"
-        path.write_text("{not json")
+    def test_malformed_payloads_raise(self):
         with pytest.raises(CacheError):
-            load_proofs(path)
-        path.write_text(json.dumps({"version": FORMAT_VERSION,
-                                    "trees": [], "proofs": [{"c": 0}]}))
+            proofs_from_json_bytes(b"{not json")
+        bad = {"version": FORMAT_VERSION, "trees": [], "proofs": [{"c": 0}]}
         with pytest.raises(CacheError):
-            load_proofs(path)
+            proofs_from_json_bytes(json.dumps(bad).encode())
 
     def test_base_paths_survive(self, mined):
         cache = _proven_cache(mined)
@@ -115,7 +110,7 @@ class TestStoreTable:
         log_fp, opts_fp = self._fps(options)
         cache = _proven_cache(mined)
         assert store.save_closure_proofs(log_fp, opts_fp, cache, mined.widgets) is None
-        assert store.proof_entries() == []
+        assert not store.record_has("proof_sets", store.key(log_fp, opts_fp))
 
     def test_round_trip_through_the_store(self, tmp_path, mined):
         options = PipelineOptions(cache_dir=str(tmp_path))
@@ -137,10 +132,11 @@ class TestStoreTable:
         store = GraphStore(tmp_path)
         log_fp, opts_fp = self._fps(options)
         cache = _proven_cache(result.interface)
-        path = store.save_closure_proofs(
+        assert store.save_closure_proofs(
             log_fp, opts_fp, cache, result.interface.widgets
         )
-        path.write_text("garbage")
+        # one record corrupted; the rest of proofs.seg stays readable
+        store.record_put("proof_sets", store.key(log_fp, opts_fp), b"garbage")
         assert store.load_closure_proofs(
             log_fp, opts_fp, result.interface.widgets
         ) is None
@@ -154,8 +150,8 @@ class TestStoreTable:
         store.save_closure_proofs(log_fp, opts_fp, cache, result.interface.widgets)
         assert store.stats()["n_proof_sets"] == 1
         assert store.prune(max_entries=0) == 1
-        assert store.proof_entries() == []
-        assert store.entries() == []
+        assert not store.record_has("proof_sets", store.key(log_fp, opts_fp))
+        assert store.keys() == []
 
 
 class TestSessionAdoption:

@@ -7,8 +7,8 @@ import pytest
 from repro.cache.serialize import (
     FORMAT_VERSION,
     derived_interval_annotations,
-    graph_from_dict,
-    graph_to_dict,
+    graph_from_jsonl_bytes,
+    graph_to_jsonl_bytes,
     load_graph,
     node_from_dict,
     node_to_dict,
@@ -19,6 +19,16 @@ from repro.errors import CacheError
 from repro.graph.build import BuildStats, build_interaction_graph
 from repro.logs import SDSSLogGenerator
 from repro.sqlparser.parser import parse_sql
+
+
+def _records(graph, stats):
+    """A graph payload's JSONL records, for tampering."""
+    return [json.loads(line) for line in graph_to_jsonl_bytes(graph, stats).splitlines()]
+
+
+def _from_records(records):
+    data = "".join(json.dumps(r) + "\n" for r in records).encode()
+    return graph_from_jsonl_bytes(data)
 
 
 @pytest.fixture(scope="module")
@@ -42,9 +52,10 @@ class TestNodeRoundTrip:
 
 
 class TestGraphRoundTrip:
-    def test_summary_identical_via_dict(self, mined):
+    def test_summary_identical_via_bytes(self, mined):
         graph, stats = mined
-        loaded, loaded_stats, _ = graph_from_dict(graph_to_dict(graph, stats))
+        data = graph_to_jsonl_bytes(graph, stats)
+        loaded, loaded_stats, _ = graph_from_jsonl_bytes(data)
         assert loaded.summary() == graph.summary()
         assert loaded_stats.n_pairs_compared == stats.n_pairs_compared
 
@@ -115,10 +126,10 @@ class TestGraphRoundTrip:
 class TestVersioningAndCorruption:
     def test_version_mismatch_refused(self, mined, tmp_path):
         graph, stats = mined
-        payload = graph_to_dict(graph, stats)
-        payload["version"] = FORMAT_VERSION + 1
+        records = _records(graph, stats)
+        records[0]["version"] = FORMAT_VERSION + 1
         with pytest.raises(CacheError, match="version"):
-            graph_from_dict(payload)
+            _from_records(records)
 
     def test_truncated_file_refused(self, mined, tmp_path):
         graph, stats = mined
@@ -145,14 +156,16 @@ class TestVersioningAndCorruption:
         """A corrupt record's negative index must not silently alias the
         wrong table entry via Python's wrap-around indexing."""
         graph, stats = mined
-        payload = graph_to_dict(graph, stats)
-        payload["diffs"][0] = {**payload["diffs"][0], "t2": -1}
+        records = _records(graph, stats)
+        first_diff = next(r for r in records if r["rec"] == "diff")
+        first_diff["t2"] = -1
         with pytest.raises(CacheError, match="out of range"):
-            graph_from_dict(payload)
+            _from_records(records)
 
     def test_bad_query_reference_refused(self, mined):
         graph, stats = mined
-        payload = graph_to_dict(graph, stats)
-        payload["queries"][0] = len(payload["trees"]) + 5
+        records = _records(graph, stats)
+        first_query = next(r for r in records if r["rec"] == "query")
+        first_query["tree"] = records[0]["n_trees"] + 5
         with pytest.raises(CacheError, match="out of range"):
-            graph_from_dict(payload)
+            _from_records(records)

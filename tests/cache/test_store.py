@@ -79,11 +79,11 @@ class TestGraphStore:
         assert loaded_stats.n_pairs_compared == stats.n_pairs_compared
 
     def test_corrupt_entry_is_a_miss(self, asts, tmp_path):
-        store = GraphStore(tmp_path, format="json")
+        store = GraphStore(tmp_path)
         log_fp = log_fingerprint(asts)
         opts_fp = options_fingerprint(PipelineOptions())
         store.save(log_fp, opts_fp, build_interaction_graph(asts, window=2))
-        store.path_for(log_fp, opts_fp).write_text("garbage\n")
+        store.record_put("graphs", store.key(log_fp, opts_fp), b"garbage\n")
         assert store.load(log_fp, opts_fp) is None
 
     def test_invalidate_by_log_and_options(self, asts, tmp_path):

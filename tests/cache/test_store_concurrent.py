@@ -6,19 +6,16 @@ Marked ``stress``: excluded from the default (tier-1) run by the
 
 Several worker processes hammer one store directory with a tight
 ``max_bytes`` cap, so LRU eviction runs constantly while other workers
-are saving and loading the very same keys.  Both on-disk layouts run
-the same matrix (``store_format`` fixture): packed segment files and
-one-JSON-file-per-record.  The invariants:
+are saving and loading the very same keys.  The invariants:
 
-* no corrupt entries — every file still present at the end decodes, and
+* no corrupt entries — every record still live at the end decodes, and
   every mid-run load either hits (a valid graph) or misses (``None``),
   never raises;
-* no orphans — every ``.widgets.json`` / ``.proofs.json`` /
-  ``.diffmemo.json`` sits next to its ``.graph.jsonl`` (eviction removes
-  a key's files as one unit, and the lock-guarded derived saves refuse
-  to recreate them);
+* no orphans — every derived record's key has a live graph record
+  (eviction tombstones a key in every table as one unit, and the
+  lock-guarded derived saves refuse to recreate them);
 * consistent ``stats()`` — every snapshot a concurrent observer takes is
-  internally coherent (no negative counters, file counts add up).
+  internally coherent (no negative counters, per-table bytes add up).
 """
 
 import multiprocessing as mp
@@ -30,13 +27,7 @@ import pytest
 
 from repro import parse_sql
 from repro.cache.fingerprint import log_fingerprint, options_fingerprint
-from repro.cache.serialize import (
-    load_diff_memo,
-    load_graph,
-    load_proofs,
-    load_widgets,
-)
-from repro.cache.store import GraphStore
+from repro.cache.store import TABLES, GraphStore
 from repro.core.closure import ClosureCache, expresses
 from repro.core.mapper import initialize, merge_widgets
 from repro.core.options import PipelineOptions
@@ -97,13 +88,12 @@ def _hammer(
     root: str,
     seed: int,
     failures: "mp.Queue",
-    fmt: str = "auto",
     remote: str | None = None,
 ) -> None:
     """One worker: N_OPS random interleaved store operations."""
     rng = random.Random(seed)
     try:
-        store = GraphStore(root, max_bytes=MAX_BYTES, format=fmt, remote=remote)
+        store = GraphStore(root, max_bytes=MAX_BYTES, remote=remote)
         if remote is not None and store.remote is None:
             failures.put(f"worker {seed}: never attached to the daemon")
             return
@@ -174,56 +164,23 @@ def _assert_stats_consistent(stats: dict) -> None:
     assert stats["n_keys"] >= 0
     assert stats["n_files"] >= 0
     assert stats["total_bytes"] >= 0
-    assert sum(stats["bytes_by_table"].values()) == stats["total_bytes"]
-    if stats["format"] == "json":
+    # one file per table: per-table accounting must be coherent
+    assert stats["n_files"] <= len(TABLES)
+    for table, entry in stats["tables"].items():
+        assert entry["n_live"] >= 0, table
+        assert entry["n_tombstoned"] >= 0, table
+        assert entry["live_bytes"] >= 0, table
+        assert entry["compaction_debt_bytes"] >= 0, table
+        assert entry["file_bytes"] == stats["bytes_by_table"][table]
         assert (
-            stats["n_files"]
-            == stats["n_graphs"]
-            + stats["n_widget_sets"]
-            + stats["n_proof_sets"]
-            + stats["n_diff_memos"]
-        )
-        assert stats["n_keys"] <= stats["n_files"]
-    else:
-        # one file per table: per-table accounting must be coherent
-        assert stats["n_files"] <= 4
-        for table, entry in stats["tables"].items():
-            assert entry["n_live"] >= 0, table
-            assert entry["n_tombstoned"] >= 0, table
-            assert entry["live_bytes"] >= 0, table
-            assert entry["compaction_debt_bytes"] >= 0, table
-            assert entry["file_bytes"] == stats["bytes_by_table"][table]
-            assert (
-                entry["live_bytes"] + entry["compaction_debt_bytes"]
-                <= entry["file_bytes"] or entry["file_bytes"] == 0
-            ), table
+            entry["live_bytes"] + entry["compaction_debt_bytes"]
+            <= entry["file_bytes"] or entry["file_bytes"] == 0
+        ), table
     if stats["n_files"] == 0:
         assert stats["total_bytes"] == 0
 
 
-def _assert_no_orphans_json(store: GraphStore, options: PipelineOptions) -> None:
-    """Every surviving file decodes, and derived files sit next to their
-    graph entry."""
-    for path in store.entries():
-        graph, _stats, _extra = load_graph(path)  # raises on corruption
-        assert graph.queries
-    graph_keys = {p.name[: -len(".graph.jsonl")] for p in store.entries()}
-    for path in store.widget_entries():
-        key = path.name[: -len(".widgets.json")]
-        assert key in graph_keys, f"orphaned widget set {path.name}"
-        graph, _stats, _extra = load_graph(store.root / (key + ".graph.jsonl"))
-        assert load_widgets(path, graph, options.library, options.annotations)
-    for path in store.proof_entries():
-        key = path.name[: -len(".proofs.json")]
-        assert key in graph_keys, f"orphaned proof set {path.name}"
-        assert load_proofs(path)
-    for path in store.diffmemo_entries():
-        key = path.name[: -len(".diffmemo.json")]
-        assert key in graph_keys, f"orphaned diff memo {path.name}"
-        assert load_diff_memo(path)
-
-
-def _assert_no_orphans_packed(store: GraphStore, options: PipelineOptions) -> None:
+def _assert_no_orphans(store: GraphStore, options: PipelineOptions) -> None:
     """Every live record in every segment decodes, and derived keys are a
     subset of the graph keys."""
     from repro.cache.blockstore import SegmentReader
@@ -238,32 +195,19 @@ def _assert_no_orphans_packed(store: GraphStore, options: PipelineOptions) -> No
         graph, _stats, _extra = graph_from_jsonl_bytes(payload)
         assert graph.queries
         decoded[key] = graph
-    for name, check in (
-        ("widgets.seg", "widgets"),
-        ("proofs.seg", "proofs"),
-        ("diffmemos.seg", "memo"),
-    ):
-        reader = SegmentReader(store.root / name)
+    for table in TABLES[1:]:
+        reader = SegmentReader(store.root / table.segment)
         for key in reader.keys():
-            assert key in graph_keys, f"orphaned {check} record {key}"
-            assert reader.get(key) is not None, f"{name}[{key}] unreadable"
+            assert key in graph_keys, f"orphaned {table.name} record {key}"
+            assert reader.get(key) is not None, f"{table.segment}[{key}] unreadable"
 
 
-@pytest.fixture(params=["packed", "json"])
-def store_format(request):
-    return request.param
-
-
-def test_concurrent_save_load_prune_leaves_a_coherent_store(
-    tmp_path, store_format
-):
+def test_concurrent_save_load_prune_leaves_a_coherent_store(tmp_path):
     root = tmp_path / "store"
     ctx = mp.get_context("fork")
     failures: mp.Queue = ctx.Queue()
     processes = [
-        ctx.Process(
-            target=_hammer, args=(str(root), seed, failures, store_format)
-        )
+        ctx.Process(target=_hammer, args=(str(root), seed, failures))
         for seed in range(N_PROCESSES)
     ]
     for process in processes:
@@ -271,7 +215,7 @@ def test_concurrent_save_load_prune_leaves_a_coherent_store(
 
     # concurrent observer: every stats() snapshot must be coherent while
     # the workers are mid-flight
-    observer = GraphStore(root, format=store_format)
+    observer = GraphStore(root)
     while any(p.is_alive() for p in processes):
         _assert_stats_consistent(observer.stats())
     for process in processes:
@@ -284,14 +228,9 @@ def test_concurrent_save_load_prune_leaves_a_coherent_store(
     assert not reported, reported
 
     store = GraphStore(root)
-    assert store.format == store_format  # layout auto-detects
-    options = PipelineOptions()
 
     # 1 + 2. no corrupt entries, no orphaned derived records
-    if store_format == "json":
-        _assert_no_orphans_json(store, options)
-    else:
-        _assert_no_orphans_packed(store, options)
+    _assert_no_orphans(store, PipelineOptions())
 
     # 3. final occupancy is coherent, and one more prune enforces the cap
     final = store.stats()
@@ -300,11 +239,11 @@ def test_concurrent_save_load_prune_leaves_a_coherent_store(
     assert store.stats()["total_bytes"] <= MAX_BYTES
 
 
-def test_concurrent_pruners_never_break_caps_or_orphan(tmp_path, store_format):
+def test_concurrent_pruners_never_break_caps_or_orphan(tmp_path):
     """All processes prune aggressively while two keep saving: the lock
     serialises the scans, so caps hold and keys evict atomically."""
     root = tmp_path / "store"
-    store = GraphStore(root, format=store_format)
+    store = GraphStore(root)
     payloads = _payloads()
     for payload in payloads:
         store.save(payload["log_fp"], payload["opts_fp"], payload["graph"])
@@ -318,7 +257,7 @@ def test_concurrent_pruners_never_break_caps_or_orphan(tmp_path, store_format):
 
     def prune_hard(seed: int, failures: "mp.Queue") -> None:
         try:
-            local = GraphStore(str(root), format=store_format)
+            local = GraphStore(str(root))
             rng = random.Random(seed)
             for _ in range(30):
                 local.prune(max_entries=rng.choice([1, 2, 3]))
@@ -331,9 +270,7 @@ def test_concurrent_pruners_never_break_caps_or_orphan(tmp_path, store_format):
         ctx.Process(target=prune_hard, args=(seed, failures)) for seed in range(3)
     ]
     savers = [
-        ctx.Process(
-            target=_hammer, args=(str(root), 100 + seed, failures, store_format)
-        )
+        ctx.Process(target=_hammer, args=(str(root), 100 + seed, failures))
         for seed in range(2)
     ]
     for process in pruners + savers:
@@ -346,10 +283,7 @@ def test_concurrent_pruners_never_break_caps_or_orphan(tmp_path, store_format):
         reported.append(failures.get())
     assert not reported, reported
 
-    if store_format == "json":
-        _assert_no_orphans_json(store, PipelineOptions())
-    else:
-        _assert_no_orphans_packed(store, PipelineOptions())
+    _assert_no_orphans(store, PipelineOptions())
     assert store.prune(max_entries=1) >= 0
     assert store.stats()["n_keys"] <= 1
 
@@ -395,7 +329,7 @@ def test_concurrent_rpc_save_load_prune_through_a_daemon(tmp_path):
 
     store = GraphStore(root)
     assert store.format == "packed"
-    _assert_no_orphans_packed(store, PipelineOptions())
+    _assert_no_orphans(store, PipelineOptions())
     final = store.stats()
     _assert_stats_consistent(final)
     store.prune(max_bytes=MAX_BYTES)

@@ -1,131 +1,121 @@
-"""Regression: a torn ``cache migrate`` must heal at the next open.
+"""Regression: a torn JSON import or export must finish on a re-run.
 
-A ``migrate`` killed between batches leaves *both* layouts in the
-directory: segments holding the already-converted keys (their source
-files removed) and legacy JSON files for the rest.  ``format="auto"``
-prefers segments, so such a store used to silently serve only the
-converted half — the pending JSON keys became invisible misses — and an
-explicitly-``json`` open would write entries a later ``auto`` open
-never saw.  Opening a mixed directory now *resumes* the migration
-toward the resolved format, so every key is always presented in exactly
-one layout, byte-identically.
+``GraphStore.import_json`` folds a legacy JSON-layout directory into the
+segments in batches; one killed between batches leaves *both* layouts in
+the directory: segments holding the already-imported keys (their source
+files removed) and legacy JSON files for the rest.  Such a store serves
+the imported half, and re-running the import folds in the rest, byte for
+byte, dropping orphans and keeping each file's mtime as recency.  A torn
+``export_json`` leaves part of the files in the destination, and
+re-running it finishes the job.
 """
 
+import os
 import shutil
 
-import pytest
-
 from repro.cache.blockstore import SegmentReader
-from repro.cache.store import GraphStore
+from repro.cache.store import TABLES, GraphStore
 from tests.cache.test_packed_store import _mined, _save_all
 
-SEGMENTS = ("graphs.seg", "widgets.seg", "proofs.seg", "diffmemos.seg")
-JSON_SUFFIXES = (".graph.jsonl", ".widgets.json", ".proofs.json", ".diffmemo.json")
 OTHER_SQL = [
     "SELECT b FROM u WHERE y = 3",
     "SELECT b FROM u WHERE y = 9",
     "SELECT b FROM u WHERE y = 4",
     "SELECT b FROM u WHERE y = 7",
 ]
+#: a derived file whose key has no graph file
+ORPHAN = "2" * 16 + "-" + "3" * 16 + ".widgets.json"
 
 
 def _key(store, payload):
     return store.key(payload["log_fp"], payload["opts_fp"])
 
 
-def _torn_json_to_packed(tmp_path):
-    """The exact on-disk state of a json→packed migration killed after
-    its first one-key batch: segments hold ``migrated`` (its files are
-    gone), ``pending`` is still four JSON files."""
-    migrated, pending = _mined(), _mined(OTHER_SQL)
+def _torn_import(tmp_path):
+    """The exact on-disk state of an import killed after its first
+    one-key batch: segments hold ``imported`` (its files are gone),
+    ``pending`` is still five JSON files, plus one orphan file — and the
+    pending files carry old mtimes, the recency the import must keep."""
+    imported, pending = _mined(), _mined(OTHER_SQL)
+    source = GraphStore(tmp_path / "source")
+    _save_all(source, imported)
+    _save_all(source, pending)
     root = tmp_path / "store"
-    json_store = GraphStore(root, format="json")
-    _save_all(json_store, migrated)
-    _save_all(json_store, pending)
-    pending_bytes = {
-        suffix: (root / (_key(json_store, pending) + suffix)).read_bytes()
-        for suffix in JSON_SUFFIXES
+    source.export_json(root)
+    (root / ORPHAN).write_text('{"version": 1}\n')
+    pending_files = {
+        table.name: root / (_key(source, pending) + table.suffix) for table in TABLES
     }
-    aux = GraphStore(tmp_path / "aux", format="packed")
-    _save_all(aux, migrated)
-    for name in SEGMENTS:
-        shutil.copy(tmp_path / "aux" / name, root / name)
-    for suffix in JSON_SUFFIXES:
-        (root / (_key(json_store, migrated) + suffix)).unlink()
-    return root, migrated, pending, pending_bytes
+    for path in pending_files.values():
+        os.utime(path, (1_000_000.0, 1_000_000.0))
+    pending_bytes = {name: path.read_bytes() for name, path in pending_files.items()}
+    aux = GraphStore(tmp_path / "aux")
+    _save_all(aux, imported)
+    for table in TABLES:
+        shutil.copy(tmp_path / "aux" / table.segment, root / table.segment)
+        (root / (_key(source, imported) + table.suffix)).unlink()
+    return root, imported, pending, pending_bytes
 
 
 class TestResumeTowardPacked:
-    def test_auto_open_heals_and_serves_every_key(self, tmp_path):
-        root, migrated, pending, pending_bytes = _torn_json_to_packed(tmp_path)
-        healed = GraphStore(root)  # format="auto": segments win, resume
-        assert healed.format == "packed"
-        # the regression: the pending key used to be an invisible miss
-        assert healed.has(pending["log_fp"], pending["opts_fp"])
-        assert healed.has(migrated["log_fp"], migrated["opts_fp"])
-        graph, _ = healed.load(pending["log_fp"], pending["opts_fp"])
+    def test_import_heals_and_serves_every_key(self, tmp_path):
+        root, imported, pending, pending_bytes = _torn_import(tmp_path)
+        store = GraphStore(root)
+        # the torn store serves the imported half ...
+        assert store.has(imported["log_fp"], imported["opts_fp"])
+        assert not store.has(pending["log_fp"], pending["opts_fp"])
+        # ... and re-running the import folds in the rest
+        assert store.import_json() == {"imported_keys": 1, "orphans_dropped": 1}
+        assert store.has(pending["log_fp"], pending["opts_fp"])
+        graph, _ = store.load(pending["log_fp"], pending["opts_fp"])
         assert graph.summary() == pending["graph"].summary()
-        # no legacy files left behind: exactly one layout remains
-        leftovers = [
-            p.name
-            for suffix in JSON_SUFFIXES
-            for p in root.glob("*" + suffix)
-        ]
-        assert leftovers == []
-        # the resumed records are the JSON files' bytes, untouched
-        key = _key(healed, pending)
-        for name, suffix in zip(SEGMENTS, JSON_SUFFIXES):
-            assert SegmentReader(root / name).get(key) == pending_bytes[suffix]
+        # no legacy files left behind, the orphan included
+        assert sorted(p.name for p in root.glob("*.json*")) == []
+        # the resumed records are the JSON files' bytes, untouched, and
+        # their mtimes became the records' recency
+        key = _key(store, pending)
+        for table in TABLES:
+            reader = SegmentReader(root / table.segment)
+            assert reader.get(key) == pending_bytes[table.name], table.name
+            assert reader.entry(key).ts == 1_000_000.0, table.name
 
     def test_healed_store_is_stable_on_reopen(self, tmp_path):
-        root, _migrated, pending, _bytes = _torn_json_to_packed(tmp_path)
-        GraphStore(root)  # heal
-        again = GraphStore(root)  # no mixed state left to resume
-        assert again.format == "packed"
-        assert sorted(again.keys()) == sorted(
-            SegmentReader(root / "graphs.seg").keys()
-        )
+        root, *_ = _torn_import(tmp_path)
+        GraphStore(root).import_json()
+        again = GraphStore(root)
+        assert again.import_json() == {"imported_keys": 0, "orphans_dropped": 0}
+        assert again.keys() == SegmentReader(root / "graphs.seg").keys()
         assert len(again.keys()) == 2
 
     def test_stats_count_every_key_after_heal(self, tmp_path):
-        root, *_ = _torn_json_to_packed(tmp_path)
-        stats = GraphStore(root).stats()
+        root, *_ = _torn_import(tmp_path)
+        store = GraphStore(root)
+        store.import_json()
+        stats = store.stats()
         assert stats["n_keys"] == 2
-        assert stats["n_graphs"] == 2
+        assert stats["n_graphs"] == stats["n_compiled"] == 2
         assert stats["format"] == "packed"
 
 
 class TestResumeTowardJson:
-    def test_explicit_json_open_converts_the_segments(self, tmp_path):
-        """A json-format open of a mixed directory used to write entries
-        into files while ``auto`` readers only saw the segments; now it
-        finishes the packed→json direction instead."""
-        root = tmp_path / "store"
-        a, b = _mined(), _mined(OTHER_SQL)
-        packed = GraphStore(root, format="packed")
-        _save_all(packed, a)
-        _save_all(packed, b)
-        # a torn packed→json run: one key's files already written, the
-        # segments (still the source of truth) left in place
-        key_a = _key(packed, a)
-        reader = SegmentReader(root / "graphs.seg")
-        (root / (key_a + ".graph.jsonl")).write_bytes(reader.get(key_a))
-
-        healed = GraphStore(root, format="json")
-        assert healed.format == "json"
-        for name in SEGMENTS:
-            assert not (root / name).exists()
-        for payload in (a, b):
-            assert healed.has(payload["log_fp"], payload["opts_fp"])
-            graph, _ = healed.load(payload["log_fp"], payload["opts_fp"])
-            assert graph.summary() == payload["graph"].summary()
-        assert GraphStore(root).format == "json"  # auto agrees afterwards
-
     def test_interrupted_migrate_then_rerun_finishes(self, tmp_path):
-        """Re-running ``migrate`` on a healed store is a clean no-op —
-        the resume already finished the job."""
-        root, *_ = _torn_json_to_packed(tmp_path)
-        store = GraphStore(root)
-        summary = store.migrate("packed")
-        assert summary["migrated_keys"] == 0
-        assert len(store.keys()) == 2
+        """An export killed part-way leaves some files (one of them
+        half-written); re-running it rewrites every file whole."""
+        a, b = _mined(), _mined(OTHER_SQL)
+        store = GraphStore(tmp_path / "store")
+        _save_all(store, a)
+        _save_all(store, b)
+        dest = tmp_path / "json"
+        dest.mkdir()
+        key_a = _key(store, a)
+        graph_bytes = SegmentReader(store.root / "graphs.seg").get(key_a)
+        (dest / (key_a + ".graph.jsonl")).write_bytes(graph_bytes[:40])
+
+        assert store.export_json(dest)["exported_keys"] == 2
+        assert (dest / (key_a + ".graph.jsonl")).read_bytes() == graph_bytes
+        assert len(list(dest.iterdir())) == 2 * len(TABLES)
+        imported = GraphStore(dest)
+        assert imported.import_json()["imported_keys"] == 2
+        for payload in (a, b):
+            graph, _ = imported.load(payload["log_fp"], payload["opts_fp"])
+            assert graph.summary() == payload["graph"].summary()

@@ -1,18 +1,19 @@
 """Widget-set cache: serialisation round-trips, the store's second table,
 full-hit pipeline wiring, invalidation, and LRU eviction."""
 
+import time
+
 import pytest
 
 from repro.api import generate
 from repro.cache import (
     GraphStore,
-    load_widgets,
     log_fingerprint,
     options_fingerprint,
-    save_widgets,
     widgets_from_dict,
     widgets_to_dict,
 )
+from repro.cache.serialize import widgets_from_json_bytes, widgets_to_json_bytes
 from repro.core.mapper import map_interactions
 from repro.core.options import PipelineOptions
 from repro.errors import CacheError
@@ -41,11 +42,12 @@ def mined():
 
 
 class TestSerialisation:
-    def test_round_trip_preserves_widgets_and_identity(self, mined, tmp_path):
+    def test_round_trip_preserves_widgets_and_identity(self, mined):
         _asts, graph, options, widgets = mined
-        path = tmp_path / "widgets.json"
-        save_widgets(path, widgets, graph)
-        loaded = load_widgets(path, graph, options.library, options.annotations)
+        data = widgets_to_json_bytes(widgets, graph)
+        loaded = widgets_from_json_bytes(
+            data, graph, options.library, options.annotations
+        )
         assert summary(loaded) == summary(widgets)
         # decoded widgets share diff-object identity with the graph — the
         # contract the merge phase and the session rely on
@@ -103,11 +105,11 @@ class TestStoreWidgetTable:
 
     def test_corrupt_widget_entry_is_a_miss(self, mined, tmp_path):
         asts, graph, options, widgets = mined
-        store = GraphStore(tmp_path, format="json")
+        store = GraphStore(tmp_path)
         log_fp = log_fingerprint(asts)
         opts_fp = options_fingerprint(options)
         store.save_widget_set(log_fp, opts_fp, widgets, graph)
-        store.widgets_path_for(log_fp, opts_fp).write_text("garbage\n")
+        store.record_put("widget_sets", store.key(log_fp, opts_fp), b"garbage\n")
         assert (
             store.load_widget_set(
                 log_fp, opts_fp, graph, options.library, options.annotations
@@ -117,15 +119,16 @@ class TestStoreWidgetTable:
 
     def test_invalidate_removes_both_tables(self, mined, tmp_path):
         asts, graph, options, widgets = mined
-        store = GraphStore(tmp_path, format="json")
+        store = GraphStore(tmp_path)
         log_fp = log_fingerprint(asts)
         opts_fp = options_fingerprint(options)
         store.save(log_fp, opts_fp, graph)
         store.save_widget_set(log_fp, opts_fp, widgets, graph)
-        assert store.stats()["n_files"] == 2
+        assert store.stats()["n_widget_sets"] == 1
         assert store.invalidate(log_fingerprint=log_fp) == 1
-        assert store.stats()["n_files"] == 0
-        assert not store.widgets_path_for(log_fp, opts_fp).exists()
+        stats = store.stats()
+        assert stats["n_graphs"] == stats["n_widget_sets"] == 0
+        assert not store.record_has("widget_sets", store.key(log_fp, opts_fp))
 
 
 class TestFullHitPipeline:
@@ -177,37 +180,29 @@ class TestFullHitPipeline:
 
 class TestEviction:
     def _fill(self, store, n, base=0):
+        fps = []
         for i in range(n):
             asts = [
                 parse_sql(f"SELECT a FROM t WHERE x = {base + i}"),
                 parse_sql(f"SELECT a FROM t WHERE x = {base + i + 1000}"),
             ]
             graph = build_interaction_graph(asts, window=2)
-            store.save(
-                log_fingerprint(asts),
-                options_fingerprint(PipelineOptions()),
-                graph,
-            )
+            fps.append((log_fingerprint(asts), options_fingerprint(PipelineOptions())))
+            store.save(*fps[-1], graph)
+            time.sleep(0.01)  # strictly increasing record timestamps
+        return fps
 
     def test_max_entries_evicts_lru(self, tmp_path):
-        import os
-        import time
-
-        store = GraphStore(tmp_path, max_entries=3, format="json")
-        self._fill(store, 3)
-        entries = store.entries()
-        assert len(entries) == 3
-        # age the first two entries, then touch the oldest by loading it
-        now = time.time()
-        for index, path in enumerate(entries):
-            os.utime(path, (now - 100 + index, now - 100 + index))
-        survivor = entries[0]
-        os.utime(survivor, (now, now))
+        store = GraphStore(tmp_path, max_entries=3)
+        fps = self._fill(store, 3)
+        assert len(store) == 3
+        # touch the oldest key by loading it; the next save persists it
+        assert store.load(*fps[0]) is not None
+        time.sleep(0.01)
         self._fill(store, 1, base=500)  # 4th key triggers eviction
-        remaining = {p.name for p in store.entries()}
-        assert len(remaining) == 3
-        assert survivor.name in remaining  # recently-used key survived
-        assert entries[1].name not in remaining  # LRU key evicted
+        assert len(store) == 3
+        assert store.has(*fps[0])  # recently-used key survived
+        assert not store.has(*fps[1])  # LRU key evicted
 
     def test_max_bytes_evicts_until_under_cap(self, tmp_path):
         store = GraphStore(tmp_path)
@@ -222,19 +217,14 @@ class TestEviction:
         assert capped.stats()["total_bytes"] <= total // 2
 
     def test_load_touches_recency(self, tmp_path):
-        import os
-        import time
-
-        store = GraphStore(tmp_path, format="json")
-        self._fill(store, 2)
-        first, second = store.entries()
-        past = time.time() - 1000
-        os.utime(first, (past, past))
-        os.utime(second, (past + 1, past + 1))
-        key = first.name[: -len(".graph.jsonl")]
-        log_part, _, opts_part = key.partition("-")
-        assert store.load(log_part, opts_part) is not None
-        assert first.stat().st_mtime > second.stat().st_mtime
+        store = GraphStore(tmp_path)
+        first, second = self._fill(store, 2)
+        assert store.load(*first) is not None
+        store.flush_recency()
+        # a fresh handle sees the touch: the older key is now the newer
+        assert GraphStore(tmp_path).prune(max_entries=1) == 1
+        assert store.has(*first)
+        assert not store.has(*second)
 
     def test_prune_without_caps_is_noop(self, tmp_path):
         store = GraphStore(tmp_path)

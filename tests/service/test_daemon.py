@@ -2,7 +2,7 @@
 
 The daemon's contract is *byte dumbness*: a ``GraphStore(remote=...)``
 client must see exactly the records an in-process store would, because
-the daemon only moves the same payload bytes the local layouts persist.
+the daemon only moves the same payload bytes the local segments persist.
 These tests drive the full client API through a live daemon, then
 exercise what only the remote mode does: fail-open when the daemon dies
 mid-session, re-attachment after a restart, stale-socket reclaim, and
@@ -19,7 +19,10 @@ import pytest
 
 from repro.cache.blockstore import SegmentReader
 from repro.cache.client import DaemonUnavailable, QuotaExceeded, StoreClient
-from repro.cache.store import GraphStore
+from repro.api import InterfaceSession
+from repro.cache import store as store_module
+from repro.cache.store import TABLES, GraphStore
+from repro.core.options import PipelineOptions
 from repro.errors import CacheError, ServiceError
 from repro.service import StoreDaemon, running_daemon
 from tests.cache.test_packed_store import _mined, _save_all
@@ -89,17 +92,18 @@ class TestRoundTrip:
     ):
         """The packed record a daemon persists is byte-for-byte the one
         an in-process packed store writes for the same save."""
-        local = GraphStore(tmp_path / "local", format="packed")
+        local = GraphStore(tmp_path / "local")
         _save_all(local, payload)
         with running_daemon(tmp_path / "served", sock_path):
             remote = GraphStore(tmp_path / "unused", remote=sock_path)
             _save_all(remote, payload)
         key = local.key(payload["log_fp"], payload["opts_fp"])
-        for name in ("graphs.seg", "widgets.seg", "proofs.seg", "diffmemos.seg"):
+        for table in TABLES:
+            record = SegmentReader(tmp_path / "served" / table.segment).get(key)
+            assert record is not None, table.name
             assert (
-                SegmentReader(tmp_path / "served" / name).get(key)
-                == SegmentReader(tmp_path / "local" / name).get(key)
-            ), name
+                record == SegmentReader(tmp_path / "local" / table.segment).get(key)
+            ), table.name
 
     def test_two_clients_share_one_store(self, tmp_path, sock_path, payload):
         with running_daemon(tmp_path / "served", sock_path):
@@ -143,8 +147,72 @@ class TestRoundTrip:
     def test_migrate_through_a_daemon_is_refused(self, tmp_path, sock_path):
         with running_daemon(tmp_path / "served", sock_path):
             store = GraphStore(tmp_path / "x", remote=sock_path)
-            with pytest.raises(CacheError, match="migrate"):
-                store.migrate("json")
+            with pytest.raises(CacheError, match="daemon"):
+                store.import_json()
+            with pytest.raises(CacheError, match="daemon"):
+                store.export_json(tmp_path / "json")
+
+
+class TestFlushThroughTheDaemon:
+    """A session flush through the daemon sends each graph once; a
+    derived record is resent with its graph only when the daemon refuses
+    it for a missing graph record."""
+
+    def _count_graph_encodes(self, monkeypatch):
+        calls = []
+        real = store_module.graph_to_jsonl_bytes
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(store_module, "graph_to_jsonl_bytes", counting)
+        return calls
+
+    def test_flush_encodes_each_graph_once(self, tmp_path, sock_path, monkeypatch):
+        with running_daemon(tmp_path / "served", sock_path) as daemon:
+            options = PipelineOptions(
+                cache_dir=str(tmp_path / "local"), daemon_socket=sock_path
+            )
+            session = InterfaceSession(options=options)
+            session.append_sql(["SELECT a FROM t WHERE x = 1",
+                                "SELECT a FROM t WHERE x = 2",
+                                "SELECT a FROM t WHERE x = 5"])
+            calls = self._count_graph_encodes(monkeypatch)
+            bytes_in = daemon.daemon_stats()["clients"]
+            before = sum(meter["bytes_in"] for meter in bytes_in.values())
+            session.flush_to_store()
+            assert len(calls) == 1
+            after = sum(
+                meter["bytes_in"]
+                for meter in daemon.daemon_stats()["clients"].values()
+            )
+            reader = GraphStore(tmp_path / "x", remote=sock_path)
+            (key,) = reader.keys()
+            graph_record = reader.record_get("graphs", key)
+            assert reader.record_has("widget_sets", key)
+        # the graph travelled once: the widget save no longer carries a
+        # second copy of it
+        assert len(graph_record) <= after - before < 2 * len(graph_record)
+
+    @pytest.mark.parametrize("transport", ["local", "daemon"])
+    def test_evicted_graph_lands_again_with_the_widgets(
+        self, tmp_path, sock_path, payload, monkeypatch, transport
+    ):
+        fps = (payload["log_fp"], payload["opts_fp"])
+        with running_daemon(tmp_path / "served", sock_path):
+            remote = sock_path if transport == "daemon" else None
+            store = GraphStore(tmp_path / "served", remote=remote)
+            store.save(*fps, payload["graph"], payload["stats"])
+            # a pruner evicts the key between the graph and widget saves
+            assert GraphStore(tmp_path / "served", remote=remote).invalidate(*fps) == 1
+            calls = self._count_graph_encodes(monkeypatch)
+            store.save_widget_set(*fps, payload["widgets"], payload["graph"])
+            assert len(calls) == 1  # encoded only for the resend
+            key = store.key(*fps)
+            assert store.record_has("graphs", key)
+            assert store.record_has("widget_sets", key)
+            assert store.format == ("remote" if remote else "packed")
 
 
 class TestLifecycle:
