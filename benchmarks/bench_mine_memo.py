@@ -34,7 +34,6 @@ import time
 
 from repro.cache.serialize import diff_to_dict
 from repro.core.interface import Interface
-from repro.core.mapper import initialize, merge_widgets
 from repro.core.options import PipelineOptions
 from repro.graph.build import (
     BuildStats,
@@ -44,6 +43,7 @@ from repro.graph.build import (
 from repro.logs import AdhocLogGenerator, OLAPLogGenerator, SDSSLogGenerator
 from repro.logs.sessions import segment_asts
 from repro.treediff.memo import DiffMemo
+from tests import oracle
 
 from helpers import emit, emit_json, run_once
 
@@ -167,12 +167,9 @@ def test_memo_parity_at_every_append(benchmark):
     options = PipelineOptions(window=WINDOW)
 
     def interface_from(diffs, queries):
-        widgets = initialize(diffs, options.library, options.annotations)
-        widgets = merge_widgets(
-            widgets,
-            options.library,
-            options.annotations,
-            leaf_diffs=[d for d in diffs if d.is_leaf],
+        widgets = oracle.initialize(diffs, options.library, options.annotations)
+        widgets, _ = oracle.merge(
+            widgets, diffs, options.library, options.annotations
         )
         return Interface(
             widgets=widgets,

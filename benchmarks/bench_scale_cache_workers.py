@@ -32,18 +32,13 @@ import time
 
 from repro.api import InterfaceSession, generate, generate_many
 from repro.core.closure import expresses
-from repro.core.mapper import (
-    MapCache,
-    initialize,
-    initialize_indexed,
-    merge_widgets,
-    merge_widgets_incremental,
-)
+from repro.core.mapper import MapCache, WindowMemo, initialize, merge_widgets
 from repro.core.options import PipelineOptions
 from repro.graph.build import build_interaction_graph, extend_interaction_graph
 from repro.logs import AdhocLogGenerator, SDSSLogGenerator
 from repro.service import SessionPool
 from repro.sqlparser import parse_sql
+from tests import oracle
 
 from helpers import emit, emit_json, run_once
 
@@ -65,7 +60,7 @@ APPEND_BATCH = 4
 #: few literal/structural variations each, then every append varies one
 #: literal — a single hot component whose clean sub-windows the interval
 #: index must skip.  The ablation compares the windowed merge against
-#: the component-granularity re-merge (``use_windows=False``).
+#: the component-granularity re-merge (a step table that keeps nothing).
 SKEW_SUBTREES = 24 if TINY else 140
 SKEW_LITERALS = 4 if TINY else 6
 SKEW_STRUCTURAL = 2 if TINY else 3
@@ -298,22 +293,30 @@ def _skewed_statements():
     return statements, warm
 
 
-def _drive_skewed(asts, warm, options, use_windows, probes):
+class _KeepNothing(dict):
+    """A merge-step table that records no outcome, so every step of a
+    dirty component recomputes: the component-granularity re-merge the
+    window memo is ablated against."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _drive_skewed(asts, warm, options, replay_steps, probes):
     """Per-append merge timings for one ablation arm, plus the widget
     summaries and closure verdicts the parity assertions compare."""
     # the timed appends are short (single-digit ms); collect garbage from
     # earlier sections up front so neither arm pays for it mid-loop
     gc.collect()
     cache = MapCache()
+    if not replay_steps:
+        cache.windows = WindowMemo(cache.index)
+        cache.windows.steps = _KeepNothing()
     graph = build_interaction_graph(asts[: warm + SKEW_WARM_EXTRA], window=2)
-    cache.index.update(graph.diffs)
-    widgets, _, _ = initialize_indexed(
-        cache, options.library, options.annotations
+    widgets, _, _ = initialize(
+        cache, graph.diffs, options.library, options.annotations
     )
-    merge_widgets_incremental(
-        widgets, options.library, options.annotations, cache,
-        use_windows=use_windows,
-    )
+    merge_widgets(widgets, cache, options.library, options.annotations)
     seconds, summaries, verdicts = [], [], []
     for start in range(warm + SKEW_WARM_EXTRA, len(asts), SKEW_BATCH):
         extend_interaction_graph(
@@ -321,12 +324,11 @@ def _drive_skewed(asts, warm, options, use_windows, probes):
         )
         cache.index.update(graph.diffs)
         t0 = time.perf_counter()
-        widgets, _, _ = initialize_indexed(
-            cache, options.library, options.annotations
+        widgets, _, _ = initialize(
+            cache, graph.diffs, options.library, options.annotations
         )
-        merged, _, _ = merge_widgets_incremental(
-            widgets, options.library, options.annotations, cache,
-            use_windows=use_windows,
+        merged, _ = merge_widgets(
+            widgets, cache, options.library, options.annotations
         )
         seconds.append(time.perf_counter() - t0)
         summaries.append(
@@ -368,12 +370,11 @@ def test_incremental_append(benchmark):
                 (d for d in session._graph.diffs), key=lambda d: (d.q1, d.q2)
             )
             t1 = time.perf_counter()
-            widgets = initialize(diffs, options.library, options.annotations)
-            merge_widgets(
-                widgets,
+            oracle.merge(
+                oracle.initialize(diffs, options.library, options.annotations),
+                diffs,
                 options.library,
                 options.annotations,
-                leaf_diffs=[d for d in diffs if d.is_leaf],
             )
             remap_seconds.append(time.perf_counter() - t1)
 
@@ -400,7 +401,7 @@ def test_incremental_append(benchmark):
 
     # skewed one-hot ablation: the same appends driven through the
     # mapper twice — once with the interval-index window memo, once at
-    # component granularity (``use_windows=False``, the pre-index path)
+    # component granularity (a step table that keeps nothing)
     skew_statements, skew_warm = _skewed_statements()
     skew_asts = [parse_sql(statement) for statement in skew_statements]
     probes = skew_asts[:3] + skew_asts[-2:]

@@ -77,7 +77,7 @@ from repro.core.closure import ClosureCache
 from repro.core.mapper import MapCache
 from repro.core.options import PipelineOptions
 from repro.errors import CacheError, CompileError, LogError
-from repro.graph.build import BuildStats, extend_interaction_graph
+from repro.graph.build import BuildStats, extend_interaction_graph, in_build_order
 from repro.graph.interaction import InteractionGraph
 from repro.sqlparser.astnodes import Node
 from repro.sqlparser.parser import parse_sql
@@ -248,13 +248,15 @@ class InterfaceSession:
 
         Byte-identical to ``compile_html(session.interface, ...)``, but
         steady-state cost is proportional to the *dirty* part of the
-        page: the session's :class:`IncrementalCompiler` consumes the
-        merge layer's per-path partition revisions, so only widgets whose
-        partition moved since the last compile re-render, and only
-        closure combinations involving a dirty widget re-render (and,
-        with a database, re-execute — gated on the session's closure
-        proofs).  The compiler survives appends; call this after each
-        append for the incremental saving.
+        page: the session's :class:`IncrementalCompiler` re-renders a
+        widget only when it is a new object whose picked type or diff
+        list differs from the cached rendering at its path (clean merge
+        components hand back the same objects), and renders only the
+        closure combinations the previous page did not hold — those that
+        select a choice of a re-rendered widget, or that are new to the
+        page (with a database, executing them — gated on the session's
+        closure proofs).  The compiler survives appends; call this after
+        each append for the incremental saving.
 
         Raises:
             LogError: when nothing has been appended yet.
@@ -263,9 +265,7 @@ class InterfaceSession:
         compiler = self._compiler_for(title, database, limit, columns)
         self._adopt_cached_proofs()
         page = compiler.compile(
-            self._last.interface,
-            index=self._map_cache.index,
-            closure_cache=self._closure_cache,
+            self._last.interface, closure_cache=self._closure_cache
         )
         return page.html()
 
@@ -293,9 +293,7 @@ class InterfaceSession:
         compiler = self._compiler_for(title, database, limit, columns)
         self._adopt_cached_proofs()
         return compiler.compile_patch(
-            self._last.interface,
-            index=self._map_cache.index,
-            closure_cache=self._closure_cache,
+            self._last.interface, closure_cache=self._closure_cache
         )
 
     def _compiler_for(
@@ -341,7 +339,7 @@ class InterfaceSession:
         if not self._graph.queries:
             raise LogError("cannot save a session before the first append")
         # snapshot in full-build order so the file also loads cleanly as a
-        # bare graph (load_graph + map_interactions) outside a session
+        # bare graph (load_graph, then map) outside a session
         save_graph(
             path,
             self._normalised_graph(),
@@ -681,15 +679,11 @@ class InterfaceSession:
 
         ``extend_interaction_graph`` appends in arrival order; the mapper's
         greedy merge is order-sensitive, so persistence normalises to the
-        ``(q1, q2)``-lexicographic order :func:`build_interaction_graph`
-        produces — the in-memory remap gets the same order from the
+        ``(q1, q2)``-lexicographic order a one-shot build produces — the
+        in-memory remap gets the same order from the
         :class:`~repro.core.mapper.PartitionIndex` without sorting.
         """
-        return InteractionGraph(
-            queries=list(self._graph.queries),
-            edges=sorted(self._graph.edges, key=lambda e: (e.q1, e.q2)),
-            diffs=sorted(self._graph.diffs, key=lambda d: (d.q1, d.q2)),
-        )
+        return in_build_order(self._graph)
 
     def _remap(
         self,

@@ -32,14 +32,7 @@ from typing import Any
 
 from repro.cache.fingerprint import log_fingerprint, options_fingerprint
 from repro.cache.store import GraphStore
-from repro.core.mapper import (
-    MapCache,
-    MapperStats,
-    initialize,
-    initialize_indexed,
-    merge_widgets,
-    merge_widgets_incremental,
-)
+from repro.core.mapper import MapCache, initialize, merge_widgets
 from repro.core.options import PipelineOptions
 from repro.errors import CacheError, LogError
 from repro.graph.build import BuildStats, build_interaction_graph
@@ -105,11 +98,13 @@ class PipelineState:
             pair, set by :class:`CacheStage`; :class:`MineStage` saves a
             freshly mined graph under it and :class:`MergeStage` a freshly
             merged widget set.
-        map_cache: the :class:`~repro.core.mapper.MapCache` of a
-            long-lived caller (the session); when set, :class:`MapStage`
-            rebuilds only the partitions whose diff lists changed since
-            the previous run and :class:`MergeStage` re-runs only the
-            merge components incident to them.
+        map_cache: the :class:`~repro.core.mapper.MapCache` that
+            :class:`MapStage` and :class:`MergeStage` run over — empty by
+            default, so a one-shot run maps from scratch.  A long-lived
+            caller (the session) passes its own, so each run rebuilds
+            only the partitions whose diff lists changed since the
+            previous run and re-merges only the components incident to
+            them.
         widgets_from_cache: set by :class:`CacheStage` on a widget-set
             hit; tells :class:`MapStage` and :class:`MergeStage` to skip.
         diff_memo: the :class:`~repro.treediff.memo.DiffMemo` the Mine
@@ -129,7 +124,7 @@ class PipelineState:
     records: dict[str, dict[str, Any]] = field(default_factory=dict)
     cache_store: GraphStore | None = None
     cache_key: tuple[str, str] | None = None
-    map_cache: MapCache | None = None
+    map_cache: MapCache = field(default_factory=MapCache)
     widgets_from_cache: bool = False
     diff_memo: DiffMemo | None = None
 
@@ -353,12 +348,13 @@ class MineStage(Stage):
 class MapStage(Stage):
     """Initialize (Algorithm 1): one cheapest widget per diff partition.
 
-    When the state carries a :class:`~repro.core.mapper.MapCache` (the
-    incremental session's memo), the stage feeds the graph's new diffs to
-    the cache's partition index and re-solves only the partitions whose
-    revision moved; untouched partitions reuse their widget.  When
-    :class:`CacheStage` already restored a cached widget set, the stage
-    skips entirely (``skipped=True``).
+    The stage feeds the graph's new diffs to the state's
+    :class:`~repro.core.mapper.MapCache` — the session's, or an empty one
+    for a one-shot run — and re-solves only the partitions whose revision
+    moved; untouched partitions reuse their widget, and a one-shot run
+    solves every partition once.  When :class:`CacheStage` already
+    restored a cached widget set, the stage skips entirely
+    (``skipped=True``).
     """
 
     name = "map"
@@ -378,23 +374,14 @@ class MapStage(Stage):
                 initial_cost=sum(w.cost for w in state.widgets),
             )
             return state
-        if state.map_cache is not None:
-            cache = state.map_cache
-            cache.index.update(diffs)
-            state.widgets, n_reused, n_rebuilt = initialize_indexed(
-                cache, options.library, options.annotations
-            )
-            state.record(
-                self.name,
-                n_partitions_reused=n_reused,
-                n_partitions_rebuilt=n_rebuilt,
-                n_partitions=len(cache.index.by_path),
-            )
-        else:
-            state.widgets = initialize(diffs, options.library, options.annotations)
-            state.record(self.name, n_partitions=len({d.path for d in diffs}))
+        state.widgets, n_reused, n_rebuilt = initialize(
+            state.map_cache, diffs, options.library, options.annotations
+        )
         state.record(
             self.name,
+            n_partitions_reused=n_reused,
+            n_partitions_rebuilt=n_rebuilt,
+            n_partitions=len(state.map_cache.index.by_path),
             n_initial_widgets=len(state.widgets),
             initial_cost=sum(w.cost for w in state.widgets),
         )
@@ -405,12 +392,13 @@ class MergeStage(Stage):
     """Merge (Algorithm 3) to a fixed point; identity when merging is
     disabled in the options (the ablation configuration).
 
-    With a :class:`~repro.core.mapper.MapCache` on the state, the fixed
-    point runs partition-scoped: only merge components whose partitions
-    changed since the previous run re-merge, the rest replay their
-    memoised result (result-equivalent to the global fixed point).
-    Inside a dirty component, per-ancestor merge steps whose interval
-    window stayed clean replay through the cache's
+    The fixed point runs per prefix component over the state's
+    :class:`~repro.core.mapper.MapCache`: only components whose
+    partitions changed since the previous run re-merge, the rest replay
+    their memoised result (result-equivalent to the global fixed point),
+    and a one-shot run merges every component once.  Inside a dirty
+    component, per-ancestor merge steps whose interval window stayed
+    clean replay through the cache's
     :class:`~repro.core.mapper.WindowMemo` — reported as
     ``n_windows_reused`` / ``n_windows_merged``.  When
     :class:`CacheStage` restored a cached widget set, the stage skips.
@@ -436,39 +424,15 @@ class MergeStage(Stage):
                 final_cost=sum(w.cost for w in state.widgets),
             )
             return state
-        rounds = 0
+        counters = {"n_merge_rounds": 0}
         if options.merge and state.widgets:
-            stats = MapperStats()
-            if state.map_cache is not None:
-                state.widgets, n_reused, n_merged = merge_widgets_incremental(
-                    state.widgets,
-                    options.library,
-                    options.annotations,
-                    state.map_cache,
-                    stats=stats,
-                )
-                state.record(
-                    self.name,
-                    n_components=stats.extra.get("n_components", 0),
-                    n_components_reused=n_reused,
-                    n_components_merged=n_merged,
-                    n_windows_reused=stats.extra.get("n_windows_reused", 0),
-                    n_windows_merged=stats.extra.get("n_windows_merged", 0),
-                )
-            else:
-                leaf_diffs = [d for d in state.graph.diffs if d.is_leaf]
-                state.widgets = merge_widgets(
-                    state.widgets,
-                    options.library,
-                    options.annotations,
-                    stats=stats,
-                    leaf_diffs=leaf_diffs,
-                )
-            rounds = stats.n_merge_rounds
+            state.widgets, counters = merge_widgets(
+                state.widgets, state.map_cache, options.library, options.annotations
+            )
         state.record(
             self.name,
+            **counters,
             merged=options.merge,
-            n_merge_rounds=rounds,
             n_widgets=len(state.widgets),
             final_cost=sum(w.cost for w in state.widgets),
         )

@@ -13,8 +13,8 @@ self-contained: interacting with a widget looks up the composed query and
 updates the SQL view and the result table, exactly the interaction loop of
 Figure 2b.
 
-The compilation is factored into pure per-widget units so the incremental
-compiler (:mod:`repro.compiler.incremental`) can reuse them verbatim:
+The compilation is factored into pure per-widget units, which the
+compiler (:mod:`repro.compiler.incremental`) composes:
 
 * :func:`build_choice_list` — a widget's enumerable states;
 * :func:`render_control_body` — the expensive per-widget rendering (the
@@ -26,21 +26,19 @@ compiler (:mod:`repro.compiler.incremental`) can reuse them verbatim:
 * :func:`assemble_page` — the page template, with a canonical closure
   key order so any route to the same closure yields identical bytes.
 
-:func:`compile_html` is the one-shot composition of those units; the
-incremental compiler produces byte-identical output by construction
-because it calls the same units.
+:func:`compile_html` is the page of a fresh
+:class:`~repro.compiler.incremental.IncrementalCompiler` — one-shot
+compilation is incremental compilation from nothing.
 """
 
 from __future__ import annotations
 
 import html as html_escape
 import json
-from itertools import product
 
-from repro.compiler.layout import LayoutPlan, grid_layout
 from repro.compiler.runtime import Database, execute, render_text
 from repro.core.closure import apply_widget_choice
-from repro.core.interface import Interface, as_interface
+from repro.core.interface import Interface
 from repro.errors import CompileError
 from repro.sqlparser.astnodes import Node
 from repro.sqlparser.render import render_sql
@@ -254,9 +252,9 @@ def assemble_page(
     widget_ids: list[str],
 ) -> str:
     """Fill the page template.  The closure is emitted in canonical
-    (numeric combination) order — the enumeration order of
-    :func:`compile_html` — so a closure reassembled from patches renders
-    byte-identically to a one-shot compile."""
+    (numeric combination) order — the product enumeration order — so a
+    closure reassembled from patches renders byte-identically to a
+    one-shot compile."""
     ordered_closure = {key: closure[key] for key in sorted(closure, key=_combo_sort_key)}
     return _PAGE.format(
         title=html_escape.escape(title),
@@ -273,9 +271,12 @@ def compile_html(
     database: Database | None = None,
     limit: int = 2048,
     columns: int = 2,
-    layout: LayoutPlan | None = None,
 ) -> str:
     """Compile an interface into a self-contained HTML application.
+
+    The page of a fresh
+    :class:`~repro.compiler.incremental.IncrementalCompiler`, laid out by
+    :func:`~repro.compiler.layout.grid_layout`.
 
     Args:
         interface: the generated interface (or a
@@ -285,7 +286,6 @@ def compile_html(
             query is executed and its rendered result embedded.
         limit: cap on pre-evaluated widget-state combinations.
         columns: grid columns.
-        layout: optional custom layout (defaults to :func:`grid_layout`).
 
     Returns:
         The HTML document as a string.
@@ -293,31 +293,10 @@ def compile_html(
     Raises:
         CompileError: when the interface has no widgets.
     """
-    interface = as_interface(interface)
-    if not interface.widgets:
-        raise CompileError("cannot compile an interface with no widgets")
-    plan = layout or grid_layout(interface, columns=columns)
-    ordered = [cell.widget for cell in plan.cells]
+    # local: the compiler composes this module's units
+    from repro.compiler.incremental import IncrementalCompiler
 
-    choice_lists = [build_choice_list(widget) for widget in ordered]
-
-    closure: dict[str, dict[str, str]] = {}
-    for combo in product(*(range(len(c)) for c in choice_lists)):
-        if len(closure) >= limit:
-            break
-        query = compose_query(interface.initial_query, ordered, choice_lists, combo)
-        closure["|".join(str(i) for i in combo)] = render_closure_entry(query, database)
-
-    widget_blocks = []
-    widget_ids = []
-    for index, (cell, choices) in enumerate(zip(plan.cells, choice_lists)):
-        widget_id = f"w{index}"
-        widget_ids.append(widget_id)
-        kind, body = render_control_body(cell.widget, choices)
-        widget_blocks.append(
-            render_widget_block(
-                widget_id, cell.label, cell.widget.widget_type.name, kind, body
-            )
-        )
-
-    return assemble_page(title, plan.columns, widget_blocks, closure, widget_ids)
+    compiler = IncrementalCompiler(
+        title=title, database=database, limit=limit, columns=columns
+    )
+    return compiler.compile(interface).html()

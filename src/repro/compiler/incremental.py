@@ -1,27 +1,24 @@
-"""Incremental interface compilation (dirty-driven re-rendering).
+"""Interface compilation, maintained under appends (dirty-driven
+re-rendering).
 
-``compile_html`` is one-shot: every call re-renders all widget blocks and
-re-enumerates the full closure product, even when an append moved a single
-diff partition.  This module maintains the compiled artifact under appends
-instead — the incremental-view-maintenance shape of Berkholz et al.
-("Answering FO+MOD queries under updates"): pay for the dirty part only.
+This module is the one compilation path: :class:`IncrementalCompiler`
+maintains the compiled artifact under appends — the
+incremental-view-maintenance shape of Berkholz et al. ("Answering FO+MOD
+queries under updates"): pay for the dirty part only — and a one-shot
+:func:`~repro.compiler.html.compile_html` is a fresh compiler's first page.
 
 Three layers make that correct *and* byte-identical to a full recompile:
 
 * **Per-widget artifacts.**  Every widget's expensive rendering — its
   choice list and its control body (the ``<option>`` labels, or a
   presence toggle's checkbox) — is cached in a
-  :class:`WidgetArtifact`, keyed by the widget's path and guarded by the
-  merge layer's dirtiness signal.  A widget's domain is a deterministic
-  function of its picked type and its diff list ``D`` — the merge
-  outcome the :class:`~repro.core.mapper.PartitionIndex` maintains — so
-  an unchanged ``(type, D)`` identity proves the cached rendering still
-  exact even when merging restructured *neighbouring* partitions (a
-  per-path revision counter alone is not enough: merging can move a diff
-  between partitions without updating the losing partition, see
-  :meth:`IncrementalCompiler._artifact_for`).  Clean widgets are also
-  the *same objects* across appends (the merge memo), so identity is
-  accepted as an equivalent proof.
+  :class:`WidgetArtifact`, keyed by the widget's path.  A widget's domain
+  is a deterministic function of its picked type and its diff list ``D``,
+  so an unchanged ``(type, D)`` identity proves the cached rendering
+  still exact even when merging restructured *neighbouring* partitions
+  (see :meth:`IncrementalCompiler._artifact_for`).  Clean widgets are
+  also the *same objects* across appends (the merge memo), so identity
+  is accepted as an equivalent proof.
 
 * **Closure slices.**  The closure table is maintained as a delta.  Each
   combination's entry is cached under its *selection signature* — the
@@ -48,6 +45,11 @@ persisted in the :class:`~repro.cache.store.GraphStore`'s fifth table;
 :meth:`IncrementalCompiler.import_state` warms the slice cache from a
 persisted page, so a fresh process replays combinations whose widgets
 still fingerprint the same.
+
+Every cache is bounded by the live page: after a compile the compiler
+holds the artifacts of the page's widgets, the slices of its closure
+entries (at most ``limit``), and the execution results of its SQL — a
+long-lived session's memory tracks its page, not its history.
 """
 
 from __future__ import annotations
@@ -70,7 +72,6 @@ from repro.compiler.layout import grid_layout
 from repro.compiler.runtime import Database
 from repro.core.closure import ClosureCache
 from repro.core.interface import Interface, as_interface
-from repro.core.mapper import PartitionIndex
 from repro.errors import CompileError
 from repro.paths import Path
 from repro.sqlparser.astnodes import Node
@@ -126,14 +127,11 @@ class WidgetArtifact:
     :func:`~repro.compiler.html.render_control_body`); the block itself is
     reassembled per page because the element id is positional.
     ``identity`` is the cheap reuse proof — the picked type plus the
-    diff-list coordinates the domain was derived from — and ``revision``
-    records the partition revision observed at render time (diagnostics;
-    reuse is decided by ``identity``).
+    diff-list coordinates the domain was derived from.
     """
 
     fingerprint: str
     identity: tuple[str, tuple[tuple[int, int, str, str], ...]]
-    revision: int | None
     widget: Widget
     choices: list[Node | None | str]
     kind: str
@@ -340,10 +338,10 @@ class IncrementalCompiler:
     Usage::
 
         compiler = IncrementalCompiler()
-        page = compiler.compile(session.interface, index=session.index)
+        page = compiler.compile(session.interface)
         page.html()                     # == compile_html(session.interface)
         session.append_sql(more)
-        patch = compiler.compile_patch(session.interface, index=session.index)
+        patch = compiler.compile_patch(session.interface)
     """
 
     def __init__(
@@ -375,12 +373,12 @@ class IncrementalCompiler:
     def import_state(self, state: dict[str, Any]) -> int:
         """Warm the closure-slice cache from a persisted page state.
 
-        Artifact and revision caches are process-local (revisions are
-        only comparable within one :class:`PartitionIndex` lifetime), but
-        selection signatures are content-addressed, so a persisted page's
-        closure entries replay in this process for every combination
-        whose widgets still fingerprint the same.  Returns the number of
-        slices adopted.
+        The artifact cache is process-local, but selection signatures
+        are content-addressed, so a persisted page's closure entries
+        replay in this process for every combination whose widgets still
+        fingerprint the same.  Adopted slices the next compile does not
+        use are dropped with the rest of the unused slices.  Returns the
+        number of slices adopted.
         """
         page = CompiledPage.from_state(state)
         if self._initial_sql is None:
@@ -413,18 +411,13 @@ class IncrementalCompiler:
     def compile(
         self,
         interface: Interface,
-        index: PartitionIndex | None = None,
         closure_cache: ClosureCache | None = None,
     ) -> CompiledPage:
-        """Compile ``interface``, reusing every artifact the dirtiness
-        signal proves clean.
+        """Compile ``interface``, reusing every artifact and closure slice
+        that is provably unchanged.
 
         Args:
             interface: the interface (or result) to compile.
-            index: the session's partition index; per-path revisions
-                gate artifact reuse.  Without one, reuse falls back to
-                widget object identity (still exact — the merge memo
-                returns identical objects for clean components).
             closure_cache: the session's closure cache; consulted before
                 executing a combination and warmed with the rendered
                 combinations' cover proofs.
@@ -445,7 +438,12 @@ class IncrementalCompiler:
             self._slices.clear()
             self._initial_sql = initial_sql
 
-        artifacts = [self._artifact_for(widget, index) for widget in ordered]
+        artifacts = [self._artifact_for(widget) for widget in ordered]
+        # keep only the live page's artifacts
+        self._artifacts = {
+            str(widget.path): artifact
+            for widget, artifact in zip(ordered, artifacts)
+        }
 
         fingerprint = self._page_fingerprint(initial_sql, artifacts)
         if self._page is not None and self._page.fingerprint == fingerprint:
@@ -479,14 +477,13 @@ class IncrementalCompiler:
     def compile_patch(
         self,
         interface: Interface,
-        index: PartitionIndex | None = None,
         closure_cache: ClosureCache | None = None,
     ) -> dict[str, Any]:
         """Compile and return the structural patch against the previous
         page (a full ``kind="page"`` patch on the first compile; an empty
         delta when nothing changed)."""
         before = self._page
-        after = self.compile(interface, index=index, closure_cache=closure_cache)
+        after = self.compile(interface, closure_cache=closure_cache)
         return make_patch(before, after)
 
     # ------------------------------------------------------------------
@@ -512,23 +509,19 @@ class IncrementalCompiler:
             ),
         )
 
-    def _artifact_for(
-        self, widget: Widget, index: PartitionIndex | None
-    ) -> WidgetArtifact:
+    def _artifact_for(self, widget: Widget) -> WidgetArtifact:
         """The widget's artifact, reused when provably clean.
 
         Reuse proof, either of: the cached widget *is* this widget
         (identity — the merge memo's clean-component guarantee), or the
         widget's content identity — picked type + diff-list coordinates,
-        which determine the domain — is unchanged.  The per-path
-        partition revision alone is deliberately *not* trusted: merging
-        can move a diff out of a partition without updating the losing
-        partition's revision, so an unmoved revision does not prove the
-        widget's merged diff list (and hence its domain) unchanged.  The
-        revision is still recorded per artifact for diagnostics.
+        which determine the domain — is unchanged.  A partition revision
+        would not do: merging can move a diff out of a partition without
+        updating the losing partition's revision, so an unmoved revision
+        does not prove the widget's merged diff list (and hence its
+        domain) unchanged.
         """
         key = str(widget.path)
-        revision = index.rev.get(widget.path, 0) if index is not None else None
         cached = self._artifacts.get(key)
         # object identity first: the merge memo returns the same object
         # for clean components, and the identity tuple of an identical
@@ -538,8 +531,6 @@ class IncrementalCompiler:
         ):
             self.stats.widgets_reused += 1
             cached.widget = widget
-            if revision is not None:
-                cached.revision = revision
             return cached
         identity = self._identity(widget)
         choices = build_choice_list(widget)
@@ -547,7 +538,6 @@ class IncrementalCompiler:
         artifact = WidgetArtifact(
             fingerprint=widget_fingerprint(widget),
             identity=identity,
-            revision=revision,
             widget=widget,
             choices=choices,
             kind=kind,
@@ -582,8 +572,8 @@ class IncrementalCompiler:
         artifacts: list[WidgetArtifact],
         closure_cache: ClosureCache | None,
     ) -> dict[str, dict[str, str]]:
-        """Enumerate the closure in ``compile_html`` order, replaying
-        cached slices and re-rendering only dirty combinations.
+        """Enumerate the closure in product order, replaying cached
+        slices and re-rendering only dirty combinations.
 
         ``product`` varies the rightmost position fastest, so within the
         first ``limit`` combinations only a short suffix of positions
@@ -591,6 +581,10 @@ class IncrementalCompiler:
         a constant run of zeros) makes the per-combination key and
         signature work O(suffix), not O(n_widgets) — on a wide page the
         steady-state compile is dominated by exactly this loop.
+
+        The walk builds the next slice table from the entries it uses, so
+        slices the page no longer shows are dropped, and with them the
+        execution results of SQL the page no longer shows.
         """
         choice_lists = [artifact.choices for artifact in artifacts]
         fingerprints = [artifact.fingerprint for artifact in artifacts]
@@ -599,9 +593,8 @@ class IncrementalCompiler:
             proven = closure_cache.proven_for(ordered)
             proof_trees = closure_cache.proof_trees_for(ordered)
         closure: dict[str, dict[str, str]] = {}
+        slices: dict[tuple[tuple[str, int], ...], dict[str, str]] = {}
         lengths = [len(choices) for choices in choice_lists]
-        if not all(lengths):
-            return closure  # an empty choice list empties the product
         split, cap = len(lengths), 1
         while split > 0 and (cap < self.limit or split == len(lengths)):
             split -= 1
@@ -626,11 +619,19 @@ class IncrementalCompiler:
                     proven,
                     proof_trees,
                 )
-                self._slices[signature] = entry
                 self.stats.combos_rendered += 1
             else:
                 self.stats.combos_replayed += 1
+            slices[signature] = entry
             closure[key_prefix + "|".join(map(str, tail))] = entry
+        self._slices = slices
+        if self._results:
+            live_sql = {entry["sql"] for entry in closure.values()}
+            self._results = {
+                sql: result
+                for sql, result in self._results.items()
+                if sql in live_sql
+            }
         return closure
 
     def _render_combo(

@@ -1,9 +1,10 @@
 """Core contribution: interaction mapper, interface model, closure.
 
 The end-to-end pipeline lives in :mod:`repro.api` as composable stages;
-this package holds the algorithms they orchestrate — Initialize/Merge
-(with their incremental, partition-scoped variants), the interface model,
-and closure membership (with a reusable proof cache)."""
+this package holds the algorithms they orchestrate — one Initialize and
+one Merge over a maintained :class:`~repro.core.mapper.MapCache` (a
+one-shot run starts from an empty cache), the interface model, and
+closure membership (with a reusable proof cache)."""
 
 from repro.core.closure import (
     ClosureCache,
@@ -14,14 +15,9 @@ from repro.core.closure import (
 from repro.core.interface import Interface
 from repro.core.mapper import (
     MapCache,
-    MapperStats,
     PartitionIndex,
     initialize,
-    initialize_incremental,
-    initialize_indexed,
-    map_interactions,
     merge_widgets,
-    merge_widgets_incremental,
     pick_widget,
 )
 from repro.core.options import PipelineOptions
@@ -29,16 +25,11 @@ from repro.core.options import PipelineOptions
 __all__ = [
     "Interface",
     "PipelineOptions",
-    "MapperStats",
     "MapCache",
     "PartitionIndex",
     "pick_widget",
     "initialize",
-    "initialize_incremental",
-    "initialize_indexed",
     "merge_widgets",
-    "merge_widgets_incremental",
-    "map_interactions",
     "ClosureCache",
     "expresses",
     "enumerate_closure",

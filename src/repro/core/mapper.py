@@ -14,22 +14,23 @@ the mapper runs the paper's two-phase graph-contraction heuristic:
   remove the overlap from whichever side yields the larger cost reduction.
   Iterate to a fixed point.
 
-For long-lived append-only logs the merge fixed point is also available in
-*partition-scoped* form (:func:`merge_widgets_incremental`): widgets are
-grouped into **prefix components** — the connected components of the
-path-prefix relation over widget paths, which are exactly the units a
-merge step can read — and each component runs its own fixed point, memoised
-by a content signature over the diff partitions it reads.  An append dirties
-only the components incident to its new pairs; clean components replay
-their memoised result.  The decomposition is lossless: a merge step only
-ever pairs an ancestor with its prefix-descendants, so no candidate merge
-crosses a component boundary and the union of per-component fixed points
-equals the global fixed point (asserted by the parity suite).
+Both phases run over one maintained structure, a :class:`MapCache`, and a
+one-shot run is the case of an empty cache.  :func:`initialize` consumes
+the diffs table's new suffix into the cache's partition index and re-solves
+only the partitions whose revision moved.  :func:`merge_widgets` groups
+widgets into **prefix components** — the connected components of the
+path-prefix relation over widget paths, which are exactly the units a merge
+step can read — and runs one fixed point per component, memoised under the
+component's window revision; inside a dirty component, clean sub-windows
+replay their recorded merge steps (:class:`WindowMemo`).  The
+decomposition is lossless: a merge step only ever pairs an ancestor with
+its prefix-descendants, so no candidate merge crosses a component boundary
+and the union of per-component fixed points equals the paper's global
+fixed point (asserted against the reference in ``tests/oracle.py``).
 """
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
@@ -40,35 +41,19 @@ from repro.treediff.diff import Diff
 from repro.treediff.paths import IntervalIndex
 from repro.widgets.base import Widget, WidgetType
 from repro.widgets.domain import WidgetDomain
-from repro.widgets.library import default_library
 
 __all__ = [
-    "MapperStats",
     "MapCache",
     "PartitionIndex",
     "WindowMemo",
     "pick_widget",
     "initialize",
-    "initialize_incremental",
-    "initialize_indexed",
     "merge_widgets",
-    "merge_widgets_incremental",
-    "map_interactions",
 ]
 
 
-@dataclass
-class MapperStats:
-    """Instrumentation for the mapping phase (used by Appendix B benches)."""
-
-    mapping_seconds: float = 0.0
-    n_partitions: int = 0
-    n_initial_widgets: int = 0
-    n_merge_rounds: int = 0
-    n_final_widgets: int = 0
-    initial_cost: float = 0.0
-    final_cost: float = 0.0
-    extra: dict = field(default_factory=dict)
+def _pair(diff: Diff) -> tuple[int, int]:
+    return (diff.q1, diff.q2)
 
 
 class PartitionIndex:
@@ -98,7 +83,6 @@ class PartitionIndex:
 
     def __init__(self) -> None:
         self.by_path: dict[Path, list[Diff]] = {}
-        self.leaf_by_path: dict[Path, list[Diff]] = {}
         # global (q1, q2) → leaf diffs index, maintained append-only so
         # dirty-component merges never rebuild it; safe to share across
         # components because every consumer filters by ancestor path
@@ -146,23 +130,18 @@ class PartitionIndex:
             self._consumed_tail = diffs[-1]
         touched: set[Path] = set()
         for diff in new:
+            pair = (diff.q1, diff.q2)
             partition = self.by_path.setdefault(diff.path, [])
-            # insort keeps the (q1, q2) order of a full build; same-pair
-            # runs arrive together, so bisect_right preserves their
-            # arrival order exactly like a stable sort would
-            position = bisect_right(
-                partition, (diff.q1, diff.q2), key=lambda d: (d.q1, d.q2)
-            )
-            partition.insert(position, diff)
+            # keep the full build's (q1, q2) order, same-pair runs in
+            # arrival order like a stable sort; a diff at or after the
+            # tail — every diff of a one-shot build or a window-2 append —
+            # appends where bisect_right would have put it anyway
+            if not partition or (partition[-1].q1, partition[-1].q2) <= pair:
+                partition.append(diff)
+            else:
+                partition.insert(bisect_right(partition, pair, key=_pair), diff)
             if diff.is_leaf:
-                leaves = self.leaf_by_path.setdefault(diff.path, [])
-                position = bisect_right(
-                    leaves, (diff.q1, diff.q2), key=lambda d: (d.q1, d.q2)
-                )
-                leaves.insert(position, diff)
-                self.leaf_by_pair.setdefault((diff.q1, diff.q2), []).append(
-                    diff
-                )
+                self.leaf_by_pair.setdefault(pair, []).append(diff)
             touched.add(diff.path)
         # index new paths first (renumbering rebuilds the Fenwick tree
         # from self.rev), then bump so each touched window's revision sum
@@ -178,11 +157,6 @@ class PartitionIndex:
         (inclusive) — the clean-window signature; see
         :meth:`repro.treediff.paths.IntervalIndex.window_revision`."""
         return self.intervals.window_revision(root)
-
-    def window_paths(self, root: Path, strict: bool = False) -> list[Path]:
-        """Partition paths under ``root`` as a contiguous pre-order
-        window (``strict=True`` excludes the root itself)."""
-        return self.intervals.window_paths(root, strict=strict)
 
     def ordered_paths(self) -> list[Path]:
         """Every partition path in pre-order — identical to
@@ -222,7 +196,7 @@ class WindowMemo:
         self._tokens: dict[int, tuple[Widget, int]] = {}
         self._next_token = 0
         #: cumulative counters (per-run deltas are reported by
-        #: :func:`merge_widgets_incremental` as ``n_windows_reused`` /
+        #: :func:`merge_widgets` as ``n_windows_reused`` /
         #: ``n_windows_merged``)
         self.n_reused = 0
         self.n_merged = 0
@@ -256,8 +230,9 @@ class WindowMemo:
 
 @dataclass
 class MapCache:
-    """Memo carried by long-lived callers (the incremental session) so the
-    mapping phase only re-solves what an append actually touched.
+    """The mapping phase's maintained state: a one-shot run starts from an
+    empty cache, a long-lived caller (the incremental session) keeps one so
+    each run only re-solves what an append actually touched.
 
     Attributes:
         index: the partition index over the owning graph's diffs table,
@@ -265,11 +240,10 @@ class MapCache:
         paths: per-path widget memo for Initialize —
             ``path -> (revision, widget)``; valid while the partition is
             still at that revision.
-        merge: per-component merge memo for the partition-scoped fixed
-            point — ``component root path -> (signature, merged widgets)``
-            where the signature is the monotone window revision of the
-            component root's interval window (see
-            :func:`merge_widgets_incremental`).
+        merge: per-component merge memo —
+            ``component root path -> (signature, merged widgets)`` where
+            the signature is the monotone window revision of the component
+            root's interval window (see :func:`merge_widgets`).
     """
 
     index: PartitionIndex = field(default_factory=PartitionIndex)
@@ -338,12 +312,19 @@ def pick_widget(
 
 
 def initialize(
+    cache: MapCache,
     diffs: list[Diff],
     library: list[WidgetType],
     annotations: GrammarAnnotations = SQL_ANNOTATIONS,
-) -> list[Widget]:
+) -> tuple[list[Widget], int, int]:
     """Algorithm 1: path-partition the diffs table and pick one widget per
-    partition.
+    partition, re-solving only what changed since the cache's last run.
+
+    ``diffs`` is the owning graph's append-only diffs table; its new
+    suffix is consumed into the cache's :class:`PartitionIndex`, and a
+    partition is re-solved only when its revision moved past the one its
+    memoised widget was built at.  From an empty cache every partition is
+    solved once, in path order.
 
     Partitions that no widget type accepts — in practice, tree-valued
     domains beyond the enumeration-size cap, such as the root partition of
@@ -351,72 +332,31 @@ def initialize(
     query selector is the "one button per query" interface Section 4.4
     rejects, and the leaf partitions still express the log's structural
     changes.
-    """
-    partitions: dict[Path, list[Diff]] = {}
-    for diff in diffs:
-        partitions.setdefault(diff.path, []).append(diff)
-    widgets = []
-    for path in sorted(partitions):
-        try:
-            widget = pick_widget(partitions[path], library, annotations)
-        except MappingError:
-            continue
-        if widget is not None:
-            widgets.append(widget)
-    return widgets
-
-
-def initialize_incremental(
-    diffs: list[Diff],
-    library: list[WidgetType],
-    annotations: GrammarAnnotations,
-    cache: dict[Path, tuple[tuple[int, ...], Widget | None]],
-) -> tuple[list[Widget], int, int]:
-    """Algorithm 1 with partition-level reuse for growing diff tables.
-
-    The diffs table only ever grows (the incremental session appends, never
-    edits), so a path partition whose diff list is unchanged since the last
-    call must produce the same widget — re-solving it is pure waste.
-    ``cache`` maps each path to ``(signature, widget)`` where the signature
-    identifies the exact diff objects (by ``id``) the widget was built
-    from; a diff object's identity is stable because the session's graph
-    holds a reference to it for its whole lifetime.  Partitions whose
-    signature matches reuse the cached widget (including cached
-    ``None`` — a partition no widget type accepts stays skipped without
-    re-running ``pickWidget``); the rest are re-solved and re-cached, and
-    paths that vanished from the table are evicted.
-
-    Long-lived callers get cheaper dirtiness tracking from the
-    index-based twin (:func:`initialize_indexed` over a
-    :class:`PartitionIndex`), which replaces per-partition id-signatures
-    with revision counters.
 
     Returns ``(widgets, n_reused, n_rebuilt)``.
     """
-    partitions: dict[Path, list[Diff]] = {}
-    for diff in diffs:
-        partitions.setdefault(diff.path, []).append(diff)
+    index = cache.index
+    index.update(diffs)
     widgets: list[Widget] = []
     n_reused = 0
     n_rebuilt = 0
-    for path in sorted(partitions):
-        partition = partitions[path]
-        cached = cache.get(path)
-        signature = tuple(id(d) for d in partition)
-        if cached is not None and cached[0] == signature:
+    # the interval index's pre-order IS sorted(by_path), maintained
+    # incrementally — no per-run sort of every partition path
+    for path in index.intervals.iter_preorder():
+        revision = index.rev[path]
+        cached = cache.paths.get(path)
+        if cached is not None and cached[0] == revision:
             n_reused += 1
             widget = cached[1]
         else:
             n_rebuilt += 1
             try:
-                widget = pick_widget(partition, library, annotations)
+                widget = pick_widget(index.by_path[path], library, annotations)
             except MappingError:
                 widget = None
-            cache[path] = (signature, widget)
+            cache.paths[path] = (revision, widget)
         if widget is not None:
             widgets.append(widget)
-    for stale in set(cache) - set(partitions):
-        del cache[stale]
     return widgets, n_reused, n_rebuilt
 
 
@@ -429,17 +369,9 @@ def _incident_queries(diffs: list[Diff]) -> set[int]:
     return out
 
 
-def _leaf_diffs_by_pair(leaf_diffs: list[Diff]) -> dict[tuple[int, int], list[Diff]]:
-    """Index the leaf diffs by their ``(q1, q2)`` edge.
-
-    ``_merge_step``'s edge-coverage guard only ever looks leaf diffs up by
-    pair; building the index once per fixed point replaces an
-    ``O(|leaf diffs|)`` scan per candidate diff with a dict hit.
-    """
-    by_pair: dict[tuple[int, int], list[Diff]] = {}
-    for diff in leaf_diffs:
-        by_pair.setdefault((diff.q1, diff.q2), []).append(diff)
-    return by_pair
+def _depth_order(widget: Widget) -> tuple[int, Path]:
+    """The reference fixed point's widget order: shallow to deep."""
+    return (widget.path.depth, widget.path)
 
 
 def _preorder_view(
@@ -449,13 +381,14 @@ def _preorder_view(
 
     A subtree's widgets occupy one contiguous pre-order range, so the
     merge loop can bisect this view for each ancestor's descendants
-    instead of filtering the whole widget list per step.
+    instead of filtering the whole widget list per step.  Widget paths are
+    distinct, so the pre-order ranks are too.
     """
-    ordered = sorted(
-        widgets, key=lambda w: intervals.interval(w.path).pre_order
+    keyed = sorted(
+        ((intervals.interval(w.path).pre_order, w) for w in widgets),
+        key=lambda item: item[0],
     )
-    pres = [intervals.interval(w.path).pre_order for w in ordered]
-    return ordered, pres
+    return [w for _, w in keyed], [pre for pre, _ in keyed]
 
 
 #: Entry cap for the shared pickWidget memo; exceeded → cleared wholesale.
@@ -467,9 +400,8 @@ def _merge_step(
     descendants: list[Widget],
     library: list[WidgetType],
     annotations: GrammarAnnotations,
-    leaf_by_pair: dict[tuple[int, int], list[Diff]],
+    index: PartitionIndex,
     pick_memo: dict[tuple, Widget | None],
-    intervals: IntervalIndex | None = None,
 ) -> tuple[Widget | None, list[Widget | None], float] | None:
     """Algorithm 3 for one (ancestor, descendant-set) pair.
 
@@ -494,19 +426,16 @@ def _merge_step(
 
     descendant_diff_ids = {id(d) for w in descendants for d in w.D}
     ancestor_pairs = {(d.q1, d.q2) for d in ancestor.D}
-
-    if intervals is not None:
-        def strictly_under(path: Path) -> bool:
-            return intervals.strictly_contains(ancestor.path, path)
-    else:
-        def strictly_under(path: Path) -> bool:
-            return ancestor.path.is_strict_prefix_of(path)
+    intervals = index.intervals
+    ancestor_path = ancestor.path
 
     def descendants_cover(pair: tuple[int, int]) -> bool:
         """Do the descendants still hold every leaf diff of this edge that
         lies under the ancestor's path?"""
         required = [
-            d for d in leaf_by_pair.get(pair, ()) if strictly_under(d.path)
+            d
+            for d in index.leaf_by_pair.get(pair, ())
+            if intervals.strictly_contains(ancestor_path, d.path)
         ]
         if not required:
             return False
@@ -568,144 +497,87 @@ def _merge_step(
     return ancestor, new_descendants, savings_d
 
 
-def merge_widgets(
+def _fixed_point(
     widgets: list[Widget],
     library: list[WidgetType],
-    annotations: GrammarAnnotations = SQL_ANNOTATIONS,
-    stats: MapperStats | None = None,
-    leaf_diffs: list[Diff] | None = None,
-    pick_memo: dict[tuple, Widget | None] | None = None,
-    windows: WindowMemo | None = None,
-    leaf_by_pair: dict[tuple[int, int], list[Diff]] | None = None,
-) -> list[Widget]:
-    """Iterate Algorithm 3 to a fixed point.
+    annotations: GrammarAnnotations,
+    cache: MapCache,
+    windows: WindowMemo,
+) -> tuple[list[Widget], int]:
+    """Iterate Algorithm 3 to a fixed point over one prefix component.
 
-    Each round scans ancestor widgets shallow-to-deep; a round that reduces
-    total cost triggers another round.  ``pick_memo`` optionally shares
-    rebuilt-widget lookups across calls (see :class:`MapCache`); by
-    default the memo lives only for this fixed point, which already
-    de-duplicates the re-evaluation successive rounds do.
-
-    ``windows`` (see :class:`WindowMemo`) additionally memoises whole
-    per-ancestor merge *steps* under window revision signatures: an
-    ancestor whose subtree window is clean and whose widgets are the same
-    objects as last time replays its recorded outcome — including the
-    common "no overlap to resolve" no-op — without touching a single
-    diff.  The round/ancestor order is unchanged and replayed outcomes
-    are the recorded outcomes, so the fixed point is byte-identical with
-    or without the memo.
+    Each round scans ancestor widgets shallow-to-deep; a round that
+    reduces total cost triggers another round.  Every per-ancestor step
+    goes through ``windows``: an ancestor whose subtree window is clean
+    and whose widgets are the same objects as last time replays its
+    recorded outcome — including the common "no overlap to resolve"
+    no-op — without touching a single diff.  Replayed outcomes are the
+    recorded outcomes, so the fixed point is the same with or without a
+    hit.  Returns ``(widgets, n_rounds)``.
     """
-    if leaf_by_pair is None:
-        # an oversupplied index is harmless: every read filters by the
-        # ancestor's path, so only pairs' leaf diffs under it are seen
-        if leaf_diffs is None:
-            leaf_diffs = [d for w in widgets for d in w.D if d.is_leaf]
-        leaf_by_pair = _leaf_diffs_by_pair(leaf_diffs)
-    if pick_memo is None:
-        pick_memo = {}
-    intervals = windows.index.intervals if windows is not None else None
+    intervals = cache.index.intervals
     current = list(widgets)
     rounds = 0
     while True:
         rounds += 1
         changed = False
-        current.sort(key=lambda w: (w.path.depth, w.path))
+        current.sort(key=_depth_order)
         # pre-order view of the live widget set: a subtree's widgets are
         # one contiguous slice, so each ancestor's descendant scan is a
         # bisect + slice (O(log W + k)) instead of an O(W) filter; the
         # view is rebuilt only after a replacement actually happens
-        view: tuple[list[Widget], list[int]] | None = None
-        if intervals is not None:
-            view = _preorder_view(current, intervals)
+        ordered, pres = _preorder_view(current, intervals)
         current_ids = {id(w) for w in current}
-        for index, ancestor in enumerate(list(current)):
+        for ancestor in list(current):
             if id(ancestor) not in current_ids:
                 continue
-            if intervals is not None and view is not None:
-                annot = intervals.interval(ancestor.path)
-                ordered, pres = view
-                lo = bisect_right(pres, annot.pre_order)
-                hi = bisect_left(pres, annot.pre_order + annot.subtree_size)
-                if lo >= hi:
-                    continue
-                # keep the raw pre-order slice for the memo probe; the
-                # (depth, path) order the reference filter yields is only
-                # restored when a step actually runs or applies — replay
-                # hits on no-op outcomes skip the sort entirely
-                window_slice = ordered[lo:hi]
-                descendants = None
+            annot = intervals.interval(ancestor.path)
+            lo = bisect_right(pres, annot.pre_order)
+            hi = bisect_left(pres, annot.pre_order + annot.subtree_size)
+            if lo >= hi:
+                continue
+            # the memo probe keys on the raw pre-order slice; the
+            # (depth, path) order a step reads is only restored when a
+            # step actually runs or applies
+            window_slice = ordered[lo:hi]
+            step_key = windows.key(ancestor, window_slice)
+            if step_key in windows.steps:
+                windows.n_reused += 1
+                result = windows.steps[step_key]
             else:
-                window_slice = None
-                descendants = [
-                    w
-                    for w in current
-                    if ancestor.path.is_strict_prefix_of(w.path)
-                ]
-                if not descendants:
-                    continue
-
-            def in_reference_order() -> list[Widget]:
-                if descendants is not None:
-                    return descendants
-                assert window_slice is not None
-                return sorted(
-                    window_slice, key=lambda w: (w.path.depth, w.path)
-                )
-
-            if windows is not None:
-                step_key = windows.key(
-                    ancestor,
-                    window_slice if window_slice is not None else descendants,
-                )
-                if step_key in windows.steps:
-                    windows.n_reused += 1
-                    result = windows.steps[step_key]
-                else:
-                    windows.n_merged += 1
-                    descendants = in_reference_order()
-                    result = _merge_step(
-                        ancestor, descendants, library, annotations,
-                        leaf_by_pair, pick_memo, intervals,
-                    )
-                    windows.steps[step_key] = result
-            else:
-                descendants = in_reference_order()
+                windows.n_merged += 1
                 result = _merge_step(
-                    ancestor, descendants, library, annotations, leaf_by_pair,
-                    pick_memo, intervals,
+                    ancestor,
+                    sorted(window_slice, key=_depth_order),
+                    library,
+                    annotations,
+                    cache.index,
+                    cache.pick,
                 )
+                windows.steps[step_key] = result
             if result is None:
                 continue
-            new_ancestor, new_descendants, savings = result
-            if savings <= 0:
-                continue
+            new_ancestor, new_descendants, _savings = result
             # a recorded outcome is replayed against the same widget
             # objects it was recorded with (identity tokens in the key),
             # so sorting now yields exactly the order it was zipped with
-            descendants = in_reference_order()
+            descendants = sorted(window_slice, key=_depth_order)
             changed = True
-            replacement: list[Widget] = []
-            descendant_ids = {id(w) for w in descendants}
             new_by_old = dict(zip((id(w) for w in descendants), new_descendants))
+            replacement: list[Widget] = []
             for widget in current:
+                kept: Widget | None = widget
                 if widget is ancestor:
-                    if new_ancestor is not None:
-                        replacement.append(new_ancestor)
-                elif id(widget) in descendant_ids:
-                    new_widget = new_by_old[id(widget)]
-                    if new_widget is not None:
-                        replacement.append(new_widget)
-                else:
-                    replacement.append(widget)
+                    kept = new_ancestor
+                elif id(widget) in new_by_old:
+                    kept = new_by_old[id(widget)]
+                if kept is not None:
+                    replacement.append(kept)
             current = replacement
             current_ids = {id(w) for w in current}
-            if intervals is not None:
-                view = _preorder_view(current, intervals)
+            ordered, pres = _preorder_view(current, intervals)
         if not changed:
-            break
-    if stats is not None:
-        stats.n_merge_rounds = rounds
-    return current
+            return current, rounds
 
 
 def _component_roots(
@@ -735,104 +607,53 @@ def _component_roots(
     return roots
 
 
-def initialize_indexed(
+def merge_widgets(
+    widgets: list[Widget],
     cache: MapCache,
     library: list[WidgetType],
     annotations: GrammarAnnotations = SQL_ANNOTATIONS,
-) -> tuple[list[Widget], int, int]:
-    """Algorithm 1 over a :class:`PartitionIndex` with revision reuse.
+) -> tuple[list[Widget], dict[str, int]]:
+    """Algorithm 3: merge the widget set to its fixed point, per prefix
+    component, replaying every component the cache proves clean.
 
-    The index-based twin of :func:`initialize_incremental`: partitions are
-    already grouped and ordered by the index, and a partition is re-solved
-    only when its revision moved past the one its memoised widget was
-    built at — a steady-state append re-runs ``pickWidget`` for exactly
-    the partitions the new pairs touched.
-
-    Returns ``(widgets, n_reused, n_rebuilt)``.
-    """
-    index = cache.index
-    widgets: list[Widget] = []
-    n_reused = 0
-    n_rebuilt = 0
-    # the interval index's pre-order IS sorted(by_path), maintained
-    # incrementally — no per-remap sort of every partition path
-    for path in index.ordered_paths():
-        revision = index.rev[path]
-        cached = cache.paths.get(path)
-        if cached is not None and cached[0] == revision:
-            n_reused += 1
-            widget = cached[1]
-        else:
-            n_rebuilt += 1
-            try:
-                widget = pick_widget(index.by_path[path], library, annotations)
-            except MappingError:
-                widget = None
-            cache.paths[path] = (revision, widget)
-        if widget is not None:
-            widgets.append(widget)
-    return widgets, n_reused, n_rebuilt
-
-
-def merge_widgets_incremental(
-    widgets: list[Widget],
-    library: list[WidgetType],
-    annotations: GrammarAnnotations,
-    cache: MapCache,
-    stats: MapperStats | None = None,
-    use_windows: bool = True,
-) -> tuple[list[Widget], int, int]:
-    """Partition-scoped Algorithm 3: per-component fixed points with reuse.
-
+    ``widgets`` is :func:`initialize`'s output over the same ``cache``.
     The widget set is decomposed into prefix components (see
-    :func:`_component_roots`); each component's fixed point is computed by
-    the reference :func:`merge_widgets` over only its members and the leaf
-    diffs in the partitions under its root, and memoised under the
-    revision vector of exactly those partitions.  On the next call —
-    typically the next append of an
-    :class:`~repro.api.session.InterfaceSession` — components whose
-    revisions are unchanged (the *clean* set) replay their memoised
-    result; only components incident to new diffs (the *dirty* worklist)
-    re-run their fixed point.
+    :func:`_component_roots`); each component runs its own fixed point
+    over only its members, memoised under the *window revision* of its
+    root — the monotone cumulative revision of every partition in the
+    root's interval window.  On the next call — typically the next append
+    of an :class:`~repro.api.session.InterfaceSession` — components whose
+    signature is unchanged replay their memoised result; only components
+    incident to new diffs re-run, and inside them clean sub-windows
+    replay their merge steps through the cache's :class:`WindowMemo`.
+    From an empty cache every component runs once.
 
-    Result-equivalence to the global fixed point holds because a merge
-    step only ever pairs an ancestor with its prefix-descendants — no
-    candidate merge crosses a component boundary — and the global round
-    order restricted to one component equals that component's own round
-    order; the output is normalised to the global ``(depth, path)``
-    widget order.  The parity suite asserts this on every log family.
+    Result-equivalence to the paper's global fixed point holds because a
+    merge step only ever pairs an ancestor with its prefix-descendants —
+    no candidate merge crosses a component boundary — and the global
+    round order restricted to one component equals that component's own
+    round order; the output is normalised to the global ``(depth, path)``
+    widget order.
 
-    Dirtiness is interval-encoded end to end: a component's memo
-    signature is the *window revision* of its root — the monotone
-    cumulative revision of every partition in the root's interval window,
-    an O(log n) range sum instead of a per-member revision vector — and a
-    dirty component's fixed point runs through the cache's
-    :class:`WindowMemo`, so clean sibling subtrees *inside* a hot
-    component replay their memoised per-ancestor step outcomes and only
-    the dirty subtree window pays for re-merging.
-
-    ``use_windows=False`` disables the per-step window memo (dirty
-    components re-run their full fixed point) — the pre-interval-index
-    behaviour, kept for the ablation benchmark.
-
-    Returns ``(merged_widgets, n_components_reused, n_components_merged)``.
+    Returns ``(merged_widgets, counters)`` with the counters keyed as the
+    merge stage reports them: ``n_components``, ``n_components_reused``,
+    ``n_components_merged``, ``n_windows_reused``, ``n_windows_merged``
+    and ``n_merge_rounds`` (the most rounds any component took).
     """
     index = cache.index
     memo = cache.merge
-    intervals = index.intervals
-    roots = _component_roots([w.path for w in widgets], intervals)
+    roots = _component_roots([w.path for w in widgets], index.intervals)
     components: dict[Path, list[Widget]] = {}
     for widget in widgets:
         components.setdefault(roots[widget.path], []).append(widget)
-    windows = cache.window_memo() if use_windows else None
-    windows_reused_before = windows.n_reused if windows is not None else 0
-    windows_merged_before = windows.n_merged if windows is not None else 0
+    windows = cache.window_memo()
+    windows_reused_before = windows.n_reused
+    windows_merged_before = windows.n_merged
 
     merged: list[Widget] = []
     n_reused = 0
     n_merged = 0
     max_rounds = 0
-    dirty: list[str] = []
     for root in sorted(components, key=lambda p: (p.depth, p)):
         # monotone clean-window proof: equal sum ⟺ no member partition
         # gained a diff and no new partition entered the window
@@ -843,86 +664,24 @@ def merge_widgets_incremental(
             merged.extend(cached[1])
             continue
         n_merged += 1
-        dirty.append(str(root))
         if len(cache.pick) > _PICK_MEMO_CAP:
             cache.pick.clear()
-        if windows is not None and len(windows.steps) > _PICK_MEMO_CAP:
+        if len(windows.steps) > _PICK_MEMO_CAP:
             windows.clear()
-        component_stats = MapperStats()
-        # a merge step reads exactly the leaf diffs strictly under its
-        # ancestor widget's path, and every ancestor in this component
-        # lies under the root — so sharing the index's global pair index
-        # is read-identical to collecting the root's window: every lookup
-        # is filtered by containment before use, and the global index is
-        # maintained append-only instead of being rebuilt per component
-        result = merge_widgets(
-            components[root],
-            library,
-            annotations,
-            stats=component_stats,
-            pick_memo=cache.pick,
-            windows=windows,
-            leaf_by_pair=index.leaf_by_pair,
+        result, rounds = _fixed_point(
+            components[root], library, annotations, cache, windows
         )
         memo[root] = (signature, result)
         merged.extend(result)
-        max_rounds = max(max_rounds, component_stats.n_merge_rounds)
+        max_rounds = max(max_rounds, rounds)
     for stale in set(memo) - set(components):
         del memo[stale]
-    # normalise to the global fixed point's (depth, path) output order
-    merged.sort(key=lambda w: (w.path.depth, w.path))
-    if stats is not None:
-        stats.n_merge_rounds = max_rounds
-        stats.extra["n_components"] = len(components)
-        stats.extra["n_components_reused"] = n_reused
-        stats.extra["dirty_components"] = dirty
-        stats.extra["n_windows_reused"] = (
-            windows.n_reused - windows_reused_before
-            if windows is not None
-            else 0
-        )
-        stats.extra["n_windows_merged"] = (
-            windows.n_merged - windows_merged_before
-            if windows is not None
-            else 0
-        )
-    return merged, n_reused, n_merged
-
-
-def map_interactions(
-    diffs: list[Diff],
-    library: list[WidgetType] | None = None,
-    annotations: GrammarAnnotations = SQL_ANNOTATIONS,
-    merge: bool = True,
-    stats: MapperStats | None = None,
-) -> list[Widget]:
-    """End-to-end mapping: Initialize then Merge.
-
-    Args:
-        diffs: the mined diffs table ``W``.
-        library: widget type library ``L`` (defaults to the 9-type library).
-        annotations: grammar annotations.
-        merge: run the merging phase (disable for the ablation bench).
-        stats: optional instrumentation sink.
-
-    Returns:
-        The final widget set (may be empty for a log of identical queries).
-    """
-    library = library if library is not None else default_library()
-    started = time.perf_counter()
-    widgets = initialize(diffs, library, annotations)
-    n_initial = len(widgets)
-    initial_cost = sum(w.cost for w in widgets)
-    if merge:
-        leaf_diffs = [d for d in diffs if d.is_leaf]
-        widgets = merge_widgets(
-            widgets, library, annotations, stats=stats, leaf_diffs=leaf_diffs
-        )
-    if stats is not None:
-        stats.mapping_seconds += time.perf_counter() - started
-        stats.n_partitions = len({d.path for d in diffs})
-        stats.n_initial_widgets = n_initial
-        stats.initial_cost = initial_cost
-        stats.n_final_widgets = len(widgets)
-        stats.final_cost = sum(w.cost for w in widgets)
-    return widgets
+    merged.sort(key=_depth_order)
+    return merged, {
+        "n_components": len(components),
+        "n_components_reused": n_reused,
+        "n_components_merged": n_merged,
+        "n_windows_reused": windows.n_reused - windows_reused_before,
+        "n_windows_merged": windows.n_merged - windows_merged_before,
+        "n_merge_rounds": max_rounds,
+    }

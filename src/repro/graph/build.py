@@ -29,9 +29,14 @@ from repro.sqlparser.grammar import SQL_ANNOTATIONS, GrammarAnnotations
 from repro.treediff.diff import extract_diffs
 from repro.treediff.memo import DiffMemo
 
-__all__ = ["BuildStats", "build_interaction_graph", "extend_interaction_graph"]
+__all__ = [
+    "BuildStats",
+    "build_interaction_graph",
+    "extend_interaction_graph",
+    "in_build_order",
+]
 
-# _compare_pair outcomes, tallied into BuildStats by the build loops
+# _compare_pair outcomes, tallied into BuildStats by the extension loop
 _SKIPPED = 0  # structurally identical pair: no alignment at all
 _FULL = 1  # full alignment (no memo, first-of-shape, or fallback)
 _MEMOISED = 2  # alignment plan replay
@@ -69,12 +74,10 @@ def _compare_pair(
 ) -> int:
     """Align queries ``i`` and ``j`` and record the diffs/edge, if any.
 
-    Shared by the full build and the incremental extension — the
-    incremental session's result-equivalence guarantee depends on both
-    paths recording pairs identically.  With a ``memo``, known shapes
-    replay their alignment plan (result-identical, see
-    :class:`~repro.treediff.memo.DiffMemo`).  Returns the outcome code
-    the build loops tally into :class:`BuildStats`.
+    With a ``memo``, known shapes replay their alignment plan
+    (result-identical, see :class:`~repro.treediff.memo.DiffMemo`).
+    Returns the outcome code the extension loop tallies into
+    :class:`BuildStats`.
     """
     left, right = graph.queries[i], graph.queries[j]
     if left.fingerprint == right.fingerprint and left.equals(right):
@@ -108,6 +111,10 @@ def build_interaction_graph(
 ) -> InteractionGraph:
     """Mine the interaction graph from a parsed query log.
 
+    A one-shot build is one :func:`extend_interaction_graph` from an empty
+    graph — the same pair set — normalised to the ``(q1, q2)``-lexicographic
+    edge and diff order by :func:`in_build_order`.
+
     Args:
         queries: ASTs in log order.
         window: sliding-window size; compare queries at positions ``i < j``
@@ -129,32 +136,33 @@ def build_interaction_graph(
     """
     if not queries:
         raise LogError("cannot mine an empty query log")
-    if window is not None and window < 2:
-        raise LogError(f"window must be >= 2, got {window}")
+    graph = extend_interaction_graph(
+        InteractionGraph(queries=[]),
+        queries,
+        window=window,
+        prune=prune,
+        annotations=annotations,
+        stats=stats,
+        memo=memo,
+    )
+    return in_build_order(graph)
 
-    graph = InteractionGraph(queries=list(queries))
-    span = len(queries) if window is None else window
-    started = time.perf_counter()
-    n_pairs = 0
-    n_memoised = 0
-    n_full = 0
 
-    for i in range(len(queries)):
-        upper = min(len(queries), i + span)
-        for j in range(i + 1, upper):
-            n_pairs += 1
-            outcome = _compare_pair(graph, i, j, prune, annotations, memo)
-            if outcome == _MEMOISED:
-                n_memoised += 1
-            elif outcome == _FULL:
-                n_full += 1
+def in_build_order(graph: InteractionGraph) -> InteractionGraph:
+    """The graph with edges and diffs stably sorted by ``(q1, q2)``.
 
-    if stats is not None:
-        stats.n_pairs_compared += n_pairs
-        stats.mining_seconds += time.perf_counter() - started
-        stats.n_alignments_memoised += n_memoised
-        stats.n_alignments_full += n_full
-    return graph
+    :func:`extend_interaction_graph` appends in arrival order (by the later
+    query of each pair), which differs from the lexicographic order once
+    ``window > 2``.  The mapper's greedy merge is order-sensitive and its
+    result is defined against the lexicographic order, so every persisted
+    or one-shot graph is normalised here; records of one pair keep their
+    extraction order.
+    """
+    return InteractionGraph(
+        queries=list(graph.queries),
+        edges=sorted(graph.edges, key=lambda e: (e.q1, e.q2)),
+        diffs=sorted(graph.diffs, key=lambda d: (d.q1, d.q2)),
+    )
 
 
 def extend_interaction_graph(
@@ -178,8 +186,8 @@ def extend_interaction_graph(
     The graph is mutated in place and returned.  Note that edges/diffs are
     appended in arrival order, which differs from the full build's
     ``(q1, q2)``-lexicographic order once ``window > 2``; callers that need
-    build-order parity (the incremental session does) sort by ``(q1, q2)``
-    before mapping.
+    build order (persistence, one-shot builds) normalise with
+    :func:`in_build_order`.
 
     Raises:
         LogError: for an empty batch or a nonsensical window.

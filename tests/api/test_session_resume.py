@@ -4,10 +4,10 @@ import pytest
 
 from repro.api import InterfaceSession, generate
 from repro.cache.serialize import load_graph
-from repro.core.mapper import map_interactions
 from repro.core.options import PipelineOptions
 from repro.errors import CacheError, LogError
 from repro.logs import SDSSLogGenerator
+from tests.helpers import map_diffs
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +61,7 @@ class TestSaveResume:
         assert graph.summary()["vertices"] == 40
         assert stats.n_pairs_compared == session.n_pairs_compared
         assert extra["session"]["n_appends"] == 1
-        widgets = map_interactions(graph.diffs)
+        widgets = map_diffs(graph.diffs)
         assert [
             (w.widget_type.name, str(w.path)) for w in widgets
         ] == [

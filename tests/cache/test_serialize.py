@@ -14,11 +14,11 @@ from repro.cache.serialize import (
     node_to_dict,
     save_graph,
 )
-from repro.core.mapper import map_interactions
 from repro.errors import CacheError
 from repro.graph.build import BuildStats, build_interaction_graph
 from repro.logs import SDSSLogGenerator
 from repro.sqlparser.parser import parse_sql
+from tests.helpers import map_diffs
 
 
 def _records(graph, stats):
@@ -75,8 +75,8 @@ class TestGraphRoundTrip:
         path = tmp_path / "graph.jsonl"
         save_graph(path, graph, stats)
         loaded, _, _ = load_graph(path)
-        original = map_interactions(graph.diffs)
-        regenerated = map_interactions(loaded.diffs)
+        original = map_diffs(graph.diffs)
+        regenerated = map_diffs(loaded.diffs)
         assert [
             (w.widget_type.name, str(w.path), w.domain.size) for w in regenerated
         ] == [(w.widget_type.name, str(w.path), w.domain.size) for w in original]

@@ -29,10 +29,10 @@ from repro import parse_sql
 from repro.cache.fingerprint import log_fingerprint, options_fingerprint
 from repro.cache.store import TABLES, GraphStore
 from repro.core.closure import ClosureCache, expresses
-from repro.core.mapper import initialize, merge_widgets
 from repro.core.options import PipelineOptions
 from repro.graph.build import BuildStats, build_interaction_graph
 from repro.treediff.memo import DiffMemo
+from tests.helpers import map_diffs
 
 pytestmark = [
     pytest.mark.stress,
@@ -62,12 +62,7 @@ def _payloads():
         stats = BuildStats()
         memo = DiffMemo()
         graph = build_interaction_graph(queries, window=2, stats=stats, memo=memo)
-        widgets = merge_widgets(
-            initialize(graph.diffs, options.library, options.annotations),
-            options.library,
-            options.annotations,
-            leaf_diffs=[d for d in graph.diffs if d.is_leaf],
-        )
+        widgets = map_diffs(graph.diffs, options)
         cache = ClosureCache()
         expresses(widgets, queries[0], queries[1], cache=cache)
         payloads.append(

@@ -14,12 +14,12 @@ from repro.cache import (
     widgets_to_dict,
 )
 from repro.cache.serialize import widgets_from_json_bytes, widgets_to_json_bytes
-from repro.core.mapper import map_interactions
 from repro.core.options import PipelineOptions
 from repro.errors import CacheError
 from repro.graph.build import build_interaction_graph
 from repro.logs import SDSSLogGenerator
 from repro.sqlparser.parser import parse_sql
+from tests.helpers import map_diffs
 
 SQL = [
     "SELECT a FROM t WHERE x = 1",
@@ -37,7 +37,7 @@ def mined():
     asts = SDSSLogGenerator(seed=0).client_log("C1", "object_lookup", 40).asts()
     graph = build_interaction_graph(asts, window=2)
     options = PipelineOptions()
-    widgets = map_interactions(graph.diffs, options.library, options.annotations)
+    widgets = map_diffs(graph.diffs, options)
     return asts, graph, options, widgets
 
 

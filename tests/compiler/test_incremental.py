@@ -3,13 +3,15 @@ artifact reuse, the patch wire format, and the persisted page state.
 
 The acceptance bar for the incremental refactor is *byte identity*: at
 every append, folding the session's patch stream must render exactly the
-page a full ``compile_html`` would produce, on every bundled log family.
+page the reference product walk (``tests/oracle.py``) produces, on every
+bundled log family.
 """
 
 from pathlib import Path as FilePath
 
 import pytest
 
+from tests import oracle
 from tests.core.test_merge_incremental import ALL_FAMILIES, _family_log
 from tests.helpers import generate_iface
 from repro.api import InterfaceSession
@@ -46,6 +48,7 @@ class TestGoldenPage:
         title="Listing 6")`` over the golden file."""
         page = compile_html(interface, title="Listing 6")
         assert page == GOLDEN.read_text(encoding="utf-8")
+        assert oracle.compile_html(interface, title="Listing 6") == page
 
     def test_incremental_compiler_matches_golden_file(self, interface):
         compiler = IncrementalCompiler(title="Listing 6")
@@ -94,16 +97,18 @@ class TestPatchParity:
             result = session.append(asts[start : start + step])
             patch = session.compile_patch(limit=200)
             state = apply_patch(state, patch)
-            assert page_html(state) == compile_html(result.interface, limit=200)
+            assert page_html(state) == oracle.compile_html(
+                result.interface, limit=200
+            )
 
     def test_compile_is_byte_identical_to_compile_html(self):
         asts = _family_log("onehot")
         session = InterfaceSession()
         for start in range(0, len(asts), 12):
             result = session.append(asts[start : start + 12])
-            assert session.compile(limit=200) == compile_html(
-                result.interface, limit=200
-            )
+            page = session.compile(limit=200)
+            assert page == compile_html(result.interface, limit=200)
+            assert page == oracle.compile_html(result.interface, limit=200)
 
     def test_noop_append_emits_an_empty_patch(self):
         asts = _family_log("onehot")
@@ -161,7 +166,8 @@ class TestWidgetArtifacts:
 # closure slices and execution, with and without a database
 # ----------------------------------------------------------------------
 class TestClosureSlices:
-    def _database(self):
+    @staticmethod
+    def _database():
         db = Database()
         db.add(Table("t", ["a", "b", "x", "y", "z", "g", "m"], [(1, 2, 0, 1, 5, 7, 3)]))
         return db
@@ -173,7 +179,7 @@ class TestClosureSlices:
         for start in range(0, len(asts), 10):
             result = session.append(asts[start : start + 10])
             incremental = session.compile(database=db, limit=120)
-            assert incremental == compile_html(
+            assert incremental == oracle.compile_html(
                 result.interface, database=db, limit=120
             )
 
@@ -199,6 +205,48 @@ class TestClosureSlices:
         first = session._compiler
         session.compile(database=self._database(), limit=64)
         assert session._compiler is not first
+
+
+# ----------------------------------------------------------------------
+# caches bounded by the live page
+# ----------------------------------------------------------------------
+class TestCacheBounds:
+    def _drive(self, database=None):
+        """The one-hot warm-up, then 40 single-query appends, each
+        followed by a patch folded into the subscriber's page."""
+        asts = _family_log("onehot")
+        session = InterfaceSession()
+        session.append(asts[:8])
+        state = apply_patch(None, session.compile_patch(database=database, limit=64))
+        for query in asts[8:48]:
+            result = session.append([query])
+            state = apply_patch(
+                state, session.compile_patch(database=database, limit=64)
+            )
+            assert page_html(state) == compile_html(
+                result.interface, database=database, limit=64
+            )
+        return session, state, result
+
+    def test_slices_stay_within_the_page_limit(self):
+        """Every rendered combination used to stay cached forever (1,677
+        slices for 64-entry pages here); the walk now keeps only the
+        slices the current page uses."""
+        session, state, result = self._drive()
+        compiler = session._compiler
+        assert len(compiler._slices) <= 64
+        assert len(compiler._artifacts) == len(result.interface.widgets)
+        assert page_html(state) == oracle.compile_html(result.interface, limit=64)
+
+    def test_execution_results_stay_within_the_page(self):
+        db = TestClosureSlices._database()
+        session, state, result = self._drive(database=db)
+        compiler = session._compiler
+        assert len(compiler._slices) <= 64
+        assert len(compiler._results) <= 64
+        assert page_html(state) == oracle.compile_html(
+            result.interface, database=db, limit=64
+        )
 
 
 # ----------------------------------------------------------------------

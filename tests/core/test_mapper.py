@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.core.mapper import MapperStats, initialize, map_interactions, pick_widget
+from repro.core.mapper import MapCache, initialize, merge_widgets, pick_widget
 from repro.errors import MappingError
-from repro.graph import build_interaction_graph
+from repro.graph import build_interaction_graph, extend_interaction_graph
 from repro.sqlparser import parse_sql
 from repro.widgets import default_library
 
@@ -74,53 +74,66 @@ class TestInitialize:
                 "SELECT a, costs FROM t WHERE c = 'y' AND n > 1",
             ]
         )
-        widgets = initialize(diffs, default_library())
+        widgets, _, _ = initialize(MapCache(), diffs, default_library())
         assert len({w.path for w in widgets}) == len(widgets)
         # leaf partitions: ColExpr change + StrExpr change + root ancestor
         assert len(widgets) == 3
 
     def test_empty_diffs_empty_interface(self):
-        assert initialize([], default_library()) == []
+        assert initialize(MapCache(), [], default_library()) == ([], 0, 0)
+
+    def test_only_moved_partitions_are_rebuilt(self):
+        asts = [parse_sql(f"SELECT a FROM t WHERE x = {v}") for v in (1, 2, 5)]
+        graph = build_interaction_graph(asts[:2], window=2)
+        cache = MapCache()
+        _, n_reused, n_rebuilt = initialize(cache, graph.diffs, default_library())
+        assert (n_reused, n_rebuilt) == (0, 1)
+        _, n_reused, n_rebuilt = initialize(cache, graph.diffs, default_library())
+        assert (n_reused, n_rebuilt) == (1, 0)
+        extend_interaction_graph(graph, asts[2:], window=2)
+        _, n_reused, n_rebuilt = initialize(cache, graph.diffs, default_library())
+        assert (n_reused, n_rebuilt) == (0, 1)
 
 
 class TestMerge:
+    STATEMENTS = ["SELECT avg(a)", "SELECT count(b)", "SELECT count(c)"]
+
+    def _merged(self, statements):
+        cache = MapCache()
+        library = default_library()
+        widgets, _, _ = initialize(cache, diffs_for(statements), library)
+        merged, counters = merge_widgets(widgets, cache, library)
+        return widgets, merged, counters
+
     def test_merge_reduces_cost(self):
-        statements = [
-            "SELECT avg(a)",
-            "SELECT count(b)",
-            "SELECT count(c)",
-        ]
-        diffs = diffs_for(statements)
-        stats = MapperStats()
-        map_interactions(diffs, stats=stats)
-        assert stats.final_cost <= stats.initial_cost
-        assert stats.n_final_widgets <= stats.n_initial_widgets
+        initial, merged, _ = self._merged(self.STATEMENTS)
+        assert sum(w.cost for w in merged) <= sum(w.cost for w in initial)
+        assert len(merged) <= len(initial)
 
     def test_merge_keeps_every_query_expressible(self):
         from repro.core.closure import expresses
 
-        statements = [
-            "SELECT avg(a)",
-            "SELECT count(b)",
-            "SELECT count(c)",
-        ]
-        asts = [parse_sql(s) for s in statements]
-        widgets = map_interactions(diffs_for(statements))
+        asts = [parse_sql(s) for s in self.STATEMENTS]
+        _, merged, _ = self._merged(self.STATEMENTS)
         for ast in asts:
-            assert expresses(widgets, asts[0], ast)
+            assert expresses(merged, asts[0], ast)
 
     def test_merge_disabled_keeps_all_partitions(self):
-        statements = [
-            "SELECT avg(a)",
-            "SELECT count(b)",
-            "SELECT count(c)",
-        ]
-        merged = map_interactions(diffs_for(statements), merge=True)
-        unmerged = map_interactions(diffs_for(statements), merge=False)
+        from repro import PipelineOptions, generate
+
+        merged = generate(self.STATEMENTS).interface.widgets
+        unmerged = generate(
+            self.STATEMENTS, options=PipelineOptions(merge=False)
+        ).interface.widgets
+        initial, _, _ = self._merged(self.STATEMENTS)
         assert len(unmerged) >= len(merged)
+        assert [w.path for w in unmerged] == [w.path for w in initial]
 
     def test_stats_recorded(self):
-        stats = MapperStats()
-        map_interactions(diffs_for(["SELECT a", "SELECT b"]), stats=stats)
-        assert stats.mapping_seconds > 0
-        assert stats.n_partitions >= 1
+        _, _, counters = self._merged(["SELECT a", "SELECT b"])
+        assert counters["n_merge_rounds"] >= 1
+        assert counters["n_components"] >= 1
+        assert (
+            counters["n_components_reused"] + counters["n_components_merged"]
+            == counters["n_components"]
+        )

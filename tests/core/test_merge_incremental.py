@@ -2,26 +2,23 @@
 result-equivalent to the global fixed point on every bundled log family
 (acceptance criterion of the incremental-generation refactor).
 
-Two layers are exercised:
+Two layers are exercised, both against the one-shot references in
+``tests/oracle.py``:
 
-* mapper level — ``initialize_indexed`` + ``merge_widgets_incremental``
-  driven through a growing graph equals ``initialize`` +
-  ``merge_widgets`` from scratch at every step;
-* session level — ``InterfaceSession.append()`` equals one-shot
-  ``generate()`` over the concatenated log, both in widget set and in
+* mapper level — ``initialize`` + ``merge_widgets`` over one ``MapCache``,
+  from empty and then driven through a growing graph, equal the oracle's
+  Algorithm 1 + global Algorithm 3 fixed point at every step, down to
+  every ``D`` coordinate;
+* session level — ``InterfaceSession.append()`` equals the oracle's
+  one-shot interface over the concatenated log, both in widget set and in
   closure membership over a recall suite of seen and held-out queries.
 """
 
 import pytest
 
+from tests import oracle
 from repro.api import InterfaceSession, generate
-from repro.core.mapper import (
-    MapCache,
-    initialize,
-    initialize_indexed,
-    merge_widgets,
-    merge_widgets_incremental,
-)
+from repro.core.mapper import MapCache, initialize, merge_widgets
 from repro.core.options import PipelineOptions
 from repro.graph.build import build_interaction_graph, extend_interaction_graph
 from repro.logs import AdhocLogGenerator, OLAPLogGenerator, SDSSLogGenerator
@@ -72,8 +69,23 @@ FAMILIES = ["sdss", "olap", "adhoc", "sessions"]
 ALL_FAMILIES = [*FAMILIES, "onehot"]
 
 
-def summary(widgets):
-    return [(w.widget_type.name, str(w.path), w.domain.size) for w in widgets]
+def _assert_matches_oracle(cache, graph, options):
+    """Map the graph's diffs through ``cache`` and compare with the
+    oracle's global fixed point over the same diffs in build order."""
+    widgets, _, _ = initialize(
+        cache, graph.diffs, options.library, options.annotations
+    )
+    merged, _ = merge_widgets(widgets, cache, options.library, options.annotations)
+    diffs = sorted(graph.diffs, key=lambda d: (d.q1, d.q2))
+    reference, _ = oracle.merge(
+        oracle.initialize(diffs, options.library, options.annotations),
+        diffs,
+        options.library,
+        options.annotations,
+    )
+    assert oracle.widget_coordinates(merged) == oracle.widget_coordinates(
+        reference
+    )
 
 
 class TestMapperParity:
@@ -83,27 +95,26 @@ class TestMapperParity:
         options = PipelineOptions(window=4)
         cache = MapCache()
         graph = build_interaction_graph(asts[: len(asts) // 2], window=4)
-        cache.index.update(graph.diffs)
+        # from empty: the one-shot case
+        _assert_matches_oracle(cache, graph, options)
         step = max(1, len(asts) // 10)
         checkpoints = list(range(len(asts) // 2, len(asts), step))
         for start in checkpoints:
             extend_interaction_graph(graph, asts[start : start + step], window=4)
-            cache.index.update(graph.diffs)
-            widgets, _, _ = initialize_indexed(
-                cache, options.library, options.annotations
-            )
-            merged, _, _ = merge_widgets_incremental(
-                widgets, options.library, options.annotations, cache
-            )
-            # reference: full build of the same accumulated log
-            reference_diffs = sorted(graph.diffs, key=lambda d: (d.q1, d.q2))
-            reference = merge_widgets(
-                initialize(reference_diffs, options.library, options.annotations),
-                options.library,
-                options.annotations,
-                leaf_diffs=[d for d in reference_diffs if d.is_leaf],
-            )
-            assert summary(merged) == summary(reference)
+            _assert_matches_oracle(cache, graph, options)
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_one_shot_generate_equals_oracle(self, family):
+        asts = _family_log(family)
+        result = generate(asts)
+        reference = oracle.generate(asts)
+        assert oracle.widget_coordinates(
+            result.interface.widgets
+        ) == oracle.widget_coordinates(reference.widgets)
+        suite = asts[:10] + asts[-10:]
+        assert [result.interface.expresses(q) for q in suite] == [
+            reference.expresses(q) for q in suite
+        ]
 
     def test_clean_components_are_reused(self):
         """The dirty-set worklist must actually shrink work: on a log with
@@ -113,24 +124,21 @@ class TestMapperParity:
         options = PipelineOptions()
         session_cache = MapCache()
         graph = build_interaction_graph(asts[:100], window=2)
-        session_cache.index.update(graph.diffs)
-        widgets, _, _ = initialize_indexed(
-            session_cache, options.library, options.annotations
+        widgets, _, _ = initialize(
+            session_cache, graph.diffs, options.library, options.annotations
         )
-        merge_widgets_incremental(
-            widgets, options.library, options.annotations, session_cache
-        )
+        merge_widgets(widgets, session_cache, options.library, options.annotations)
         reused_total = 0
         for start in range(100, 120, 4):
             extend_interaction_graph(graph, asts[start : start + 4], window=2)
-            session_cache.index.update(graph.diffs)
-            widgets, n_reused_paths, _ = initialize_indexed(
-                session_cache, options.library, options.annotations
+            widgets, n_reused_paths, _ = initialize(
+                session_cache, graph.diffs, options.library, options.annotations
             )
-            _, n_reused, n_merged = merge_widgets_incremental(
-                widgets, options.library, options.annotations, session_cache
+            _, counters = merge_widgets(
+                widgets, session_cache, options.library, options.annotations
             )
-            assert n_reused + n_merged >= 1
+            n_reused = counters["n_components_reused"]
+            assert n_reused + counters["n_components_merged"] >= 1
             assert n_reused_paths > 0  # untouched partitions reuse widgets
             reused_total += n_reused
         assert reused_total > 0  # some components replayed their memo
@@ -146,10 +154,11 @@ class TestSessionParity:
         for start in range(0, len(asts), step):
             result = session.append(asts[start : start + step])
         full = generate(asts)
-        assert (
-            result.interface.widget_summary() == full.interface.widget_summary()
-        )
-        assert result.interface.cost == pytest.approx(full.interface.cost)
+        reference = oracle.generate(asts)
+        assert oracle.widget_coordinates(
+            result.interface.widgets
+        ) == oracle.widget_coordinates(reference.widgets)
+        assert result.interface.cost == pytest.approx(reference.cost)
         # pair-set identity: the session aligned exactly the pairs one
         # full build over the concatenated log would have
         assert session.n_pairs_compared == full.run.n_pairs_compared
@@ -165,10 +174,10 @@ class TestSessionParity:
         step = max(1, split // 4)
         for start in range(0, split, step):
             session.append(asts[start : start + step])
-        full = generate(asts[:split])
+        reference = oracle.generate(asts[:split])
         suite = asts[:split][:10] + asts[split:][:10]
         incremental_verdicts = [session.expresses(q) for q in suite]
-        one_shot_verdicts = [full.interface.expresses(q) for q in suite]
+        one_shot_verdicts = [reference.expresses(q) for q in suite]
         assert incremental_verdicts == one_shot_verdicts
         # every seen query is expressible (the paper's g = 1 guarantee)
         assert all(incremental_verdicts[: len(asts[:split][:10])])
@@ -185,14 +194,13 @@ class TestSessionParity:
         for start in range(0, len(asts), step):
             result = session.append(asts[start : start + step])
             prefix = asts[: start + step]
-            full = generate(prefix)
-            assert (
-                result.interface.widget_summary()
-                == full.interface.widget_summary()
-            )
+            reference = oracle.generate(prefix)
+            assert oracle.widget_coordinates(
+                result.interface.widgets
+            ) == oracle.widget_coordinates(reference.widgets)
             suite = prefix[:8]
             assert [session.expresses(q) for q in suite] == [
-                full.interface.expresses(q) for q in suite
+                reference.expresses(q) for q in suite
             ]
 
     def test_merge_stage_reports_component_counters(self):

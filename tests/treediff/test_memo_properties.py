@@ -29,11 +29,11 @@ from repro.cache.serialize import (
     diff_to_dict,
 )
 from repro.core.interface import Interface
-from repro.core.mapper import initialize, merge_widgets
 from repro.core.options import PipelineOptions
 from repro.graph.build import BuildStats, build_interaction_graph
 from repro.sqlparser.parser import parse_sql
 from repro.treediff import DiffMemo, extract_diffs
+from tests.helpers import map_diffs
 from tests.strategies import select_statements, template_statements
 
 #: one memo shared by every example of each property — replays accumulate
@@ -58,15 +58,8 @@ def _assert_pairwise_parity(asts, memo, prune=True):
 
 
 def _interface_from(diffs, queries):
-    widgets = initialize(diffs, _OPTIONS.library, _OPTIONS.annotations)
-    widgets = merge_widgets(
-        widgets,
-        _OPTIONS.library,
-        _OPTIONS.annotations,
-        leaf_diffs=[d for d in diffs if d.is_leaf],
-    )
     return Interface(
-        widgets=widgets,
+        widgets=map_diffs(diffs, _OPTIONS),
         initial_query=queries[0],
         annotations=_OPTIONS.annotations,
     )
