@@ -6,9 +6,8 @@ DiffMemo` layer on the four bundled log families:
 * a **cold** mine runs every pair through the full child-alignment DP
   (``build_interaction_graph`` without a memo);
 * a **warm-memo** mine runs the same log through a memo that has already
-  seen every shape pair (what a steady-state session append, a pool
-  worker with an adopted ``.diffmemo.json``, or a re-mine after a code
-  change pays) — all alignments replay their recorded plan.
+  seen every shape pair (what a steady-state session append pays) — all
+  alignments replay their recorded plan.
 
 The SDSS template workload must come out >= 3x faster warm than cold
 (the tentpole's acceptance bar); the other families are reported and

@@ -12,7 +12,7 @@ Subcommands:
   ``--pool-size`` worker processes behind bounded ``--queue-depth``
   queues, and the drained per-client interfaces are reported.  With
   ``--cache-dir`` the workers share one graph store and publish their
-  graphs, widget sets, and closure proofs on drain; add
+  graphs and widget sets on drain; add
   ``--daemon-socket`` to route that store through a running daemon.
   ``--follow`` streams each append's outcome live as workers finish it
   (JSONL events under ``--json``) instead of reporting only at drain.
@@ -392,9 +392,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
                 f"{payload['n_keys']} key(s) [{payload['format']}]: "
                 f"{payload['n_graphs']} graph(s), "
                 f"{payload['n_widget_sets']} widget set(s), "
-                f"{payload['n_proof_sets']} proof set(s), "
-                f"{payload['n_diff_memos']} diff memo(s), "
-                f"{payload['n_compiled']} compiled page(s), "
                 f"{payload['total_bytes']} bytes"
             )
             for table, n_bytes in payload["bytes_by_table"].items():

@@ -1,7 +1,7 @@
 """Lint configuration — defaults plus the ``[tool.repro-lint]`` block.
 
 Every rule's vocabulary (which modules are store modules, which classes
-are frozen, which callables are proof sinks, ...) lives here rather than
+are frozen, which callables serialize, ...) lives here rather than
 hard-coded in the rule, so the ROADMAP's upcoming rewrites (binary block
 store, store daemon) can extend coverage by editing ``pyproject.toml``
 instead of the rules themselves.
@@ -73,25 +73,6 @@ class LintConfig:
         "__setstate__",
     )
 
-    # RL004 — proof polarity
-    #: callables that persist or exchange closure proofs
-    proof_sinks: tuple[str, ...] = (
-        "save_closure_proofs",
-        "proofs_to_dict",
-        "import_proofs",
-    )
-    #: identifiers that carry mixed or negative closure results.
-    #: Entries of four characters or fewer match exactly ("memo" flags
-    #: the mixed-polarity search memo but not "diff_memo"); longer
-    #: entries match as case-insensitive substrings.
-    negative_sources: tuple[str, ...] = (
-        "memo",
-        "negative",
-        "disproven",
-        "refuted",
-        "failed_proof",
-    )
-
     # RL005 — stage purity
     #: base-class names marking a pipeline stage
     stage_bases: tuple[str, ...] = ("Stage",)
@@ -109,7 +90,7 @@ class LintConfig:
     #: identifier fragments marking a receiver as a parsed-AST value
     #: (whose salted attributes must never be persisted).  Entries of
     #: four characters or fewer match exactly; longer entries match as
-    #: case-insensitive substrings — the RL004 convention.
+    #: case-insensitive substrings.
     node_identifiers: tuple[str, ...] = (
         "query",
         "node",

@@ -6,12 +6,14 @@ id    name                     invariant
 RL001 lock-discipline          store mutations run under ``StoreLock``
 RL002 salted-hash-hygiene      salted hashes are never serialized
 RL003 frozen-result-immutable  result objects are never mutated
-RL004 proof-polarity           only positive proofs are exported
 RL005 stage-purity             ``Stage.run`` returns state, mutates
                                nothing module-level
 RL006 compiled-artifact-       compiled-page payloads never embed
       hygiene                  salted node hashes
 ===== ======================== ======================================
+
+RL004 (proof-polarity) guarded the export of closure proofs; it was
+retired with the store's proof table, and its id is not reused.
 
 The rules are deliberately *lexical*: they reason about one file at a
 time with no cross-module inference, trading recall for zero false
@@ -31,7 +33,6 @@ __all__ = [
     "LockDiscipline",
     "SaltedHashHygiene",
     "FrozenResultImmutability",
-    "ProofPolarity",
     "StagePurity",
     "CompiledArtifactHygiene",
 ]
@@ -339,55 +340,6 @@ class FrozenResultImmutability(Rule):
 
 
 @register
-class ProofPolarity(Rule):
-    """RL004: only positive proofs reach proof export sites.
-
-    The closure search memo stores *mixed* results — negatives can be
-    budget artefacts of one search configuration, so persisting them
-    would wrongly prune reachable closures for every later process.
-    The rule flags negative-polarity identifiers (the search ``memo``,
-    ``negative*``, ``disproven``, ...) in the argument lists of proof
-    sinks and anywhere inside an ``export_proofs`` implementation.
-    """
-
-    id = "RL004"
-    name = "proof-polarity"
-    description = (
-        "only positive proofs may reach export_proofs/proofs_to_dict/"
-        "import_proofs call sites"
-    )
-
-    def visit(self, node: ast.AST, ctx: ModuleContext) -> None:
-        if isinstance(node, ast.Call):
-            name = _callee_name(node)
-            if name in ctx.config.proof_sinks:
-                for arg in [*node.args, *[kw.value for kw in node.keywords]]:
-                    self._flag_negatives(arg, ctx, f"argument to '{name}'")
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if node.name == "export_proofs":
-                for stmt in node.body:
-                    self._flag_negatives(stmt, ctx, "an export_proofs body")
-
-    def _flag_negatives(self, node: ast.AST, ctx: ModuleContext, where: str) -> None:
-        # short entries ("memo") match exactly so that e.g. 'diff_memo'
-        # stays clean; longer entries match as substrings.  Leading
-        # underscores are not polarity information ('_memo' is the memo)
-        sources = ctx.config.negative_sources
-        for identifier in sorted(_identifiers(node)):
-            lowered = identifier.lower().lstrip("_")
-            if any(
-                lowered == source or (len(source) > 4 and source in lowered)
-                for source in sources
-            ):
-                ctx.report(
-                    self,
-                    node,
-                    f"negative-polarity source '{identifier}' in {where}; "
-                    "only positive proofs may be exported",
-                )
-
-
-@register
 class StagePurity(Rule):
     """RL005: ``Stage.run`` returns a state and mutates nothing global.
 
@@ -492,13 +444,12 @@ class CompiledArtifactHygiene(Rule):
     """RL006: compiled-artifact payloads never embed salted node hashes.
 
     RL002's invariant applied to the incremental compiler: the page
-    states and patches built in ``repro/compiler/`` are persisted (the
-    store's ``compiled`` table) and streamed to remote subscribers, so a
-    ``Node.fingerprint``/``skeleton`` value embedded in one poisons every
-    cross-process replay.  RL002 watches ``json.dump`` and ``*_to_dict``;
-    the compiler's payloads are built by ``to_state``/``make_patch``/
-    ``apply_patch`` (and any ``*_to_state``), which this rule treats as
-    sinks.
+    states and patches built in ``repro/compiler/`` are streamed to
+    remote subscribers, so a ``Node.fingerprint``/``skeleton`` value
+    embedded in one means nothing in the process that folds it.  RL002
+    watches ``json.dump`` and ``*_to_dict``; the compiler's payloads are
+    built by ``to_state``/``make_patch``/``apply_patch`` (and any
+    ``*_to_state``), which this rule treats as sinks.
 
     The compiler legitimately names its *stable* content digests
     ``fingerprint`` (``CompiledPage.fingerprint`` is a sha256 prefix), so
@@ -507,8 +458,10 @@ class CompiledArtifactHygiene(Rule):
     identifier (``query.fingerprint``, ``node.skeleton``,
     ``interface.initial_query.fingerprint``, ...) — the
     ``node_identifiers`` vocabulary — plus names bound from such reads.
-    In-memory uses (proof keys, memo lookups) outside the builder returns
-    stay clean.
+    Identifiers match case-insensitively, ignoring leading underscores:
+    vocabulary entries of four characters or fewer must equal the
+    identifier, longer ones may occur anywhere in it.  In-memory uses
+    (proof keys, memo lookups) outside the builder returns stay clean.
     """
 
     id = "RL006"

@@ -76,7 +76,7 @@ from repro.compiler.incremental import IncrementalCompiler
 from repro.core.closure import ClosureCache
 from repro.core.mapper import MapCache
 from repro.core.options import PipelineOptions
-from repro.errors import CacheError, CompileError, LogError
+from repro.errors import CacheError, LogError
 from repro.graph.build import BuildStats, extend_interaction_graph, in_build_order
 from repro.graph.interaction import InteractionGraph
 from repro.sqlparser.astnodes import Node
@@ -138,18 +138,11 @@ class InterfaceSession:
         # positive closure proofs reused across expresses() calls while
         # the widget set is unchanged
         self._closure_cache = ClosureCache()
-        # accumulated-log fingerprint for which persisted proofs were
-        # already probed in the store (probe once per interface revision)
-        self._proofs_probed: str | None = None
-        self._proofs_adopted = 0
         # incremental page compiler, created lazily on the first
         # compile()/compile_patch() and kept across appends so per-widget
         # artifacts and closure slices carry over (see
         # repro.compiler.incremental)
         self._compiler: IncrementalCompiler | None = None
-        # accumulated-log fingerprint for which a persisted compiled page
-        # was already probed in the store
-        self._compiled_probed: str | None = None
         self._store = (
             GraphStore(
                 self.options.cache_dir, remote=self.options.daemon_socket
@@ -218,11 +211,7 @@ class InterfaceSession:
         Reuses positive cover proofs across calls (and across appends
         whose merge components were all clean), so repeated membership
         checks against a steady interface are much cheaper than
-        ``session.interface.expresses(...)`` from cold.  With a shared
-        store configured, the first check against each interface revision
-        additionally adopts any proofs a previous session (or pool
-        worker) published for the same accumulated log — memos survive
-        session death.
+        ``session.interface.expresses(...)`` from cold.
 
         Raises:
             LogError: when nothing has been appended yet.
@@ -231,7 +220,6 @@ class InterfaceSession:
             raise LogError("cannot test expressibility before the first append")
         if isinstance(query, str):
             query = parse_sql(query)
-        self._adopt_cached_proofs()
         return self._last.interface.expresses(query, cache=self._closure_cache)
 
     # ------------------------------------------------------------------
@@ -263,7 +251,6 @@ class InterfaceSession:
             CompileError: when the interface has no widgets.
         """
         compiler = self._compiler_for(title, database, limit, columns)
-        self._adopt_cached_proofs()
         page = compiler.compile(
             self._last.interface, closure_cache=self._closure_cache
         )
@@ -291,7 +278,6 @@ class InterfaceSession:
             CompileError: when the interface has no widgets.
         """
         compiler = self._compiler_for(title, database, limit, columns)
-        self._adopt_cached_proofs()
         return compiler.compile_patch(
             self._last.interface, closure_cache=self._closure_cache
         )
@@ -319,8 +305,6 @@ class InterfaceSession:
                 title=title, database=database, limit=limit, columns=columns
             )
             self._compiler = compiler
-            self._compiled_probed = None
-        self._adopt_cached_compiled(compiler)
         return compiler
 
     # ------------------------------------------------------------------
@@ -396,13 +380,6 @@ class InterfaceSession:
         session._stats = stats
         session._n_appends = int(session_meta.get("n_appends", 1))
         session._fingerprinter.update(graph.queries)
-        if session._store is not None and graph.queries:
-            # inherit the accumulated log's persisted alignment plans, if
-            # a previous incarnation flushed them: future appends of
-            # known template shapes then do zero alignment-DP work
-            session._adopt_cached_diff_memo(
-                session._fingerprinter.hexdigest(), actual
-            )
         if graph.queries:
             session._last = session._remap(BuildStats(), resumed=True)
         return session
@@ -531,18 +508,14 @@ class InterfaceSession:
 
         A previous ``generate()`` (or session) over exactly this batch
         under these options left its graph in the store; adopting it makes
-        the first append mine nothing.  The key's persisted diff memo —
-        the alignment plans that mine produced — is adopted alongside, so
-        *later* appends of known template shapes replay instead of
-        aligning.  Later appends never hit the graph table — their
-        accumulated log is session-specific — so the lookup is skipped.
+        the first append mine nothing.  Later appends never hit the graph
+        table — their accumulated log is session-specific — so the lookup
+        is skipped.
         """
         if self._store is None or self._graph.queries:
             return False
         probe = LogFingerprinter().update(queries)
-        opts_fp = options_fingerprint(self.options)
-        self._adopt_cached_diff_memo(probe.hexdigest(), opts_fp)
-        cached = self._store.load(probe.hexdigest(), opts_fp)
+        cached = self._store.load(probe.hexdigest(), options_fingerprint(self.options))
         if cached is None:
             return False
         graph, mined_stats = cached
@@ -553,76 +526,6 @@ class InterfaceSession:
         # full build" invariant of n_pairs_compared
         self._stats.n_pairs_compared += mined_stats.n_pairs_compared
         return True
-
-    def _adopt_cached_diff_memo(self, log_fp: str, opts_fp: str) -> int:
-        """Warm the session's diff memo from the store's fourth table.
-
-        Each persisted representative pair is re-aligned once by the
-        current algorithm (see
-        :meth:`~repro.treediff.memo.DiffMemo.import_pairs`), so adoption
-        costs O(unique shapes) and can never change results.  Returns the
-        number of plans imported.
-        """
-        if self._store is None:
-            return 0
-        pairs = self._store.load_diff_memo_pairs(log_fp, opts_fp)
-        if not pairs:
-            return 0
-        return self._diff_memo.import_pairs(pairs)
-
-    def _adopt_cached_proofs(self) -> None:
-        """Arm the closure cache with persisted proofs for the current
-        accumulated log, once per interface revision.
-
-        Proofs live in the store's third table under the same
-        content-addressed key as the graph and widget set; they were
-        proved against the key's deterministic widget set, which the
-        session's current widgets match whenever the accumulated
-        fingerprints match.  Negative results are never persisted (see
-        :class:`~repro.core.closure.ClosureCache`), so adopting can only
-        skip work, not change answers.
-        """
-        if self._store is None or self._last is None:
-            return
-        log_fp = self._fingerprinter.hexdigest()
-        if self._proofs_probed == log_fp:
-            return
-        self._proofs_probed = log_fp
-        triples = self._store.load_proof_triples(
-            log_fp, options_fingerprint(self.options)
-        )
-        if triples is None:
-            return
-        self._proofs_adopted += self._closure_cache.import_proofs(
-            self._last.interface.widgets, triples
-        )
-
-    def _adopt_cached_compiled(self, compiler: IncrementalCompiler) -> int:
-        """Warm the compiler's closure-slice cache from the store's fifth
-        table, once per accumulated-log fingerprint.
-
-        The persisted page's slices are keyed by content-addressed widget
-        fingerprints (see
-        :meth:`~repro.compiler.incremental.IncrementalCompiler.import_state`),
-        so a stale or foreign record can cost time but never correctness.
-        Returns the number of slices adopted.
-        """
-        if self._store is None or not self._graph.queries:
-            return 0
-        log_fp = self._fingerprinter.hexdigest()
-        if self._compiled_probed == log_fp:
-            return 0
-        self._compiled_probed = log_fp
-        state = self._store.load_compiled_page(
-            log_fp, options_fingerprint(self.options)
-        )
-        if state is None:
-            return 0
-        try:
-            return compiler.import_state(state)
-        except CompileError:
-            # foreign patch version: the record is unusable, not an error
-            return 0
 
     def flush_to_store(self) -> None:
         """Publish the accumulated graph and widget set to the store.
@@ -652,23 +555,9 @@ class InterfaceSession:
         opts_fp = options_fingerprint(self.options)
         normalised = self._normalised_graph()
         self._store.save(log_fp, opts_fp, normalised, self._stats)
-        # the alignment plans ride along so the next session (or pool
-        # worker) over this log mines known templates by replay only
-        self._store.save_diff_memo(log_fp, opts_fp, self._diff_memo)
         if self._last is not None:
             self._store.save_widget_set(
                 log_fp, opts_fp, self._last.interface.widgets, normalised
-            )
-            # proofs accumulated by expresses() ride along so the next
-            # session over this log starts with a warm closure cache
-            self._store.save_closure_proofs(
-                log_fp, opts_fp, self._closure_cache, self._last.interface.widgets
-            )
-        if self._compiler is not None and self._compiler.page is not None:
-            # the compiled page rides along so the next session over this
-            # log serves its first page from replayed closure slices
-            self._store.save_compiled_page(
-                log_fp, opts_fp, self._compiler.page.to_state()
             )
 
     # ------------------------------------------------------------------

@@ -292,9 +292,8 @@ class MineStage(Stage):
     When the state already carries a graph — a :class:`CacheStage` hit, or
     a caller that mined out-of-band — the stage skips the alignment work
     and records ``skipped=True`` with zero pairs compared.  After a fresh
-    mine it persists the graph (and, when the store was armed by a
-    :class:`CacheStage`, the memo's representative pairs) through
-    ``state.cache_store``.
+    mine it persists the graph through ``state.cache_store`` when a
+    :class:`CacheStage` armed it.
     """
 
     name = "mine"
@@ -337,7 +336,6 @@ class MineStage(Stage):
         if state.cache_store is not None and state.cache_key is not None:
             try:
                 state.cache_store.save(*state.cache_key, state.graph, stats)
-                state.cache_store.save_diff_memo(*state.cache_key, state.diff_memo)
             except (CacheError, OSError) as exc:
                 # the mine already succeeded; a failed persist must not
                 # destroy the run — surface it in the stage stats instead

@@ -6,9 +6,9 @@ of (parsed log, options).  This package makes that artefact durable:
 * :mod:`repro.cache.serialize` — versioned JSON/JSONL encoding of
   :class:`~repro.graph.interaction.InteractionGraph` +
   :class:`~repro.graph.build.BuildStats` (``graph_to_jsonl_bytes`` /
-  ``save_graph`` and their inverses), plus the derived tables' record
-  codecs (``widgets_to_dict``: widgets encode as diff-table indices and
-  decode by re-running the deterministic ``pickWidget``);
+  ``save_graph`` and their inverses), plus the widget-set record codec
+  (``widgets_to_dict``: widgets encode as diff-table indices and decode
+  by re-running the deterministic ``pickWidget``);
 * :mod:`repro.cache.fingerprint` — process-stable SHA-256 fingerprints of
   a parsed log and of the mining-relevant options, with
   :class:`LogFingerprinter` for incrementally growing logs;
@@ -19,10 +19,10 @@ of (parsed log, options).  This package makes that artefact durable:
   mmap + footer-index lookups, tombstone eviction, threshold
   compaction);
 * :mod:`repro.cache.store` — :class:`GraphStore`, a content-addressed
-  directory holding five tables per ``(log_fingerprint,
-  options_fingerprint)`` key — graph, widget set, closure proofs, diff
-  memo, compiled page — with load/save/invalidate, optional LRU size
-  caps (``max_bytes``/``max_entries``, ``stats()``, ``prune()``), and
+  directory holding two tables per ``(log_fingerprint,
+  options_fingerprint)`` key — graph and widget set — with
+  load/save/invalidate, optional LRU size caps
+  (``max_bytes``/``max_entries``, ``stats()``, ``prune()``), and
   ``import_json()``/``export_json()`` for the legacy one-file-per-record
   JSON layout.
 
@@ -41,8 +41,6 @@ from repro.cache.fingerprint import (
 )
 from repro.cache.serialize import (
     FORMAT_VERSION,
-    diff_memo_from_dict,
-    diff_memo_to_dict,
     load_graph,
     node_from_dict,
     node_to_dict,
@@ -62,8 +60,6 @@ __all__ = [
     "load_graph",
     "widgets_to_dict",
     "widgets_from_dict",
-    "diff_memo_to_dict",
-    "diff_memo_from_dict",
     "node_to_dict",
     "node_from_dict",
     "LogFingerprinter",

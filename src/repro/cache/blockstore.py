@@ -2,9 +2,9 @@
 
 One :class:`Segment` is one append-only ``*.seg`` record log (framing in
 :mod:`repro.cache.format`).  The store keeps one segment per table —
-``graphs.seg``, ``widgets.seg``, ``proofs.seg``, ``diffmemos.seg``,
-``compiled.seg`` — so a save appends one record instead of writing a
-file, eviction appends a tombstone instead of unlinking, and
+``graphs.seg`` and ``widgets.seg`` — so a save appends one record
+instead of writing a file, eviction appends a tombstone instead of
+unlinking, and
 ``stats``/``prune`` read one footer per table instead of statting every
 entry in the directory.
 

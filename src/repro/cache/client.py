@@ -8,9 +8,7 @@ approximate.  The store daemon (:mod:`repro.service.daemon`) removes
 both costs: exactly one process owns the segment files, every other
 process talks to it over a unix-domain socket, and the daemon's single
 in-process lock replaces the fleet-wide ``flock`` convoy.  Because the
-daemon sees *every* load, recency is exact at each eviction decision,
-and the shared diff-memo/proof tables it serves are warmed by all
-tenants at once.
+daemon sees *every* load, recency is exact at each eviction decision.
 
 This module is the client half: the wire protocol (length-prefixed JSON
 header + raw payload bytes) and :class:`StoreClient`, the low-level

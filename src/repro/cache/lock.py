@@ -5,7 +5,7 @@ the ``generate_many`` shards, every :class:`~repro.service.SessionPool`
 worker, and any concurrently running CLI invocation.  Every write
 appends to shared segment files, and several must be atomic as a unit:
 LRU eviction tombstones a key in every table at once, and a save of a
-derived record (widgets, proofs) must observe a consistent answer to
+derived record (a widget set) must observe a consistent answer to
 "does this key's graph record still exist?".  Without mutual exclusion,
 two writers can interleave frames in one segment, two pruners can
 interleave their scans and evictions, and a pruner can slip between a

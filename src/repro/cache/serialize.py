@@ -11,10 +11,9 @@ record per interned subtree, per query, per diff, and per edge; a
 truncated payload fails loudly on the record count check.
 :func:`graph_to_jsonl_bytes` / :func:`graph_from_jsonl_bytes` are the
 store's graph codec, and :func:`save_graph` / :func:`load_graph` write
-and read the same bytes as a file (the session snapshot).  The derived
-tables (widget sets, closure proofs, diff memos, compiled pages) each
-have a ``*_to_json_bytes`` / ``*_from_json_bytes`` pair over one JSON
-document.
+and read the same bytes as a file (the session snapshot).  The store's
+other table, widget sets, has :func:`widgets_to_json_bytes` /
+:func:`widgets_from_json_bytes` over one JSON document.
 
 Sharing is preserved, twice over:
 
@@ -70,18 +69,6 @@ __all__ = [
     "widgets_from_dict",
     "widgets_to_json_bytes",
     "widgets_from_json_bytes",
-    "proofs_to_dict",
-    "proofs_from_dict",
-    "proofs_to_json_bytes",
-    "proofs_from_json_bytes",
-    "diff_memo_to_dict",
-    "diff_memo_from_dict",
-    "diff_memo_to_json_bytes",
-    "diff_memo_from_json_bytes",
-    "compiled_page_to_dict",
-    "compiled_page_from_dict",
-    "compiled_page_to_json_bytes",
-    "compiled_page_from_json_bytes",
     "derived_interval_annotations",
 ]
 
@@ -543,29 +530,15 @@ def widgets_from_dict(
     return widgets
 
 
-def _json_doc_bytes(payload: dict[str, Any]) -> bytes:
-    """One derived-table record: ``payload`` as one sorted-key JSON
-    document plus a newline."""
-    # sort_keys: derived tables must be byte-deterministic across
-    # processes for digest-based comparison
-    return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-
-
-def _json_doc_from_bytes(data: bytes, label: str) -> dict[str, Any]:
-    try:
-        payload = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CacheError(f"bad JSON in {label}") from exc
-    if not isinstance(payload, dict):
-        raise CacheError(f"{label} is not a JSON object payload")
-    return payload
-
-
 def widgets_to_json_bytes(
     widgets: list[Widget], graph: InteractionGraph
 ) -> bytes:
-    """A widget set's record payload (see :func:`widgets_to_dict`)."""
-    return _json_doc_bytes(widgets_to_dict(widgets, graph))
+    """A widget set's record payload: :func:`widgets_to_dict` as one
+    sorted-key JSON document plus a newline."""
+    # sort_keys: records must be byte-deterministic across processes for
+    # digest-based comparison
+    payload = widgets_to_dict(widgets, graph)
+    return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
 
 
 def widgets_from_json_bytes(
@@ -581,219 +554,13 @@ def widgets_from_json_bytes(
     Raises:
         CacheError: on bad JSON or any :func:`widgets_from_dict` failure.
     """
-    return widgets_from_dict(
-        _json_doc_from_bytes(data, label), graph, library, annotations
-    )
-
-
-# ----------------------------------------------------------------------
-# closure proofs
-# ----------------------------------------------------------------------
-#
-# A positive cover proof is a ``(current, target, base)`` triple: "these
-# widgets can transform subtree *current* (rooted at absolute path *base*)
-# into subtree *target*".  The in-memory key fingerprints the two subtrees
-# with ``Node.fingerprint``, which is process-salted, so the durable form
-# stores the subtrees themselves (interned — proof sets over one interface
-# share most of their trees) and the loader re-fingerprints them.  Only
-# positives are ever persisted: a negative memo can be a budget artefact,
-# and ``ClosureCache`` never exports one.
-
-def proofs_to_dict(triples: list[tuple[Node, Node, "Path"]]) -> dict[str, Any]:
-    """Encode exported closure proofs (see
-    :meth:`~repro.core.closure.ClosureCache.export_proofs`)."""
-    interner = _TreeInterner()
-    encoded = [
-        {
-            "c": interner.index_of(current),
-            "t": interner.index_of(target),
-            "base": str(base),
-        }
-        for current, target, base in triples
-    ]
-    return {
-        "version": FORMAT_VERSION,
-        "trees": [node_to_dict(t) for t in interner.trees],
-        "proofs": encoded,
-    }
-
-
-def proofs_from_dict(payload: dict[str, Any]) -> list[tuple[Node, Node, "Path"]]:
-    """Decode a :func:`proofs_to_dict` payload back into proof triples,
-    ready for :meth:`~repro.core.closure.ClosureCache.import_proofs`.
-
-    Raises:
-        CacheError: on a version mismatch or malformed records.
-    """
-    version = payload.get("version")
-    if version != FORMAT_VERSION:
-        raise CacheError(
-            f"unsupported proof-set format version {version!r} "
-            f"(this build reads version {FORMAT_VERSION})"
-        )
     try:
-        trees = [node_from_dict(t) for t in payload.get("trees", ())]
-        triples: list[tuple[Node, Node, Path]] = []
-        for record in payload.get("proofs", ()):
-            triples.append(
-                (
-                    _at(trees, record["c"], "tree"),
-                    _at(trees, record["t"], "tree"),
-                    Path.parse(record["base"]),
-                )
-            )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CacheError("malformed proof-set payload") from exc
-    return triples
-
-
-def proofs_to_json_bytes(triples: list[tuple[Node, Node, "Path"]]) -> bytes:
-    """A proof set's record payload (see :func:`proofs_to_dict`)."""
-    return _json_doc_bytes(proofs_to_dict(triples))
-
-
-def proofs_from_json_bytes(
-    data: bytes, label: str = "<proof-set record>"
-) -> list[tuple[Node, Node, "Path"]]:
-    """Decode :func:`proofs_to_json_bytes` output.
-
-    Raises:
-        CacheError: on bad JSON or any :func:`proofs_from_dict` failure.
-    """
-    return proofs_from_dict(_json_doc_from_bytes(data, label))
-
-
-# ----------------------------------------------------------------------
-# diff memos
-# ----------------------------------------------------------------------
-#
-# A :class:`~repro.treediff.memo.DiffMemo` keys alignment plans by
-# skeleton hashes, which build on ``hash()`` and are therefore
-# process-salted — the keys cannot be persisted.  The durable form is the
-# memo's *representative pairs*: one concrete ``(a, b, prune)`` triple
-# per plan (trees interned — template shapes share most subtrees).
-# Loading re-aligns each representative once with the current algorithm
-# (O(unique shapes), exactly the steady-state cost the memo admits), so a
-# stale file can never poison results — plans are always rebuilt natively.
-
-def diff_memo_to_dict(pairs: list[tuple[Node, Node, bool]]) -> dict[str, Any]:
-    """Encode a memo's representative pairs (see
-    :meth:`~repro.treediff.memo.DiffMemo.export_pairs`)."""
-    interner = _TreeInterner()
-    encoded = [
-        {
-            "a": interner.index_of(a),
-            "b": interner.index_of(b),
-            "prune": bool(prune),
-        }
-        for a, b, prune in pairs
-    ]
-    return {
-        "version": FORMAT_VERSION,
-        "trees": [node_to_dict(t) for t in interner.trees],
-        "pairs": encoded,
-    }
-
-
-def diff_memo_from_dict(payload: dict[str, Any]) -> list[tuple[Node, Node, bool]]:
-    """Decode a :func:`diff_memo_to_dict` payload back into representative
-    pairs, ready for :meth:`~repro.treediff.memo.DiffMemo.import_pairs`.
-
-    Raises:
-        CacheError: on a version mismatch or malformed records.
-    """
-    version = payload.get("version")
-    if version != FORMAT_VERSION:
-        raise CacheError(
-            f"unsupported diff-memo format version {version!r} "
-            f"(this build reads version {FORMAT_VERSION})"
-        )
-    try:
-        trees = [node_from_dict(t) for t in payload.get("trees", ())]
-        pairs: list[tuple[Node, Node, bool]] = []
-        for record in payload.get("pairs", ()):
-            pairs.append(
-                (
-                    _at(trees, record["a"], "tree"),
-                    _at(trees, record["b"], "tree"),
-                    bool(record["prune"]),
-                )
-            )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CacheError("malformed diff-memo payload") from exc
-    return pairs
-
-
-def diff_memo_to_json_bytes(pairs: list[tuple[Node, Node, bool]]) -> bytes:
-    """A diff memo's record payload (see :func:`diff_memo_to_dict`)."""
-    return _json_doc_bytes(diff_memo_to_dict(pairs))
-
-
-def diff_memo_from_json_bytes(
-    data: bytes, label: str = "<diff-memo record>"
-) -> list[tuple[Node, Node, bool]]:
-    """Decode :func:`diff_memo_to_json_bytes` output.
-
-    Raises:
-        CacheError: on bad JSON or any :func:`diff_memo_from_dict` failure.
-    """
-    return diff_memo_from_dict(_json_doc_from_bytes(data, label))
-
-
-# ----------------------------------------------------------------------
-# compiled interface pages
-# ----------------------------------------------------------------------
-#
-# The incremental compiler's page state (see
-# :meth:`repro.compiler.incremental.CompiledPage.to_state`) is already a
-# plain-JSON dict of rendered strings: widget blocks, closure SQL/results,
-# and *content* fingerprints (sha256 over rendered text — never the
-# process-salted ``Node.fingerprint``/``skeleton``, which lint rules
-# RL002/RL006 keep out of every persisted payload).  The codec therefore
-# only wraps the state in the versioned envelope every table shares.
-
-def compiled_page_to_dict(state: dict[str, Any]) -> dict[str, Any]:
-    """Encode a compiled-page state (see
-    :meth:`~repro.compiler.incremental.CompiledPage.to_state`)."""
-    return {"version": FORMAT_VERSION, "page": state}
-
-
-def compiled_page_from_dict(payload: dict[str, Any]) -> dict[str, Any]:
-    """Decode a :func:`compiled_page_to_dict` payload back into the page
-    state dict, ready for
-    :meth:`~repro.compiler.incremental.IncrementalCompiler.import_state`.
-
-    Raises:
-        CacheError: on a version mismatch or a malformed payload.
-    """
-    version = payload.get("version")
-    if version != FORMAT_VERSION:
-        raise CacheError(
-            f"unsupported compiled-page format version {version!r} "
-            f"(this build reads version {FORMAT_VERSION})"
-        )
-    state = payload.get("page")
-    if not isinstance(state, dict):
-        raise CacheError("malformed compiled-page payload")
-    return state
-
-
-def compiled_page_to_json_bytes(state: dict[str, Any]) -> bytes:
-    """A compiled page's record payload (see
-    :func:`compiled_page_to_dict`)."""
-    return _json_doc_bytes(compiled_page_to_dict(state))
-
-
-def compiled_page_from_json_bytes(
-    data: bytes, label: str = "<compiled-page record>"
-) -> dict[str, Any]:
-    """Decode :func:`compiled_page_to_json_bytes` output.
-
-    Raises:
-        CacheError: on bad JSON or any :func:`compiled_page_from_dict`
-            failure.
-    """
-    return compiled_page_from_dict(_json_doc_from_bytes(data, label))
+        payload = json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CacheError(f"bad JSON in {label}") from exc
+    if not isinstance(payload, dict):
+        raise CacheError(f"{label} is not a JSON object payload")
+    return widgets_from_dict(payload, graph, library, annotations)
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,8 @@
-"""Content-addressed on-disk store for mined graphs, widget sets,
-closure proofs, diff memos, and compiled interface pages.
+"""Content-addressed on-disk store for mined graphs and widget sets.
 
 A :class:`GraphStore` is a directory of cache entries keyed by
-``(log fingerprint, options fingerprint)``.  Each key owns up to five
-records — five content-addressed tables over the same key space, listed
+``(log fingerprint, options fingerprint)``.  Each key owns up to two
+records — two content-addressed tables over the same key space, listed
 once in the :data:`TABLES` registry:
 
 * **graphs** — the mined interaction graph (JSONL payload, see
@@ -12,31 +11,25 @@ once in the :data:`TABLES` registry:
 * **widget_sets** — the mapped-and-merged widget set, skipping Map and
   Merge too.  Widget records are only meaningful next to their graph
   record (they reference its diffs table by index), so
-  :meth:`load_widget_set` takes the loaded graph;
-* **proof_sets** — positive closure-cover proofs, so ``expresses()``
-  memos survive session death and are shared across
-  :class:`~repro.service.SessionPool` workers;
-* **diff_memos** — the Mine stage's skeleton-level alignment plans as
-  representative shape pairs, so resumed sessions and pool workers
-  inherit a hot :class:`~repro.treediff.memo.DiffMemo`;
-* **compiled** — the incremental compiler's page state (per-widget
-  artifacts + closure table, see
-  :mod:`repro.compiler.incremental`), so a resumed session serves its
-  first page — and warms its closure-slice cache — without re-rendering
-  anything.
+  :meth:`load_widget_set` takes the loaded graph.
+
+These are the two artefacts a later run reads back.  Everything else a
+session accelerates with — closure proofs, the Mine stage's alignment
+plans, compiled page state — is rebuilt in process.
 
 Each table is one append-only block-compressed segment file
-(``graphs.seg``, ``widgets.seg``, ``proofs.seg``, ``diffmemos.seg``,
-``compiled.seg``; see :mod:`repro.cache.blockstore`).  A save appends
-one record, a lookup is an mmap + bisect + single-block decode, eviction
-appends a tombstone, and ``stats()``/``prune()`` read five footers.
-Every typed load and save goes through one get path and one put path
-(:meth:`record_get` / :meth:`record_put`), whichever transport serves
-them.
+(``graphs.seg``, ``widgets.seg``; see :mod:`repro.cache.blockstore`).  A
+save appends one record, a lookup is an mmap + bisect + single-block
+decode, eviction appends a tombstone, and ``stats()``/``prune()`` read
+the footers.  Every typed load and save goes through one get path and
+one put path (:meth:`record_get` / :meth:`record_put`), whichever
+transport serves them.  Opening a store that earlier versions wrote
+removes the segments of their retired tables (``proofs.seg``,
+``diffmemos.seg``, ``compiled.seg``).
 
 A record's payload is the exact content of the one-file-per-record JSON
-layout earlier versions wrote (``<key>.graph.jsonl`` plus four
-``.json`` files per key).  That layout is no longer served; it survives
+layout earlier versions wrote (``<key>.graph.jsonl`` plus a
+``<key>.widgets.json``).  That layout is no longer served; it survives
 as maintenance: :meth:`GraphStore.import_json` folds such files into the
 segments in place, and :meth:`GraphStore.export_json` writes a store out
 in it, byte for byte.
@@ -51,11 +44,11 @@ Space management is optional and LRU: construct the store with
 ``max_bytes`` and/or ``max_entries`` and every save evicts the
 least-recently-*used* keys until the caps hold; :meth:`prune` applies
 caps on demand and :meth:`stats` reports occupancy.  Eviction is per-key
-— a key's graph, widget, proof, memo, and compiled records leave
-together, never orphaning a derived entry.  Recency is a record
-timestamp: loads batch recency bumps in memory and the next save (or
-:meth:`flush_recency`, or :meth:`prune`) appends them as TOUCH markers,
-so cross-process recency is exact at every eviction decision.
+— a key's graph and widget records leave together, never orphaning a
+derived entry.  Recency is a record timestamp: loads batch recency bumps
+in memory and the next save (or :meth:`flush_recency`, or :meth:`prune`)
+appends them as TOUCH markers, so cross-process recency is exact at
+every eviction decision.
 
 Concurrency: the store is the shared backing of every worker process —
 ``generate_many`` shards, :class:`~repro.service.SessionPool` workers,
@@ -86,26 +79,16 @@ from repro.cache.blockstore import Segment
 from repro.cache.client import DaemonUnavailable, QuotaExceeded, StoreClient
 from repro.cache.lock import StoreLock
 from repro.cache.serialize import (
-    compiled_page_from_json_bytes,
-    compiled_page_to_json_bytes,
-    diff_memo_from_json_bytes,
-    diff_memo_to_json_bytes,
     graph_from_jsonl_bytes,
     graph_to_jsonl_bytes,
-    proofs_from_json_bytes,
-    proofs_to_json_bytes,
     widgets_from_json_bytes,
     widgets_to_json_bytes,
 )
-from repro.core.closure import ClosureCache
 from repro.errors import CacheError
 from repro.graph.build import BuildStats
 from repro.graph.interaction import InteractionGraph
-from repro.treediff.memo import DiffMemo
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.paths import Path
-    from repro.sqlparser.astnodes import Node
     from repro.sqlparser.grammar import GrammarAnnotations
     from repro.widgets.base import Widget, WidgetType
 
@@ -135,10 +118,13 @@ class Table(NamedTuple):
 TABLES = (
     Table("graphs", "graphs.seg", ".graph.jsonl", "n_graphs"),
     Table("widget_sets", "widgets.seg", ".widgets.json", "n_widget_sets"),
-    Table("proof_sets", "proofs.seg", ".proofs.json", "n_proof_sets"),
-    Table("diff_memos", "diffmemos.seg", ".diffmemo.json", "n_diff_memos"),
-    Table("compiled", "compiled.seg", ".compiled.json", "n_compiled"),
 )
+
+#: Segment files and legacy JSON suffixes of the tables earlier versions
+#: kept (closure proofs, diff memos, compiled pages).  Nothing reads them:
+#: opening a store deletes the segments, and import_json drops the files.
+_RETIRED_SEGMENTS = ("proofs.seg", "diffmemos.seg", "compiled.seg")
+_RETIRED_SUFFIXES = (".proofs.json", ".diffmemo.json", ".compiled.json")
 
 _BY_NAME = {table.name: table for table in TABLES}
 
@@ -196,6 +182,12 @@ class GraphStore:
         self.max_entries = max_entries
         self.root.mkdir(parents=True, exist_ok=True)
         self._lock = StoreLock(self.root)
+        retired = [self.root / name for name in _RETIRED_SEGMENTS]
+        if any(path.exists() for path in retired):
+            # their bytes would otherwise count against the prune caps
+            with self._lock.held():
+                for path in retired:
+                    path.unlink(missing_ok=True)
         # opening a Segment touches no file: the remote mode keeps these
         # ready for a fail-open
         self._segments = {
@@ -389,25 +381,20 @@ class GraphStore:
         options_fingerprint: str,
         payload: bytes,
         graph: InteractionGraph | None = None,
-    ) -> FilePath | None:
-        """The typed saves' shared path; returns the segment written, or
-        ``None`` when nothing was.
+    ) -> None:
+        """The typed saves' shared path.
 
-        A derived record whose key has no live graph record is refused.
-        A caller that holds the graph passes it as ``graph``: the record
-        is then resent together with the encoded graph — encoded only on
-        that refusal, so a flush encodes each graph once.  Without
-        ``graph`` the save is skipped rather than orphaning a record.  A
-        daemon's quota refusal is not retried.
+        A widget record whose key has no live graph record is refused;
+        it is then resent together with ``graph``, encoded only on that
+        refusal, so a flush encodes each graph once.  A daemon's quota
+        refusal is not retried: saves are an optimisation.
         """
         key = self.key(log_fingerprint, options_fingerprint)
         try:
-            stored = self._put(table, key, payload)
-            if not stored and graph is not None:
-                stored = self._put(table, key, payload, graph_to_jsonl_bytes(graph))
+            if not self._put(table, key, payload) and graph is not None:
+                self._put(table, key, payload, graph_to_jsonl_bytes(graph))
         except QuotaExceeded:
-            return None
-        return self.root / _BY_NAME[table].segment if stored else None
+            pass
 
     # ------------------------------------------------------------------
     # remote dispatch (thin byte shims over StoreClient)
@@ -566,146 +553,18 @@ class GraphStore:
         self._save("widget_sets", log_fingerprint, options_fingerprint, payload, graph)
         return self.root / _BY_NAME["widget_sets"].segment
 
-    def load_proof_triples(
-        self, log_fingerprint: str, options_fingerprint: str
-    ) -> list[tuple[Node, Node, Path]] | None:
-        """Return this key's decoded proof triples, or ``None``.
+    def _retired(self, *args: Any, **kwargs: Any) -> None:
+        """Inert: the store keeps no closure proofs, diff memos or
+        compiled pages any more, so loads miss and saves write nothing.
 
-        The triples are only sound for the key's own (deterministic)
-        widget set; feed them to
-        :meth:`~repro.core.closure.ClosureCache.import_proofs` against
-        exactly those widgets.
+        The six names bound to this method are the typed loads and saves
+        of those retired tables.  Nothing in the library calls them; they
+        remain because ``perfbench/tracing.py`` wraps each by name.
         """
-        return self._load(
-            "proof_sets", log_fingerprint, options_fingerprint, proofs_from_json_bytes
-        )
+        return None
 
-    def load_closure_proofs(
-        self,
-        log_fingerprint: str,
-        options_fingerprint: str,
-        widgets: list[Widget],
-    ) -> ClosureCache | None:
-        """Return a :class:`~repro.core.closure.ClosureCache` armed for
-        ``widgets`` with this key's persisted proofs, or ``None``.
-
-        ``widgets`` must be the widget set belonging to the *same* key —
-        the content-addressed key is what makes a persisted proof sound
-        for them.
-        """
-        triples = self.load_proof_triples(log_fingerprint, options_fingerprint)
-        if triples is None:
-            return None
-        cache = ClosureCache()
-        cache.import_proofs(widgets, triples)
-        return cache
-
-    def save_closure_proofs(
-        self,
-        log_fingerprint: str,
-        options_fingerprint: str,
-        cache: ClosureCache,
-        widgets: list[Widget],
-    ) -> FilePath | None:
-        """Persist the cache's positive proofs for ``widgets`` under this
-        key; returns the segment written, or ``None`` when nothing was.
-
-        Nothing is written when the cache holds no proofs for exactly this
-        widget set, or when the key's graph entry no longer exists (a
-        pruner evicted it): proofs are a pure accelerator, and unlike
-        :meth:`save_widget_set` the caller cannot re-create the graph
-        entry from what it holds.
-        """
-        triples = cache.export_proofs(widgets)
-        if not triples:
-            return None
-        payload = proofs_to_json_bytes(triples)
-        return self._save("proof_sets", log_fingerprint, options_fingerprint, payload)
-
-    def load_diff_memo_pairs(
-        self, log_fingerprint: str, options_fingerprint: str
-    ) -> list[tuple[Node, Node, bool]] | None:
-        """Return this key's decoded representative shape pairs, or
-        ``None``.
-
-        Feed them to :meth:`~repro.treediff.memo.DiffMemo.import_pairs`:
-        each pair is re-aligned once by the current algorithm, so a stale
-        or foreign record can cost time but never correctness.
-        """
-        return self._load(
-            "diff_memos",
-            log_fingerprint,
-            options_fingerprint,
-            diff_memo_from_json_bytes,
-        )
-
-    def load_diff_memo(
-        self, log_fingerprint: str, options_fingerprint: str
-    ) -> DiffMemo | None:
-        """Return a warmed :class:`~repro.treediff.memo.DiffMemo` built
-        from this key's persisted shape pairs, or ``None``."""
-        pairs = self.load_diff_memo_pairs(log_fingerprint, options_fingerprint)
-        if pairs is None:
-            return None
-        memo = DiffMemo()
-        memo.import_pairs(pairs)
-        return memo
-
-    def save_diff_memo(
-        self,
-        log_fingerprint: str,
-        options_fingerprint: str,
-        memo: DiffMemo,
-    ) -> FilePath | None:
-        """Persist the memo's representative shape pairs under this key;
-        returns the segment written, or ``None`` when nothing was.
-
-        Nothing is written for an empty memo, for a memo whose
-        representative trees cannot be JSON-encoded, or when the key's
-        graph entry no longer exists: like closure proofs, a memo is a
-        pure accelerator.
-        """
-        pairs = memo.export_pairs()
-        if not pairs:
-            return None
-        try:
-            payload = diff_memo_to_json_bytes(pairs)
-        except CacheError:
-            # a representative tree with non-JSON attribute values: the
-            # memo stays in-memory only
-            return None
-        return self._save("diff_memos", log_fingerprint, options_fingerprint, payload)
-
-    def load_compiled_page(
-        self, log_fingerprint: str, options_fingerprint: str
-    ) -> dict[str, Any] | None:
-        """Return this key's persisted compiled-page state, or ``None``.
-
-        Feed it to
-        :meth:`~repro.compiler.incremental.IncrementalCompiler.import_state`:
-        every adopted artifact and closure slice is revalidated against
-        the session's own widgets by fingerprint, so a stale or foreign
-        record can cost time but never correctness.
-        """
-        return self._load(
-            "compiled",
-            log_fingerprint,
-            options_fingerprint,
-            compiled_page_from_json_bytes,
-        )
-
-    def save_compiled_page(
-        self,
-        log_fingerprint: str,
-        options_fingerprint: str,
-        state: dict[str, Any],
-    ) -> FilePath | None:
-        """Persist a compiled-page state under this key; returns the
-        segment written, or ``None`` when nothing was (the key's graph
-        entry no longer exists: like proofs and memos, a compiled page
-        is a pure accelerator)."""
-        payload = compiled_page_to_json_bytes(state)
-        return self._save("compiled", log_fingerprint, options_fingerprint, payload)
+    load_proof_triples = load_diff_memo_pairs = load_compiled_page = _retired
+    save_closure_proofs = save_diff_memo = save_compiled_page = _retired
 
     # ------------------------------------------------------------------
     # maintenance
@@ -730,7 +589,7 @@ class GraphStore:
         space went to.  The ``tables`` sub-report adds live vs
         tombstoned record counts, live bytes, and
         ``compaction_debt_bytes`` (bytes a compaction would reclaim) per
-        segment — read from the five segment footers.
+        segment — read from the segment footers.
 
         Lock-free and therefore a *snapshot*: concurrent writers can move
         the numbers between two calls.  Through a daemon, the report is
@@ -953,11 +812,10 @@ class GraphStore:
         return self.invalidate()
 
     def invalidate_table(self, table: str) -> int:
-        """Drop every record of one *derived* table (widget_sets,
-        proof_sets, diff_memos, or compiled), leaving graphs intact — the
-        targeted version of :meth:`clear` for forcing a re-map/re-prove
-        after a library or rule change.  Returns the number of records
-        removed.
+        """Drop every record of one *derived* table (widget_sets),
+        leaving graphs intact — the targeted version of :meth:`clear`
+        for forcing a re-map after a library or rule change.  Returns
+        the number of records removed.
 
         Raises:
             ValueError: for the graphs table (dropping it would orphan
@@ -999,8 +857,10 @@ class GraphStore:
 
         Each file's bytes become the record's payload unchanged and its
         mtime the record's recency.  Derived files whose key has no
-        graph file are dropped, not imported.  The import runs in
-        batches and is resumable: a batch's source files are removed
+        graph file are dropped, not imported, and count as one orphan
+        per key; so does each file of a retired table (closure proofs,
+        diff memos, compiled pages), which is deleted.  The import runs
+        in batches and is resumable: a batch's source files are removed
         only after its records are committed, so an interrupted run
         loses nothing and a re-run imports what is left.  With no legacy
         files present it is a no-op.
@@ -1012,6 +872,10 @@ class GraphStore:
         imported = 0
         orphans = 0
         with self._lock.held():
+            for suffix in _RETIRED_SUFFIXES:
+                for path in self.root.glob("*" + suffix):
+                    path.unlink(missing_ok=True)
+                    orphans += 1
             by_key: dict[str, dict[str, FilePath]] = {}
             for table in TABLES:
                 for path in self.root.glob("*" + table.suffix):

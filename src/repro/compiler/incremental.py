@@ -40,12 +40,6 @@ Three layers make that correct *and* byte-identical to a full recompile:
   into a page state such that :func:`page_html` over the patched state is
   byte-identical to a full ``compile_html`` of the new interface.
 
-The page state dict (:meth:`CompiledPage.to_state`) is also the payload
-persisted in the :class:`~repro.cache.store.GraphStore`'s fifth table;
-:meth:`IncrementalCompiler.import_state` warms the slice cache from a
-persisted page, so a fresh process replays combinations whose widgets
-still fingerprint the same.
-
 Every cache is bounded by the live page: after a compile the compiler
 holds the artifacts of the page's widgets, the slices of its closure
 entries (at most ``limit``), and the execution results of its SQL — a
@@ -169,8 +163,7 @@ class CompiledPage:
     ``blocks`` maps widget element ids to their HTML blocks in grid
     order; ``closure`` maps combination keys (``"i|j|k"``) to closure
     entries; ``widget_fingerprints`` records the content hash of each
-    widget in the same order as ``widget_ids`` (they key the persisted
-    slice cache — see :meth:`IncrementalCompiler.import_state`).
+    widget in the same order as ``widget_ids``.
     """
 
     fingerprint: str
@@ -187,8 +180,8 @@ class CompiledPage:
         return page_html(self.to_state())
 
     def to_state(self) -> dict[str, Any]:
-        """The page as a plain-JSON state dict (the persisted payload and
-        the base :func:`apply_patch` operates on)."""
+        """The page as a plain-JSON state dict (the base
+        :func:`apply_patch` operates on)."""
         return {
             "version": PATCH_VERSION,
             "fingerprint": self.fingerprint,
@@ -200,24 +193,6 @@ class CompiledPage:
             "blocks": dict(self.blocks),
             "closure": {key: dict(entry) for key, entry in self.closure.items()},
         }
-
-    @classmethod
-    def from_state(cls, state: dict[str, Any]) -> "CompiledPage":
-        if state.get("version") != PATCH_VERSION:
-            raise CompileError(
-                f"unsupported compiled-page version {state.get('version')!r} "
-                f"(supported: {PATCH_VERSION})"
-            )
-        return cls(
-            fingerprint=state["fingerprint"],
-            title=state["title"],
-            columns=int(state["columns"]),
-            initial_sql=state["initial_sql"],
-            widget_ids=list(state["widget_ids"]),
-            widget_fingerprints=list(state["widget_fingerprints"]),
-            blocks=dict(state["blocks"]),
-            closure={k: dict(v) for k, v in state["closure"].items()},
-        )
 
 
 def page_html(state: dict[str, Any]) -> str:
@@ -366,44 +341,6 @@ class IncrementalCompiler:
     def page(self) -> CompiledPage | None:
         """The most recently compiled page, if any."""
         return self._page
-
-    # ------------------------------------------------------------------
-    # persistence bridge
-    # ------------------------------------------------------------------
-    def import_state(self, state: dict[str, Any]) -> int:
-        """Warm the closure-slice cache from a persisted page state.
-
-        The artifact cache is process-local, but selection signatures
-        are content-addressed, so a persisted page's closure entries
-        replay in this process for every combination whose widgets still
-        fingerprint the same.  Adopted slices the next compile does not
-        use are dropped with the rest of the unused slices.  Returns the
-        number of slices adopted.
-        """
-        page = CompiledPage.from_state(state)
-        if self._initial_sql is None:
-            # arm the slice cache for the persisted page's q0 — the next
-            # compile keeps the adopted slices iff its q0 matches
-            self._initial_sql = page.initial_sql
-        elif page.initial_sql != self._initial_sql:
-            # slices composed against a different initial query can
-            # never replay soundly here
-            return 0
-        fingerprints = page.widget_fingerprints
-        adopted = 0
-        for key, entry in page.closure.items():
-            indices = [int(part) for part in key.split("|")]
-            if len(indices) != len(fingerprints):
-                continue
-            signature = tuple(
-                (fingerprints[pos], idx)
-                for pos, idx in enumerate(indices)
-                if idx != 0
-            )
-            if signature not in self._slices:
-                self._slices[signature] = dict(entry)
-                adopted += 1
-        return adopted
 
     # ------------------------------------------------------------------
     # compilation
@@ -588,10 +525,9 @@ class IncrementalCompiler:
         """
         choice_lists = [artifact.choices for artifact in artifacts]
         fingerprints = [artifact.fingerprint for artifact in artifacts]
-        proven = proof_trees = None
-        if closure_cache is not None:
-            proven = closure_cache.proven_for(ordered)
-            proof_trees = closure_cache.proof_trees_for(ordered)
+        proven = (
+            closure_cache.proven_for(ordered) if closure_cache is not None else None
+        )
         closure: dict[str, dict[str, str]] = {}
         slices: dict[tuple[tuple[str, int], ...], dict[str, str]] = {}
         lengths = [len(choices) for choices in choice_lists]
@@ -617,7 +553,6 @@ class IncrementalCompiler:
                     choice_lists,
                     zero_prefix + tail,
                     proven,
-                    proof_trees,
                 )
                 self.stats.combos_rendered += 1
             else:
@@ -641,7 +576,6 @@ class IncrementalCompiler:
         choice_lists: list[list[Node | None | str]],
         combo: tuple[int, ...],
         proven: dict | None,
-        proof_trees: dict | None,
     ) -> dict[str, str]:
         """Render (and with a database, execute) one dirty combination.
 
@@ -670,6 +604,4 @@ class IncrementalCompiler:
         self._results[sql] = entry["result"]
         if proven is not None and not known:
             proven[proof_key] = True
-            if proof_trees is not None:
-                proof_trees[proof_key] = (interface.initial_query, query)
         return entry

@@ -30,7 +30,7 @@ completeness cut-off only for adversarial inputs.
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.paths import Path
 from repro.sqlparser.astnodes import Node
@@ -58,78 +58,22 @@ class ClosureCache:
     their accumulated proofs, while any rebuilt widget resets the cache
     (a proof against an old domain must not outlive it).
 
-    Alongside each positive key the cache retains the *subtrees* the key
-    fingerprints, because the fingerprints themselves are process-salted
-    (``Node.fingerprint`` builds on Python's ``hash``): persisting a proof
-    means persisting its trees and re-fingerprinting them in the loading
-    process.  :meth:`export_proofs` / :meth:`import_proofs` are that
-    bridge — :mod:`repro.cache.serialize` encodes the exported triples and
-    the :class:`~repro.cache.store.GraphStore` keeps them in a third
-    content-addressed table, so ``expresses()`` memos survive session
-    death and are shared across pool workers.
+    The keys fingerprint subtrees with the process-salted
+    ``Node.fingerprint``, so the cache lives and dies with its process.
     """
 
     def __init__(self) -> None:
         self._signature: tuple | None = None
         self._proven: dict[tuple[int, int, Path], bool] = {}
-        self._proof_trees: dict[tuple[int, int, Path], tuple[Node, Node]] = {}
-
-    def _arm(self, widgets: list[Widget]) -> None:
-        """Clear and re-key the cache when the widget set changed."""
-        signature = tuple(sorted((str(w.path), id(w)) for w in widgets))
-        if signature != self._signature:
-            self._proven = {}
-            self._proof_trees = {}
-            self._signature = signature
 
     def proven_for(self, widgets: list[Widget]) -> dict[tuple[int, int, Path], bool]:
         """The positive-proof memo for exactly this widget set (identity
         signature); a different set clears and re-arms the cache."""
-        self._arm(widgets)
-        return self._proven
-
-    def proof_trees_for(
-        self, widgets: list[Widget]
-    ) -> dict[tuple[int, int, Path], tuple[Node, Node]]:
-        """The per-proof subtree record for this widget set (same keying
-        discipline as :meth:`proven_for`)."""
-        self._arm(widgets)
-        return self._proof_trees
-
-    def export_proofs(self, widgets: list[Widget]) -> list[tuple[Node, Node, Path]]:
-        """Positive proofs as portable ``(current, target, base)`` triples.
-
-        Only proofs established against exactly ``widgets`` are exported;
-        a cache armed for a different widget set exports nothing (its
-        proofs would be lies about these widgets' domains).
-        """
         signature = tuple(sorted((str(w.path), id(w)) for w in widgets))
         if signature != self._signature:
-            return []
-        return [
-            (current, target, key[2])
-            for key, (current, target) in self._proof_trees.items()
-        ]
-
-    def import_proofs(
-        self, widgets: list[Widget], triples: Iterable[tuple[Node, Node, Path]]
-    ) -> int:
-        """Adopt persisted proofs for ``widgets``, re-fingerprinting each
-        triple's trees in this process.  Returns how many were adopted.
-
-        Existing proofs for the same widget set are kept; a cache armed
-        for a different set is cleared and re-armed first (the imported
-        proofs define the new state).
-        """
-        self._arm(widgets)
-        adopted = 0
-        for current, target, base in triples:
-            key = (current.fingerprint, target.fingerprint, base)
-            if key not in self._proven:
-                self._proven[key] = True
-                self._proof_trees[key] = (current, target)
-                adopted += 1
-        return adopted
+            self._proven = {}
+            self._signature = signature
+        return self._proven
 
     def __len__(self) -> int:
         return len(self._proven)
@@ -138,14 +82,13 @@ class ClosureCache:
 class _Search:
     """Shared state for one membership query."""
 
-    __slots__ = ("by_path", "annotations", "budget", "memo", "proven", "proof_trees")
+    __slots__ = ("by_path", "annotations", "budget", "memo", "proven")
 
     def __init__(
         self,
         by_path: dict[Path, Widget],
         annotations: GrammarAnnotations,
         proven: dict[tuple[int, int, Path], bool] | None = None,
-        proof_trees: dict[tuple[int, int, Path], tuple[Node, Node]] | None = None,
     ):
         self.by_path = by_path
         self.annotations = annotations
@@ -154,9 +97,6 @@ class _Search:
         self.memo: dict[tuple[int, int, Path], bool] = {}
         # positive entries shared across queries via ClosureCache
         self.proven = proven if proven is not None else {}
-        # subtree record behind each positive key, for persistence; None
-        # when no ClosureCache is attached (nothing will be exported)
-        self.proof_trees = proof_trees
 
 
 def expresses(
@@ -181,8 +121,7 @@ def expresses(
         if kept is None or widget.domain.size > kept.domain.size:
             by_path[widget.path] = widget
     proven = cache.proven_for(widgets) if cache is not None else None
-    proof_trees = cache.proof_trees_for(widgets) if cache is not None else None
-    search = _Search(by_path, annotations, proven=proven, proof_trees=proof_trees)
+    search = _Search(by_path, annotations, proven=proven)
     return _cover(search, initial_query, target, Path.root(), depth=0)
 
 
@@ -222,8 +161,6 @@ def _cover(
     search.memo[key] = result
     if result:
         search.proven[key] = True
-        if search.proof_trees is not None:
-            search.proof_trees[key] = (current, target)
     return result
 
 

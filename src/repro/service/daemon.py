@@ -7,9 +7,7 @@ convoy — and per-process recency batching makes the cross-process LRU
 only approximate.  :class:`StoreDaemon` fixes both by construction:
 exactly one process opens the segments, so its single in-process
 :class:`~repro.cache.lock.StoreLock` replaces the ``flock`` convoy, it
-sees *every* load and its recency is exact at each eviction decision,
-and the shared diff-memo/proof tables it serves are warmed by all
-tenants at once.
+sees *every* load and its recency is exact at each eviction decision.
 
 The daemon is deliberately dumb: it moves **bytes**.  Requests arrive
 over a unix-domain socket (wire format in :mod:`repro.cache.client`)
@@ -131,11 +129,17 @@ class _Handler(socketserver.BaseRequestHandler):
                     {"ok": False, "error": f"{type(exc).__name__}: {exc}"},
                     b"",
                 )
+            stopping = header.get("op") == "shutdown"
             try:
                 write_message(sock, response, out_payload)
             except (ConnectionError, OSError):
                 return
-            if header.get("op") == "shutdown":
+            finally:
+                # only once the reply is out (or its reader gone): the
+                # teardown severs this connection and unlinks the socket
+                if stopping and response.get("ok"):
+                    daemon._request_async_shutdown()
+            if stopping:
                 return
 
 
@@ -310,6 +314,8 @@ class StoreDaemon:
         """Serve one request; returns ``(response_header, payload)``.
 
         Exposed for tests — the socket handler calls straight into it.
+        A ``shutdown`` request is only answered here: the handler stops
+        the daemon once the reply is written.
         """
         op = str(header.get("op", ""))
         client = str(header.get("client", "?"))
@@ -333,8 +339,6 @@ class StoreDaemon:
             meter.bytes_in += len(payload) + len(extra)
             response, out_payload = self._serve_op(op, header, payload, extra)
             meter.bytes_out += len(out_payload)
-        if op == "shutdown" and response.get("ok"):
-            self._request_async_shutdown()
         return response, out_payload
 
     def _over_quota(self, meter: ClientMeter) -> bool:

@@ -27,9 +27,8 @@ A :class:`SessionPool` is that parallel layer:
 With ``options.cache_dir`` set, all workers share one
 :class:`~repro.cache.store.GraphStore` (whose multi-file operations are
 file-lock guarded exactly for this): on :meth:`drain` each session
-publishes its accumulated graph, widget set, and closure proofs, so a
-later pool — or a one-shot ``generate`` — full-hits on the same log, and
-``expresses()`` memos survive the pool.
+publishes its accumulated graph and widget set, so a later pool — or a
+one-shot ``generate`` — full-hits on the same log.
 
 Result equivalence: a pool is sharding, not approximation.  For every
 client, the drained result equals what one-shot
@@ -54,6 +53,7 @@ Usage::
 from __future__ import annotations
 
 import asyncio
+import collections
 import contextlib
 import inspect
 import itertools
@@ -95,12 +95,6 @@ class AppendAck:
     n_widgets: int
     seconds: float
     error: str | None = None
-    #: The append's full :class:`GenerationResult` — attached only for
-    #: appends submitted while a streaming :meth:`SessionPool.serve`
-    #: (``on_result=...``) is active; ``None`` otherwise, because
-    #: shipping every interface revision through the outbox would tax
-    #: the non-streaming ingest path for nothing.
-    result: GenerationResult | None = None
     #: The append's compiled interface — attached only for appends
     #: submitted while a ``serve(compile=...)`` mode is active.  In
     #: ``"patch"`` mode this is the structural patch
@@ -188,7 +182,7 @@ def _worker_main(
         message = inbox.get()
         op = message[0]
         if op == _OP_APPEND:
-            _, seq, client_id, batch, want_result, compile_mode = message
+            _, seq, client_id, batch, compile_mode = message
             started = time.perf_counter()
             try:
                 session = sessions.get(client_id)
@@ -224,7 +218,6 @@ def _worker_main(
                         n_queries=len(session),
                         n_widgets=len(result.interface.widgets),
                         seconds=time.perf_counter() - started,
-                        result=result if want_result else None,
                         compiled=compiled,
                     )
                 )
@@ -356,9 +349,16 @@ class SessionPool:
         self._ctx = mp.get_context(mp_context)
         self._seq = itertools.count()
         self._n_submitted = 0
-        self._acks: list[AppendAck] = []
+        self._n_completed = 0
+        self._n_failed = 0
+        # acks are recorded by whichever thread reads the outbox (drain,
+        # serve's waits, a monitor polling stats()): keep the counts exact
+        self._count_lock = threading.Lock()
         # error acks not yet reported by a drain() (per-client consumption)
         self._unreported_failures: list[AppendAck] = []
+        # acks not yet handed to the on_result subscriber of the running
+        # serve(); None while no such serve runs, so no ack is kept
+        self._undelivered: collections.deque[AppendAck] | None = None
         # non-ack messages (drain replies) popped by _collect_ready while
         # a concurrent drain() was waiting for them — never discard these
         self._stashed_replies: list[tuple[Any, ...]] = []
@@ -366,9 +366,6 @@ class SessionPool:
         self._clients: set[str] = set()
         self._closed = False
         self._close_report: CloseReport | None = None
-        # while a streaming serve() is active, appends carry their full
-        # GenerationResult back in the ack (see AppendAck.result)
-        self._attach_results = False
         # while a serve(compile=...) is active, appends also carry the
         # compiled interface (page or structural patch; AppendAck.compiled)
         self._compile_mode: str | None = None
@@ -527,14 +524,7 @@ class SessionPool:
         seq = next(self._seq)
         shard = _shard_of(client_id, self.pool_size)
         self._inboxes[shard].put(
-            (
-                _OP_APPEND,
-                seq,
-                client_id,
-                batch,
-                self._attach_results,
-                self._compile_mode,
-            )
+            (_OP_APPEND, seq, client_id, batch, self._compile_mode)
         )
         self._n_submitted += 1
         self._clients.add(client_id)
@@ -544,17 +534,23 @@ class SessionPool:
         """Batches submitted but not yet acknowledged (approximate while
         workers are mid-append; exact after :meth:`drain`)."""
         self._collect_ready()
-        return self._n_submitted - len(self._acks)
+        return self._n_submitted - self._n_completed - self._n_failed
 
     def _record_ack(self, ack: AppendAck) -> None:
-        self._acks.append(ack)
+        with self._count_lock:
+            if ack.error is None:
+                self._n_completed += 1
+            else:
+                self._n_failed += 1
         if ack.error is not None:
             self._unreported_failures.append(ack)
+        if self._undelivered is not None:
+            self._undelivered.append(ack)
 
     def _collect_ready(self) -> None:
         """Drain the outbox of already-available acks without blocking.
 
-        A drain reply popped here (stats()/acks() racing a concurrent
+        A drain reply popped here (stats()/pending() racing a concurrent
         :meth:`drain`, e.g. a monitor polling while ``serve`` drains in a
         worker thread) is stashed, not dropped — the waiting drain would
         otherwise hang forever on a reply that already left the queue.
@@ -589,7 +585,7 @@ class SessionPool:
             strict: raise :class:`ServiceError` if any *append* failed
                 (the per-client messages ride on the exception's
                 ``failures``).  With ``strict=False`` failures are only
-                visible through :meth:`acks` / :meth:`stats`.  Store-flush
+                visible through :meth:`stats`.  Store-flush
                 failures never gate result delivery — publication is an
                 optimisation — and are reported via :meth:`flush_errors`.
             clients: restrict *failure* reporting/consumption to these
@@ -701,14 +697,15 @@ class SessionPool:
 
         With ``on_result``, serving is **live**: the callback (sync or
         async, invoked on the event loop) receives each append's
-        :class:`AppendAck` — with ``ack.result`` carrying the client's
-        updated interface — *as the worker finishes it*, not at the
+        :class:`AppendAck` — its counters, and the compiled interface
+        under ``compile=`` — *as the worker finishes it*, not at the
         drain barrier.  Every ack for a batch this call submitted is
         delivered before the final drain runs, so a subscriber always
         sees the live updates before the caller sees the drained
-        results.  Failed appends are delivered too (``ack.ok`` false,
-        ``ack.result`` ``None``) so a subscriber can surface them
-        immediately even under ``strict=False``.
+        results; the pool keeps an ack only until it is delivered.
+        Failed appends are delivered too (``ack.ok`` false,
+        ``ack.error`` set) so a subscriber can surface them immediately
+        even under ``strict=False``.
 
         With ``compile="patch"`` (or ``"page"``), each append is also
         compiled *in the worker* and the ack's ``compiled`` field carries
@@ -727,24 +724,21 @@ class SessionPool:
             raise ServiceError(
                 f"compile must be 'page', 'patch', or None, got {compile!r}"
             )
-        dispatched = 0
+        undelivered: collections.deque[AppendAck] = collections.deque()
 
         async def _dispatch_new() -> None:
             """Deliver any newly arrived acks, in arrival order."""
-            nonlocal dispatched
             if on_result is None:
                 return
             self._collect_ready()
-            while dispatched < len(self._acks):
-                ack = self._acks[dispatched]
-                dispatched += 1
-                outcome = on_result(ack)
+            while undelivered:
+                outcome = on_result(undelivered.popleft())
                 if inspect.isawaitable(outcome):
                     await outcome
 
         if on_result is not None:
-            self._attach_results = True
-            dispatched = len(self._acks)  # past acks are not this serve's
+            # acks recorded before this serve are not its own
+            self._undelivered = undelivered
         self._compile_mode = compile
         try:
             if hasattr(stream, "__aiter__"):
@@ -763,7 +757,7 @@ class SessionPool:
                     self._require_open()
                 await _dispatch_new()
         finally:
-            self._attach_results = False
+            self._undelivered = None
             self._compile_mode = None
         if not drain:
             return {}
@@ -787,22 +781,15 @@ class SessionPool:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    def acks(self) -> list[AppendAck]:
-        """All append acknowledgements received so far (submit order is
-        not guaranteed across clients; per client it is)."""
-        self._collect_ready()
-        return list(self._acks)
-
     def stats(self) -> PoolStats:
         """Lifetime counters (see :class:`PoolStats`)."""
         self._collect_ready()
-        n_failed = sum(1 for ack in self._acks if ack.error is not None)
         return PoolStats(
             pool_size=self.pool_size,
             queue_depth=self.queue_depth,
             n_submitted=self._n_submitted,
-            n_completed=len(self._acks) - n_failed,
-            n_failed=n_failed,
+            n_completed=self._n_completed,
+            n_failed=self._n_failed,
             n_clients=len(self._clients),
         )
 

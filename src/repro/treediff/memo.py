@@ -29,17 +29,11 @@ mismatch (defence in depth — e.g. a hash collision between skeletons),
 falls back to a full alignment and records a new plan.
 
 The memo is in-memory and process-salted (skeleton hashes build on
-``hash``), so it is persisted as *representative pairs*: one concrete
-``(a, b, prune)`` triple per plan (see
-:func:`repro.cache.serialize.diff_memo_to_json_bytes`).  Loading
-re-aligns each representative once — O(unique shapes), the exact
-steady-state cost the memo admits — and every subsequent pair of a known
-shape replays.
+``hash``), so it lives as long as its owner — a session's memo replays
+plans across that session's appends.
 """
 
 from __future__ import annotations
-
-from typing import Iterable
 
 from repro.paths import Path
 from repro.sqlparser.astnodes import Node
@@ -112,7 +106,6 @@ class DiffMemo:
         n_replayed: pairs answered by plan replay (no alignment DP).
         n_full: pairs that ran the full alignment (first of their shape,
             pattern misses, fallbacks, and non-default-annotation calls).
-        n_warmed: plans rebuilt from imported representative pairs.
         n_evicted_plans: plans dropped by the per-shape LRU cap.
     """
 
@@ -122,16 +115,14 @@ class DiffMemo:
                 f"max_plans_per_shape must be >= 1, got {max_plans_per_shape}"
             )
         self.max_plans_per_shape = max_plans_per_shape
-        # (skeleton(a), skeleton(b), prune) -> {literal pattern ->
-        # (plan, representative_a, representative_b)}; patterns are
-        # hashable tuples, so a shape pair that accumulates many
-        # patterns (non-template traffic) still looks up in O(1).  The
-        # inner dicts are insertion-ordered, which is what makes them an
-        # LRU when capped (hits reinsert, eviction pops the front).
-        self._plans: dict[_ShapeKey, dict[_Pattern, tuple[_Plan, Node, Node]]] = {}
+        # (skeleton(a), skeleton(b), prune) -> {literal pattern -> plan};
+        # patterns are hashable tuples, so a shape pair that accumulates
+        # many patterns (non-template traffic) still looks up in O(1).
+        # The inner dicts are insertion-ordered, which is what makes them
+        # an LRU when capped (hits reinsert, eviction pops the front).
+        self._plans: dict[_ShapeKey, dict[_Pattern, _Plan]] = {}
         self.n_replayed = 0
         self.n_full = 0
-        self.n_warmed = 0
         self.n_evicted_plans = 0
 
     # ------------------------------------------------------------------
@@ -177,9 +168,8 @@ class DiffMemo:
         pattern = literal_pattern(a, b)
         entries = self._plans.get(key)
         if entries is not None:
-            entry = entries.get(pattern)
-            if entry is not None:
-                plan, _ra, _rb = entry
+            plan = entries.get(pattern)
+            if plan is not None:
                 replayed = self._replay(plan, a, b, q1, q2, annotations)
                 if replayed is not None:
                     self.n_replayed += 1
@@ -193,23 +183,15 @@ class DiffMemo:
                 del entries[pattern]
         records = extract_diffs(a, b, q1, q2, prune=prune, annotations=annotations)
         self.n_full += 1
-        self._store_plan(key, pattern, (_plan_from(records), a, b))
-        return records
-
-    def _store_plan(
-        self,
-        key: _ShapeKey,
-        pattern: _Pattern,
-        entry: tuple[_Plan, Node, Node],
-    ) -> None:
-        """Insert a plan as most-recently-used, evicting past the cap."""
+        # insert as most-recently-used, evicting past the cap
         entries = self._plans.setdefault(key, {})
-        entries[pattern] = entry
+        entries[pattern] = _plan_from(records)
         cap = self.max_plans_per_shape
         if cap is not None:
             while len(entries) > cap:
                 entries.pop(next(iter(entries)))
                 self.n_evicted_plans += 1
+        return records
 
     @staticmethod
     def _replay(
@@ -254,45 +236,6 @@ class DiffMemo:
                 )
             )
         return out
-
-    # ------------------------------------------------------------------
-    # persistence (representative pairs)
-    # ------------------------------------------------------------------
-    def export_pairs(self) -> list[tuple[Node, Node, bool]]:
-        """One representative concrete pair per stored plan.
-
-        The trees are shared with whatever produced them (typically the
-        graph's query list), so exporting allocates no tree copies.  Feed
-        the result to :func:`repro.cache.serialize.diff_memo_to_json_bytes`.
-        """
-        out: list[tuple[Node, Node, bool]] = []
-        for (_ska, _skb, prune), entries in self._plans.items():
-            for _plan, rep_a, rep_b in entries.values():
-                out.append((rep_a, rep_b, prune))
-        return out
-
-    def import_pairs(self, pairs: Iterable[tuple[Node, Node, bool]]) -> int:
-        """Warm the memo from representative pairs (a loaded
-        ``diff_memos`` record).
-
-        Each pair is re-aligned *once* with the current algorithm — plans
-        are never trusted across processes or versions, only shapes are —
-        so a stale record can cost time but never correctness.  Pairs whose
-        shape and pattern are already covered are skipped.  Returns the
-        number of plans added.
-        """
-        added = 0
-        for rep_a, rep_b, prune in pairs:
-            key = (rep_a.skeleton, rep_b.skeleton, bool(prune))
-            pattern = literal_pattern(rep_a, rep_b)
-            entries = self._plans.setdefault(key, {})
-            if pattern in entries:
-                continue
-            records = extract_diffs(rep_a, rep_b, prune=bool(prune))
-            self._store_plan(key, pattern, (_plan_from(records), rep_a, rep_b))
-            self.n_warmed += 1
-            added += 1
-        return added
 
 
 def _plan_from(records: list[Diff]) -> _Plan:

@@ -170,52 +170,6 @@ class TestFrozenResultImmutability:
 
 
 # ----------------------------------------------------------------------
-# RL004 — proof polarity
-# ----------------------------------------------------------------------
-class TestProofPolarity:
-    def test_flags_negative_source_fed_to_proof_sink(self):
-        source = """
-        def flush(store, log_fp, opts_fp, memo, widgets):
-            store.save_closure_proofs(log_fp, opts_fp, memo, widgets)
-        """
-        assert rule_ids(source) == ["RL004"]
-
-    def test_flags_negative_substring_identifiers(self):
-        source = """
-        def flush(cache, widgets):
-            cache.import_proofs(widgets, self._memo_negatives)
-        """
-        assert rule_ids(source) == ["RL004"]
-
-    def test_flags_negative_reads_inside_export_proofs(self):
-        source = """
-        class ClosureCache:
-            def export_proofs(self, widgets):
-                return list(self._memo.items())
-        """
-        assert rule_ids(source) == ["RL004"]
-
-    def test_quiet_on_positive_triples(self):
-        source = """
-        def flush(store, log_fp, opts_fp, cache, widgets):
-            store.save_closure_proofs(log_fp, opts_fp, cache, widgets)
-
-        def adopt(cache, widgets, triples):
-            cache.import_proofs(widgets, triples)
-        """
-        assert rule_ids(source) == []
-
-    def test_short_sources_match_exactly_not_as_substrings(self):
-        # "memo" must not flag "diff_memo": the diff memo has no
-        # polarity, only closure memos do
-        source = """
-        def flush(store, log_fp, opts_fp, diff_memo, widgets):
-            store.save_closure_proofs(log_fp, opts_fp, proofs_of(diff_memo), widgets)
-        """
-        assert rule_ids(source) == []
-
-
-# ----------------------------------------------------------------------
 # RL005 — stage purity
 # ----------------------------------------------------------------------
 class TestStagePurity:

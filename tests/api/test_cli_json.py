@@ -143,7 +143,6 @@ class TestCacheCli:
         assert stats["n_keys"] == 0
         assert stats["n_graphs"] == 0
         assert stats["n_widget_sets"] == 0
-        assert stats["n_proof_sets"] == 0
         assert stats["total_bytes"] == 0
 
     def test_prune_on_empty_store_dir_exits_cleanly(self, tmp_path, capsys):
@@ -183,8 +182,7 @@ class TestCacheCli:
         assert payload["imported_keys"] == 1
         assert main(["cache", "stats", "--cache-dir", cache_dir, "--json"]) == 0
         original = _json_out(capsys)
-        for count in ("n_keys", "n_graphs", "n_widget_sets", "n_proof_sets",
-                      "n_diff_memos", "n_compiled"):
+        for count in ("n_keys", "n_graphs", "n_widget_sets"):
             assert payload[count] == original[count], count
         # the imported store still serves a full hit
         assert main(["mine", log_file, "--cache-dir", exported, "--json"]) == 0

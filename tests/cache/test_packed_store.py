@@ -18,12 +18,10 @@ from repro.api import generate
 from repro.cache.blockstore import SegmentReader
 from repro.cache.fingerprint import log_fingerprint, options_fingerprint
 from repro.cache.store import TABLES, GraphStore
-from repro.compiler.incremental import IncrementalCompiler
-from repro.core.closure import ClosureCache, expresses
 from repro.core.options import PipelineOptions
 from repro.graph.build import BuildStats, build_interaction_graph
 from repro.treediff.memo import DiffMemo
-from tests.helpers import generate_iface, map_diffs
+from tests.helpers import map_diffs
 
 SQL = [
     "SELECT a FROM t WHERE x = 1",
@@ -34,17 +32,13 @@ SQL = [
 
 
 def _mined(statements=None):
-    """One fully-derived payload set: graph, widgets, proofs, memo, page."""
+    """One fully-derived payload set: a graph and its widget set."""
     statements = statements or SQL
     options = PipelineOptions()
     queries = [parse_sql(s) for s in statements]
     stats = BuildStats()
-    memo = DiffMemo()
-    graph = build_interaction_graph(queries, window=2, stats=stats, memo=memo)
+    graph = build_interaction_graph(queries, window=2, stats=stats, memo=DiffMemo())
     widgets = map_diffs(graph.diffs, options)
-    cache = ClosureCache()
-    expresses(widgets, queries[0], queries[1], cache=cache)
-    page = IncrementalCompiler(limit=32).compile(generate_iface(statements))
     return {
         "options": options,
         "log_fp": log_fingerprint(queries),
@@ -52,9 +46,6 @@ def _mined(statements=None):
         "graph": graph,
         "stats": stats,
         "widgets": widgets,
-        "proofs": cache,
-        "memo": memo,
-        "page": page.to_state(),
     }
 
 
@@ -72,18 +63,6 @@ def _typed(store, payload):
             lambda: store.load_widget_set(
                 *fps, payload["graph"], options.library, options.annotations
             ),
-        ),
-        "proof_sets": (
-            lambda: store.save_closure_proofs(*fps, payload["proofs"], payload["widgets"]),
-            lambda: store.load_proof_triples(*fps),
-        ),
-        "diff_memos": (
-            lambda: store.save_diff_memo(*fps, payload["memo"]),
-            lambda: store.load_diff_memo_pairs(*fps),
-        ),
-        "compiled": (
-            lambda: store.save_compiled_page(*fps, payload["page"]),
-            lambda: store.load_compiled_page(*fps),
         ),
     }
 
@@ -121,14 +100,10 @@ class TestTableRegistry:
             # a derived record needs a live graph record
             assert store.record_put(table.name, key, b"{}") is False
             assert not store.record_has(table.name, key)
-            saved = save()
-            if table.name == "widget_sets":
-                # the caller holds the graph: it is re-created alongside
-                assert store.record_has("graphs", key)
-                assert store.record_has(table.name, key)
-            else:
-                assert saved is None
-                assert not store.record_has(table.name, key)
+            save()
+            # the caller holds the graph: it is re-created alongside
+            assert store.record_has("graphs", key)
+            assert store.record_has(table.name, key)
         _save_all(store, payload)
         assert store.record_has(table.name, key) and load() is not None
 
@@ -223,18 +198,6 @@ class TestParity:
                 options.library, options.annotations,
             )
             assert len(widgets) == len(payload["widgets"])
-            assert each.load_closure_proofs(
-                payload["log_fp"], payload["opts_fp"], payload["widgets"]
-            )
-            assert (
-                len(each.load_diff_memo_pairs(
-                    payload["log_fp"], payload["opts_fp"]
-                ))
-                == payload["memo"].n_plans
-            )
-            assert each.load_compiled_page(
-                payload["log_fp"], payload["opts_fp"]
-            ) == payload["page"]
 
 
 class TestMigration:
@@ -299,6 +262,24 @@ class TestMigration:
             store.key(payload["log_fp"], payload["opts_fp"])
         ]
 
+    def test_import_drops_files_of_retired_tables(self, tmp_path):
+        """A legacy directory may hold closure-proof, diff-memo and
+        compiled-page files: import deletes them, one orphan each."""
+        payload = _mined()
+        store = GraphStore(tmp_path / "store")
+        _save_all(store, payload)
+        key = store.key(payload["log_fp"], payload["opts_fp"])
+        store.export_json(tmp_path / "json")
+        suffixes = (".proofs.json", ".diffmemo.json", ".compiled.json")
+        retired = [key + suffix for suffix in suffixes]
+        retired.append("4" * 16 + "-" + "5" * 16 + ".compiled.json")  # no graph
+        for name in retired:
+            (tmp_path / "json" / name).write_text('{"version": 1}\n')
+        imported = GraphStore(tmp_path / "json")
+        assert imported.import_json() == {"imported_keys": 1, "orphans_dropped": 4}
+        assert not list((tmp_path / "json").glob("*.json*"))
+        assert _records(imported.root, key) == _records(store.root, key)
+
     def test_many_keys_round_trip(self, tmp_path):
         store = GraphStore(tmp_path / "store")
         fps = []
@@ -315,7 +296,25 @@ class TestMigration:
         assert imported.keys() == store.keys()
         for log_fp, opts_fp in fps:
             assert imported.load(log_fp, opts_fp) is not None
-        assert imported.stats()["n_compiled"] == 6
+        assert imported.stats()["n_widget_sets"] == 6
+
+
+def test_retired_table_methods_are_inert(tmp_path):
+    """The typed loads and saves of the retired tables remain as names
+    only: loads miss, saves write nothing."""
+    payload = _mined()
+    store = GraphStore(tmp_path)
+    _save_all(store, payload)
+    fps = (payload["log_fp"], payload["opts_fp"])
+    before = store.stats()
+    assert [table.name for table in TABLES] == ["graphs", "widget_sets"]
+    for name in ("load_proof_triples", "load_diff_memo_pairs", "load_compiled_page"):
+        assert getattr(store, name)(*fps) is None, name
+    assert store.save_closure_proofs(*fps, None, payload["widgets"]) is None
+    assert store.save_diff_memo(*fps, None) is None
+    assert store.save_compiled_page(*fps, {}) is None
+    assert store.stats() == before
+    assert sorted(p.name for p in tmp_path.glob("*.seg")) == ["graphs.seg", "widgets.seg"]
 
 
 class TestPackedStats:
@@ -328,9 +327,7 @@ class TestPackedStats:
         assert stats["n_keys"] == 1
         assert stats["n_graphs"] == 1
         assert stats["n_widget_sets"] == 1
-        assert stats["n_proof_sets"] == 1
-        assert stats["n_diff_memos"] == 1
-        assert stats["n_compiled"] == 1
+        assert set(stats["bytes_by_table"]) == {"graphs", "widget_sets"}
         assert sum(stats["bytes_by_table"].values()) == stats["total_bytes"]
         for table in (t.name for t in TABLES):
             entry = stats["tables"][table]
@@ -419,8 +416,6 @@ class TestPackedEviction:
         stats = store.stats()
         assert stats["n_keys"] == 0
         assert stats["n_widget_sets"] == 0
-        assert stats["n_proof_sets"] == 0
-        assert stats["n_diff_memos"] == 0
         assert store.load(payload["log_fp"], payload["opts_fp"]) is None
 
     def test_max_bytes_reclaims_space_on_disk(self, tmp_path):
@@ -458,9 +453,10 @@ class TestPackedEviction:
         stats = store.stats()
         assert stats["n_widget_sets"] == 0
         assert stats["n_graphs"] == 1
-        assert stats["n_diff_memos"] == 1
         with pytest.raises(ValueError):
             store.invalidate_table("graphs")
+        with pytest.raises(ValueError):
+            store.invalidate_table("diff_memos")
 
 
 class TestPackedCorruption:

@@ -1,12 +1,15 @@
-"""On-disk compatibility: segments written before the store served a
-single layout open unchanged.
+"""On-disk compatibility: a store written by the five-table code opens
+as a two-table store.
 
-``fixtures/five_table_store`` holds one key in all five tables, written
-by the store code that still carried the JSON layout (the payload of
-``_mined(STATEMENTS)`` with its wall-clock ``mining_seconds`` pinned to
-0.5).  The segment framing, the META header and every record's payload
-bytes are unchanged since, so the current code must read every record,
-and re-encoding the same payload must give the same bytes.
+``fixtures/five_table_store`` holds one key in all five tables the store
+once kept (graphs, widget sets, closure proofs, diff memos, compiled
+pages), written by the store code that still carried the JSON layout
+(the payload of ``_mined(STATEMENTS)`` with its wall-clock
+``mining_seconds`` pinned to 0.5).  The segment framing, the META header
+and the graph and widget-set payload bytes are unchanged since, so the
+current code must read both records, and re-encoding the same payload
+must give the same bytes.  The three retired segments are deleted on
+open, so that prune caps never count their bytes.
 """
 
 import shutil
@@ -18,10 +21,14 @@ from tests.cache.test_packed_store import _mined, _save_all, _typed
 
 FIXTURE = Path(__file__).parent / "fixtures" / "five_table_store"
 STATEMENTS = [f"SELECT a FROM t WHERE x = {v}" for v in (1, 2, 5, 9)]
+RETIRED = ("proofs.seg", "diffmemos.seg", "compiled.seg")
 
 
 def test_segments_from_before_the_single_layout_open_byte_identical(tmp_path):
-    old = GraphStore(shutil.copytree(FIXTURE, tmp_path / "old"))
+    copy = shutil.copytree(FIXTURE, tmp_path / "old")
+    assert all((copy / name).exists() for name in RETIRED)
+    old = GraphStore(copy)
+    assert not any((copy / name).exists() for name in RETIRED)
     payload = _mined(STATEMENTS)
     payload["stats"].mining_seconds = 0.5
     fresh = GraphStore(tmp_path / "fresh")
@@ -30,6 +37,10 @@ def test_segments_from_before_the_single_layout_open_byte_identical(tmp_path):
     (key,) = old.keys()
     assert key == fresh.key(payload["log_fp"], payload["opts_fp"])
     stats = old.stats()
+    assert set(stats["bytes_by_table"]) == {"graphs", "widget_sets"}
+    assert stats["total_bytes"] == sum(
+        (copy / table.segment).stat().st_size for table in TABLES
+    )
     for table in TABLES:
         assert stats[table.counter] == 1, table.name
         record = SegmentReader(old.root / table.segment).get(key)

@@ -28,10 +28,8 @@ import pytest
 from repro import parse_sql
 from repro.cache.fingerprint import log_fingerprint, options_fingerprint
 from repro.cache.store import TABLES, GraphStore
-from repro.core.closure import ClosureCache, expresses
 from repro.core.options import PipelineOptions
 from repro.graph.build import BuildStats, build_interaction_graph
-from repro.treediff.memo import DiffMemo
 from tests.helpers import map_diffs
 
 pytestmark = [
@@ -44,8 +42,9 @@ pytestmark = [
 N_PROCESSES = 4
 N_OPS = 150
 N_KEYS = 6
-#: tight enough that only ~2-3 of the 6 keys fit -> constant eviction
-MAX_BYTES = 9_000
+#: about the size of all 6 keys' first, uncompacted graph and widget
+#: records (4.6 KB), so every burst of re-saves evicts -> constant eviction
+MAX_BYTES = 4_500
 
 
 def _payloads():
@@ -60,11 +59,8 @@ def _payloads():
         ]
         queries = [parse_sql(s) for s in statements]
         stats = BuildStats()
-        memo = DiffMemo()
-        graph = build_interaction_graph(queries, window=2, stats=stats, memo=memo)
+        graph = build_interaction_graph(queries, window=2, stats=stats)
         widgets = map_diffs(graph.diffs, options)
-        cache = ClosureCache()
-        expresses(widgets, queries[0], queries[1], cache=cache)
         payloads.append(
             {
                 "log_fp": log_fingerprint(queries),
@@ -72,8 +68,6 @@ def _payloads():
                 "graph": graph,
                 "stats": stats,
                 "widgets": widgets,
-                "proofs": cache,
-                "diffmemo": memo,
             }
         )
     return payloads
@@ -101,11 +95,8 @@ def _hammer(
                     "save",
                     "save",
                     "widgets",
-                    "proofs",
-                    "diffmemo",
                     "load",
                     "load_widgets",
-                    "load_diffmemo",
                     "prune",
                 ]
             )
@@ -119,21 +110,6 @@ def _hammer(
                     payload["log_fp"], payload["opts_fp"],
                     payload["widgets"], payload["graph"],
                 )
-            elif op == "proofs":
-                store.save_closure_proofs(
-                    payload["log_fp"], payload["opts_fp"],
-                    payload["proofs"], payload["widgets"],
-                )
-            elif op == "diffmemo":
-                store.save_diff_memo(
-                    payload["log_fp"], payload["opts_fp"], payload["diffmemo"]
-                )
-            elif op == "load_diffmemo":
-                pairs = store.load_diff_memo_pairs(
-                    payload["log_fp"], payload["opts_fp"]
-                )
-                if pairs is not None:
-                    assert len(pairs) == payload["diffmemo"].n_plans
             elif op == "load":
                 loaded = store.load(payload["log_fp"], payload["opts_fp"])
                 if loaded is not None:
@@ -245,9 +221,6 @@ def test_concurrent_pruners_never_break_caps_or_orphan(tmp_path):
         store.save_widget_set(
             payload["log_fp"], payload["opts_fp"],
             payload["widgets"], payload["graph"],
-        )
-        store.save_diff_memo(
-            payload["log_fp"], payload["opts_fp"], payload["diffmemo"]
         )
 
     def prune_hard(seed: int, failures: "mp.Queue") -> None:

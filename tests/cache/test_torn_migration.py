@@ -93,7 +93,7 @@ class TestResumeTowardPacked:
         store.import_json()
         stats = store.stats()
         assert stats["n_keys"] == 2
-        assert stats["n_graphs"] == stats["n_compiled"] == 2
+        assert stats["n_graphs"] == stats["n_widget_sets"] == 2
         assert stats["format"] == "packed"
 
 

@@ -1,5 +1,5 @@
 """Incremental compiler tests: byte-parity with the one-shot compiler,
-artifact reuse, the patch wire format, and the persisted page state.
+artifact reuse, and the patch wire format.
 
 The acceptance bar for the incremental refactor is *byte identity*: at
 every append, folding the session's patch stream must render exactly the
@@ -7,6 +7,7 @@ page the reference product walk (``tests/oracle.py``) produces, on every
 bundled log family.
 """
 
+import json
 from pathlib import Path as FilePath
 
 import pytest
@@ -18,7 +19,6 @@ from repro.api import InterfaceSession
 from repro.compiler import Database, Table, compile_html
 from repro.compiler.incremental import (
     PATCH_VERSION,
-    CompiledPage,
     IncrementalCompiler,
     apply_patch,
     make_patch,
@@ -262,9 +262,7 @@ class TestPatchWireFormat:
         page = compiler.compile(interface)
         state = page.to_state()
         assert state["version"] == PATCH_VERSION
-        bad = dict(state, version=PATCH_VERSION + 1)
-        with pytest.raises(CompileError, match="version"):
-            CompiledPage.from_state(bad)
+        assert make_patch(None, page)["version"] == PATCH_VERSION
         with pytest.raises(CompileError, match="version"):
             apply_patch(None, {"version": PATCH_VERSION + 1, "kind": "page"})
 
@@ -292,36 +290,10 @@ class TestPatchWireFormat:
     def test_state_round_trips(self, interface):
         compiler = IncrementalCompiler(limit=64)
         page = compiler.compile(interface)
-        clone = CompiledPage.from_state(page.to_state())
-        assert clone.html() == page.html()
-        assert clone.to_state() == page.to_state()
-
-
-# ----------------------------------------------------------------------
-# persisted page state (import_state)
-# ----------------------------------------------------------------------
-class TestImportState:
-    def test_fresh_compiler_replays_adopted_slices(self, interface):
-        donor = IncrementalCompiler(limit=64)
-        state = donor.compile(interface).to_state()
-
-        fresh = IncrementalCompiler(limit=64)
-        adopted = fresh.import_state(state)
-        assert adopted == len(state["closure"])
-        page = fresh.compile(interface)
-        assert page.html() == page_html(state)
-        assert fresh.stats.combos_replayed == adopted
-        assert fresh.stats.combos_rendered == 0
-
-    def test_foreign_initial_sql_adopts_nothing(self, interface):
-        donor = IncrementalCompiler(limit=64)
-        state = donor.compile(interface).to_state()
-        other = generate_iface(
-            ["SELECT a FROM s WHERE b = 1", "SELECT a FROM s WHERE b = 2"]
-        )
-        fresh = IncrementalCompiler(limit=64)
-        fresh.compile(other)  # arms a different initial query
-        assert fresh.import_state(state) == 0
+        # the state is plain JSON, and a full-page patch folds back to it
+        state = json.loads(json.dumps(page.to_state()))
+        assert apply_patch(None, make_patch(None, page)) == state
+        assert page_html(state) == page.html()
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,13 @@
 
 from tests.helpers import generate_iface
 from repro import parse_sql
-from repro.core.closure import apply_widget_choice, enumerate_closure
+from repro.api import InterfaceSession
+from repro.core.closure import (
+    ClosureCache,
+    apply_widget_choice,
+    enumerate_closure,
+    expresses,
+)
 from repro.logs import LISTING_6, LISTING_7
 from repro.sqlparser.render import render_sql
 
@@ -42,6 +48,46 @@ class TestMembershipListing7:
         assert listing7_interface.expresses(
             parse_sql("SELECT * FROM (SELECT a FROM T WHERE b > 20)")
         )
+
+
+class TestClosureCache:
+    """Positive proofs carry across membership queries in process, and
+    only for the widget set they were proved against."""
+
+    LOG = ["SELECT a FROM t WHERE x = 1", "SELECT a FROM t WHERE x = 2",
+           "SELECT a FROM t WHERE x = 5"]
+
+    def test_proofs_carry_across_calls_for_one_widget_set(self):
+        interface = generate_iface(self.LOG)
+        cache = ClosureCache()
+        target = parse_sql("SELECT a FROM t WHERE x = 2")
+        assert expresses(interface.widgets, interface.initial_query, target, cache=cache)
+        proven = dict(cache.proven_for(interface.widgets))
+        assert proven and all(proven.values())
+        assert expresses(interface.widgets, interface.initial_query, target, cache=cache)
+        assert cache.proven_for(interface.widgets) == proven
+
+    def test_another_widget_set_rearms_the_cache(self):
+        interface = generate_iface(self.LOG)
+        cache = ClosureCache()
+        interface.expresses(parse_sql("SELECT a FROM t WHERE x = 2"), cache=cache)
+        assert len(cache) > 0
+        other = generate_iface(["SELECT b FROM u WHERE y = 1",
+                                "SELECT b FROM u WHERE y = 2"])
+        assert cache.proven_for(other.widgets) == {}
+
+    def test_session_keeps_proofs_across_clean_appends(self):
+        session = InterfaceSession()
+        session.append_sql(self.LOG)
+        assert session.expresses("SELECT a FROM t WHERE x = 3")
+        widgets = session.interface.widgets
+        proven = dict(session._closure_cache.proven_for(widgets))
+        assert proven
+        # a repeated query adds no diff: every widget comes back as the
+        # same object, so the proofs survive the append
+        session.append_sql([self.LOG[-1]])
+        assert session.interface.widgets == widgets
+        assert session._closure_cache.proven_for(session.interface.widgets) == proven
 
 
 class TestEnumeration:

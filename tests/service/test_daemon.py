@@ -25,6 +25,7 @@ from repro.cache.store import TABLES, GraphStore
 from repro.core.options import PipelineOptions
 from repro.errors import CacheError, ServiceError
 from repro.service import StoreDaemon, running_daemon
+from repro.service import daemon as daemon_module
 from tests.cache.test_packed_store import _mined, _save_all
 
 
@@ -68,13 +69,6 @@ class TestRoundTrip:
                 payload["options"].library, payload["options"].annotations,
             )
             assert len(widgets) == len(payload["widgets"])
-            assert store.load_proof_triples(
-                payload["log_fp"], payload["opts_fp"]
-            )
-            pairs = store.load_diff_memo_pairs(
-                payload["log_fp"], payload["opts_fp"]
-            )
-            assert len(pairs) == payload["memo"].n_plans
 
             key = store.key(payload["log_fp"], payload["opts_fp"])
             assert store.keys() == [key]
@@ -127,7 +121,7 @@ class TestRoundTrip:
             clients = daemon_stats["clients"]
             assert len(clients) == 1
             meter = next(iter(clients.values()))
-            assert meter["requests"] >= 4  # the four saves at minimum
+            assert meter["requests"] >= 2  # the two saves at minimum
             assert meter["bytes_in"] > 0
             assert meter["refused"] == 0
 
@@ -215,6 +209,61 @@ class TestFlushThroughTheDaemon:
             assert store.format == ("remote" if remote else "packed")
 
 
+class TestSessionTraffic:
+    """What a session asks of the store daemon: its first append probes
+    the graph table once, later appends and their compiles ask nothing,
+    and a flush puts one graph and one widget set."""
+
+    STATEMENTS = [f"SELECT a FROM t WHERE x = {v}" for v in (1, 2, 5, 9, 4)]
+
+    @staticmethod
+    def _session(tmp_path, sock_path):
+        return InterfaceSession(
+            options=PipelineOptions(
+                cache_dir=str(tmp_path / "local"), daemon_socket=sock_path
+            )
+        )
+
+    @staticmethod
+    def _requests(daemon):
+        return sum(m["requests"] for m in daemon.daemon_stats()["clients"].values())
+
+    def test_appends_after_the_first_make_no_requests(self, tmp_path, sock_path):
+        with running_daemon(tmp_path / "served", sock_path) as daemon:
+            session = self._session(tmp_path, sock_path)
+            before = self._requests(daemon)
+            session.append_sql(self.STATEMENTS[:2])
+            session.compile_patch()
+            first = self._requests(daemon) - before
+            later = []
+            for statement in self.STATEMENTS[2:]:
+                before = self._requests(daemon)
+                session.append_sql([statement])
+                session.compile_patch()
+                later.append(self._requests(daemon) - before)
+        assert first == 1  # the graph-table probe
+        assert later == [0, 0, 0]
+
+    def test_flush_puts_one_graph_and_one_widget_set(
+        self, tmp_path, sock_path, monkeypatch
+    ):
+        sent = []
+        call = StoreClient.call
+
+        def recording(self, op, *args, **fields):
+            sent.append((op, fields.get("table")))
+            return call(self, op, *args, **fields)
+
+        with running_daemon(tmp_path / "served", sock_path):
+            session = self._session(tmp_path, sock_path)
+            session.append_sql(self.STATEMENTS)
+            session.compile_patch()
+            session.expresses(self.STATEMENTS[0])
+            monkeypatch.setattr(StoreClient, "call", recording)
+            session.flush_to_store()
+        assert sent == [("put", "graphs"), ("put", "widget_sets")]
+
+
 class TestLifecycle:
     def test_client_fails_open_when_daemon_dies(self, tmp_path, sock_path, payload):
         root = tmp_path / "store"
@@ -282,6 +331,35 @@ class TestLifecycle:
         assert reply["ok"]
         assert _wait_until(lambda: not daemon.running)
         daemon.stop()  # idempotent after an RPC shutdown
+
+    def test_shutdown_reply_is_written_before_the_teardown(
+        self, tmp_path, sock_path, monkeypatch
+    ):
+        """The teardown severs the handler's connection and unlinks the
+        socket, so it may only start once the reply is out: otherwise a
+        descheduled handler loses the reply and the client's reconnect
+        finds no socket."""
+        order = []
+        write_message = daemon_module.write_message
+        request_shutdown = StoreDaemon._request_async_shutdown
+
+        def recording_write(*args, **kwargs):
+            write_message(*args, **kwargs)
+            order.append("reply")
+
+        def recording_shutdown(self):
+            order.append("shutdown")
+            request_shutdown(self)
+
+        monkeypatch.setattr(daemon_module, "write_message", recording_write)
+        monkeypatch.setattr(StoreDaemon, "_request_async_shutdown", recording_shutdown)
+        daemon = StoreDaemon(tmp_path / "store", sock_path)
+        daemon.start()
+        reply, _ = StoreClient(sock_path).call("shutdown")
+        assert reply["ok"]
+        assert _wait_until(lambda: not daemon.running)
+        daemon.stop()
+        assert order == ["reply", "shutdown"]
 
     def test_missing_daemon_constructor_fails_open(self, tmp_path, payload):
         """remote= pointing nowhere never blocks a worker: the store

@@ -86,14 +86,15 @@ class TestSubmitDrain:
         assert shards == {0, 1}
 
     def test_acks_and_stats_count_appends(self, pool):
-        before = pool.stats().n_submitted
-        pool.submit("counted", LOG_A[0])
-        pool.submit("counted", LOG_A[1])
+        before = pool.stats()
+        acks = []
+        events = [("counted", LOG_A[0]), ("counted", LOG_A[1])]
+        asyncio.run(pool.serve(events, on_result=acks.append, drain=False))
         pool.drain()
         stats = pool.stats()
-        assert stats.n_submitted == before + 2
-        acks = [a for a in pool.acks() if a.client_id == "counted"]
-        assert len(acks) == 2
+        assert stats.n_submitted == before.n_submitted + 2
+        assert stats.n_completed == before.n_completed + 2
+        assert [a.client_id for a in acks] == ["counted", "counted"]
         assert all(a.ok and a.n_widgets >= 0 for a in acks)
         assert [a.n_queries for a in sorted(acks, key=lambda a: a.seq)] == [1, 2]
 
@@ -139,20 +140,24 @@ class TestErrors:
 
 class TestConcurrentIntrospection:
     def test_stats_polling_during_drain_does_not_lose_the_reply(self):
-        """Regression: a stats()/acks() call racing drain() used to pop
-        the worker's 'drained' reply off the shared outbox and drop it,
-        hanging drain() forever.  Poll aggressively while draining."""
+        """Regression: a stats()/pending() call racing drain() used to
+        pop the worker's 'drained' reply off the shared outbox and drop
+        it, hanging drain() forever.  Poll aggressively while draining."""
         import threading
 
         with SessionPool(pool_size=2, queue_depth=4) as pool:
             for index in range(6):
                 pool.submit(f"poll-{index % 2}", LOG_A[index % len(LOG_A)])
             stop = threading.Event()
+            errors = []
 
             def hammer_stats():
-                while not stop.is_set():
-                    pool.stats()
-                    pool.acks()
+                try:
+                    while not stop.is_set():
+                        pool.stats()
+                        pool.pending()
+                except Exception as exc:  # surfaced below, not swallowed
+                    errors.append(exc)
 
             poller = threading.Thread(target=hammer_stats, daemon=True)
             poller.start()
@@ -162,6 +167,43 @@ class TestConcurrentIntrospection:
                 stop.set()
                 poller.join(timeout=10)
             assert set(results) == {"poll-0", "poll-1"}
+            assert not errors
+
+    def test_counts_stay_exact_under_concurrent_polling(self):
+        """Acks are counted by whichever thread reads the outbox; with
+        several threads polling at a tiny switch interval, a lost
+        update would leave a completed append uncounted."""
+        import sys
+        import threading
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with SessionPool(pool_size=1, queue_depth=4) as pool:
+                stop = threading.Event()
+
+                def poll():
+                    while not stop.is_set():
+                        pool.stats()
+                        pool.pending()
+
+                pollers = [threading.Thread(target=poll, daemon=True) for _ in range(4)]
+                for poller in pollers:
+                    poller.start()
+                try:
+                    for index in range(30):
+                        pool.submit("polled", LOG_A[index % len(LOG_A)])
+                    pool.drain()
+                finally:
+                    stop.set()
+                    for poller in pollers:
+                        poller.join(timeout=10)
+                assert not any(poller.is_alive() for poller in pollers)
+                stats = pool.stats()
+                assert (stats.n_completed, stats.n_failed) == (30, 0)
+                assert pool.pending() == 0
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_drain_scoped_to_clients_leaves_other_failures_pending(self, pool):
         pool.submit("scoped-bad", "SELECT FROM WHERE")

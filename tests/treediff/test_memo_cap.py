@@ -87,14 +87,6 @@ class TestEviction:
                 assert _signatures(direct) == _signatures(memoised)
         assert memo.n_evicted_plans > 0
 
-    def test_import_pairs_respects_cap(self):
-        donor = DiffMemo()
-        for a, b in PATTERNS:
-            donor.extract(a, b)
-        capped = DiffMemo(max_plans_per_shape=2)
-        capped.import_pairs(donor.export_pairs())
-        assert capped.n_plans == 2
-
 
 class TestPipelinePlumbing:
     STATEMENTS = [

@@ -23,11 +23,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.serialize import (
-    diff_memo_from_dict,
-    diff_memo_to_dict,
-    diff_to_dict,
-)
+from repro.cache.serialize import diff_to_dict
 from repro.core.interface import Interface
 from repro.core.options import PipelineOptions
 from repro.graph.build import BuildStats, build_interaction_graph
@@ -141,28 +137,6 @@ def test_memoised_mining_full_parity(statements):
     assert direct_iface.widget_summary() == memoised_iface.widget_summary()
     for probe in asts[-3:]:
         assert direct_iface.expresses(probe) == memoised_iface.expresses(probe)
-
-
-@settings(max_examples=15, deadline=None)
-@given(template_statements(min_size=4, max_size=8))
-def test_export_import_roundtrip_parity(statements):
-    """A memo serialised to its representative-pair payload and re-imported
-    replays byte-identically (and actually replays, not re-aligns)."""
-    asts = [parse_sql(sql) for sql in statements]
-    source = DiffMemo()
-    for a, b in zip(asts, asts[1:]):
-        source.extract(a, b)
-    payload = diff_memo_to_dict(source.export_pairs())
-    restored = DiffMemo()
-    restored.import_pairs(diff_memo_from_dict(payload))
-    assert restored.n_plans == source.n_plans
-    for a, b in zip(asts, asts[1:]):
-        direct = extract_diffs(a, b)
-        memoised = restored.extract(a, b)
-        assert _dicts(direct) == _dicts(memoised)
-    # every pair was seen at import time: nothing required a full alignment
-    assert restored.n_full == 0
-    assert restored.n_replayed == len(asts) - 1
 
 
 def test_known_adversarial_anchor_flip():
