@@ -22,9 +22,10 @@ byte-identical.
 
 Writes ``results/BENCH_mine.json`` (the perf-trajectory record CI's
 regression gate compares against
-``benchmarks/baselines/bench_mine_baseline.json``; dimensionless
-speedups only, so the gate holds across hardware).  Set
-``REPRO_BENCH_BUDGET=tiny`` for the CI smoke variant.
+``benchmarks/baselines/bench_mine_baseline.json``: dimensionless
+speedups, so the gate holds across hardware, and the memo's plan counts
+``n_plans_<family>``, gated exactly).  Set ``REPRO_BENCH_BUDGET=tiny``
+for the CI smoke variant.
 """
 
 import json

@@ -9,6 +9,12 @@ non-zero when any metric regressed by more than the tolerance factor
 reported but never gated — they differ across hardware; speedup ratios
 do not.
 
+A baseline may also list deterministic work counters under ``counters``
+(``{"n_plans_sdss": 3, ...}``).  Those are gated exactly: the run fails
+when a listed counter is missing from the current results or differs
+from its baseline value, because a ratio gate misses a change that hits
+both arms alike.
+
 Usage:
     python scripts/check_bench_regression.py \
         [current.json] [baseline.json] [--tolerance 2.0]
@@ -61,6 +67,12 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     failures = 0
+    for key, expected in sorted(baseline.get("counters", {}).items()):
+        now = current.get(key)
+        verdict = "OK  " if now == expected else "FAIL"
+        if now != expected:
+            failures += 1
+        print(f"  {verdict} {key}: current {now!r} vs baseline {expected!r} (exact)")
     for key in gated:
         base = float(baseline[key])
         now = float(current[key])
@@ -77,7 +89,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  info {key}: {float(current[key]) * 1000:.1f} ms (not gated)")
     if failures:
         print(f"\n{failures} metric(s) regressed by more than "
-              f"{args.tolerance}x vs the committed baseline")
+              f"{args.tolerance}x or moved off their exact counter "
+              "vs the committed baseline")
         return 1
     print("\nbenchmark within tolerance of the committed baseline")
     return 0

@@ -12,7 +12,7 @@ from repro.sqlparser.astnodes import Node
 from repro.sqlparser.grammar import SQL_ANNOTATIONS, GrammarAnnotations, subtree_kind
 from repro.sqlparser.parser import Parser, parse_many, parse_sql
 from repro.sqlparser.render import render_sql
-from repro.sqlparser.tokens import Lexer, Token, TokenKind, tokenize
+from repro.sqlparser.tokens import Token, TokenKind, tokenize
 
 __all__ = [
     "Node",
@@ -23,7 +23,6 @@ __all__ = [
     "tokenize",
     "Token",
     "TokenKind",
-    "Lexer",
     "GrammarAnnotations",
     "SQL_ANNOTATIONS",
     "subtree_kind",

@@ -38,6 +38,27 @@ class _MissingLiteral:
 #: See :class:`_MissingLiteral`.
 MISSING_LITERAL = _MissingLiteral()
 
+#: Attributes that spell a literal's value, abstracted by the skeleton
+#: with it: a hex literal's ``text`` (``0x1`` and ``0x01`` spell one value).
+_SPELLINGS = {"HexExpr": "text"}
+
+
+def _literal_entry(node: "Node", value_attributes: Mapping[str, str]) -> object:
+    """A bare literal leaf's entry in :attr:`Node.literal_values`.
+
+    The leaf's value attribute (named by ``value_attributes``, default
+    ``value``), or :data:`MISSING_LITERAL` when absent; ``(value,
+    spelling)`` for a literal type listed in :data:`_SPELLINGS`.  The
+    parser's template cache builds its literal vectors with this too.
+    """
+    value = node.attributes.get(
+        value_attributes.get(node.node_type, "value"), MISSING_LITERAL
+    )
+    spelling = _SPELLINGS.get(node.node_type)
+    if spelling is None:
+        return value
+    return value, node.attributes.get(spelling, MISSING_LITERAL)
+
 
 class Node:
     """One AST node.
@@ -113,7 +134,8 @@ class Node:
         node types, and operator heads but may differ in literal *values*:
         a bare literal leaf (``NumExpr(5)``, ``ColExpr(sales)``, ...)
         contributes only its node type and its ``classify_change`` kind,
-        with the value attribute abstracted away.  Template-repetitive
+        with the value attribute abstracted away — and, for a hex
+        literal, the ``text`` that spells the value.  Template-repetitive
         logs — thousands of queries differing only in literals — collapse
         to a handful of skeletons, which is what the
         :class:`~repro.treediff.memo.DiffMemo` keys its alignment plans
@@ -133,14 +155,15 @@ class Node:
                 self.node_type
             )
             if kind is not None:
-                value_attr = SQL_ANNOTATIONS.value_attributes.get(
-                    self.node_type, "value"
+                abstracted = (
+                    SQL_ANNOTATIONS.value_attributes.get(self.node_type, "value"),
+                    _SPELLINGS.get(self.node_type),
                 )
                 attr_items = tuple(
                     sorted(
                         item
                         for item in self.attributes.items()
-                        if item[0] != value_attr
+                        if item[0] not in abstracted
                     )
                 )
                 self._skeleton = hash(("$lit", self.node_type, attr_items, kind))
@@ -157,24 +180,43 @@ class Node:
         One entry per bare literal leaf: the leaf's value attribute (or
         :data:`MISSING_LITERAL` when the attribute is absent, so a leaf
         lacking its value never pattern-matches one carrying ``None``).
-        Together with :attr:`skeleton` this is a lossless split of the
-        subtree for diff purposes: skeleton + literal values determine
-        every equality the tree aligner can observe.
+        A hex literal's entry is ``(value, text)``: ``0x1`` and ``0x01``
+        have equal values but are unequal nodes.  Together with
+        :attr:`skeleton` this is a lossless split of the subtree for diff
+        purposes: skeleton + literal values determine every equality the
+        tree aligner can observe.
         """
         if self._literals is None:
             from repro.sqlparser.grammar import SQL_ANNOTATIONS
 
-            values = []
-            for node in self.preorder():
-                if node.children:
-                    continue
-                if node.node_type in SQL_ANNOTATIONS.literal_types:
-                    attr = SQL_ANNOTATIONS.value_attributes.get(
-                        node.node_type, "value"
-                    )
-                    values.append(node.attributes.get(attr, MISSING_LITERAL))
-            self._literals = tuple(values)
+            self._literals = tuple(
+                _literal_entry(node, SQL_ANNOTATIONS.value_attributes)
+                for node in self.preorder()
+                if not node.children and node.node_type in SQL_ANNOTATIONS.literal_types
+            )
         return self._literals
+
+    def reshaped(
+        self, children: tuple["Node", ...], literals: tuple | None = None
+    ) -> "Node":
+        """This node over other children of the same shape.
+
+        The caller guarantees that ``children`` differ from this node's
+        only in values its :attr:`skeleton` abstracts, so the new node
+        shares this node's attributes and carries its skeleton and size
+        instead of recomputing them, and ``literals`` (when given) as its
+        :attr:`literal_values`.  The parser's template cache builds ASTs
+        this way (see :mod:`repro.sqlparser.parser`).
+        """
+        node = Node.__new__(Node)
+        node.node_type = self.node_type
+        node.attributes = self.attributes
+        node.children = children
+        node._fingerprint = None
+        node._size = self._size
+        node._skeleton = self._skeleton
+        node._literals = literals
+        return node
 
     def equals(self, other: "Node") -> bool:
         """Deep structural equality."""

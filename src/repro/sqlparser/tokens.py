@@ -17,16 +17,20 @@ OnTime schema, and Tableau-generated ad-hoc queries):
 
 Keywords are recognised case-insensitively and reported with a dedicated
 token kind so the parser does not need to re-compare strings.
+
+The scan is one compiled master regex (:data:`_TOKEN_RE`), so the loop
+over characters runs in the regex engine, not in Python.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 
 from repro.errors import SQLSyntaxError
 
-__all__ = ["TokenKind", "Token", "Lexer", "tokenize", "KEYWORDS"]
+__all__ = ["TokenKind", "Token", "tokenize", "KEYWORDS"]
 
 
 class TokenKind(enum.Enum):
@@ -89,171 +93,130 @@ class Token:
         return f"Token({self.kind.name}, {self.value!r}@{self.position})"
 
 
-class Lexer:
-    """Stateful scanner over a SQL string.
+#: Whitespace and comments; ``\s`` is exactly ``str.isspace``.
+_TRIVIA = r"(?:\s+|--[^\n]*|/\*.*?\*/)*"
 
-    Typical use is via the module-level :func:`tokenize` helper::
+#: The master pattern.  One match is one token with the trivia after it
+#: (and, for the first token, the trivia before it), so the matches tile
+#: the input.  Its groups are:
+#:
+#: 1. the leading trivia of the input;
+#: 2. the text of a word, quoted identifier, operator or punctuation mark;
+#: 3. the text of a literal, with a *marker* group for two of its kinds
+#:    (a number has none):
+#:    4. a hex literal's ``0x``/``0X`` prefix,
+#:    5. a string literal's opening quote;
+#: 6. the text of a lexical error (an unterminated comment, string or
+#:    quoted identifier, a bare ``0x``, or a character no token starts
+#:    with);
+#: 7. the trivia after the token;
+#:
+#: and a match whose groups 2, 3 and 6 are all empty is the end of input.
+#: ``\w`` is exactly ``str.isalnum`` plus ``_`` and ``\d`` exactly
+#: ``str.isdecimal``, so a number takes only digits ``int`` and ``float``
+#: accept.  ``[^\W\d]`` also admits numeric characters that are not
+#: letters (``²``, ``Ⅻ``); :func:`tokenize` rejects a word that starts
+#: with one.  A string's closing quote is the first one not doubled.
+_TOKEN_RE = re.compile(
+    r"(?:\A(" + _TRIVIA + r"))?"
+    r"""(?:
+        ( [^\W\d]\w* | "[^"]*" | `[^`]*` | \[[^\]]*\]
+        | <> | != | >= | <= | \|\| | [-+*%=<>(),;] | \.(?!\d) | /(?!\*) )
+      | ( (0[xX])[0-9a-fA-F]+
+        | (')(?:[^']|'')*'(?!')
+        | (?!0[xX])(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)? )
+      | ( 0[xX] | /\* | . )
+      | \Z
+    )"""
+    "(" + _TRIVIA + ")",
+    re.DOTALL | re.VERBOSE,
+)
 
-        tokens = tokenize("SELECT * FROM t")
+_FIXED_KINDS = {
+    "(": TokenKind.LPAREN,
+    ")": TokenKind.RPAREN,
+    ",": TokenKind.COMMA,
+    ";": TokenKind.SEMICOLON,
+    ".": TokenKind.DOT,
+    "*": TokenKind.STAR,
+    **{op: TokenKind.OPERATOR for op in (*_MULTI_OPS, *_SINGLE_OPS - {"*"})},
+}
+
+_ERRORS = {
+    "'": "unterminated string literal",
+    '"': "unterminated quoted identifier",
+    "`": "unterminated quoted identifier",
+    "[": "unterminated quoted identifier",
+    "/*": "unterminated block comment",
+    "0x": "malformed hex literal",
+    "0X": "malformed hex literal",
+}
+
+#: One token as :func:`_scan` reports it: the seven groups of the pattern.
+Scanned = tuple[str, str, str, str, str, str, str]
+
+
+def _scan(sql: str) -> list[Scanned]:
+    """The master pattern's groups for each token of ``sql``, in order,
+    ending with the end of input (one entry per match; see
+    :data:`_TOKEN_RE`).
+
+    This is the parser's template-cache view of a statement: a literal's
+    text sits in field 2 alone, so fields 1, 3, 4 and 5 abstract the
+    literal to its kind.  :func:`_tokens_from` turns it into
+    :class:`Token` objects.
     """
+    return _TOKEN_RE.findall(sql)
 
-    def __init__(self, sql: str):
-        self._sql = sql
-        self._pos = 0
-        self._n = len(sql)
 
-    def tokens(self) -> list[Token]:
-        """Scan the entire input and return the token list (EOF-terminated)."""
-        out: list[Token] = []
-        while True:
-            token = self._next_token()
-            out.append(token)
-            if token.kind is TokenKind.EOF:
-                return out
+def _string_value(text: str) -> str:
+    """The value of a string literal token from its quoted source text."""
+    return text[1:-1].replace("''", "'")
 
-    # ------------------------------------------------------------------
-    # scanning internals
-    # ------------------------------------------------------------------
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        if index < self._n:
-            return self._sql[index]
-        return ""
 
-    def _skip_trivia(self) -> None:
-        """Advance past whitespace and comments."""
-        while self._pos < self._n:
-            ch = self._sql[self._pos]
-            if ch.isspace():
-                self._pos += 1
-            elif ch == "-" and self._peek(1) == "-":
-                while self._pos < self._n and self._sql[self._pos] != "\n":
-                    self._pos += 1
-            elif ch == "/" and self._peek(1) == "*":
-                end = self._sql.find("*/", self._pos + 2)
-                if end < 0:
-                    raise SQLSyntaxError(
-                        "unterminated block comment", self._sql, self._pos
-                    )
-                self._pos = end + 2
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        self._skip_trivia()
-        start = self._pos
-        if self._pos >= self._n:
-            return Token(TokenKind.EOF, "", start)
-        ch = self._sql[self._pos]
-
-        if ch == "(":
-            self._pos += 1
-            return Token(TokenKind.LPAREN, "(", start)
-        if ch == ")":
-            self._pos += 1
-            return Token(TokenKind.RPAREN, ")", start)
-        if ch == ",":
-            self._pos += 1
-            return Token(TokenKind.COMMA, ",", start)
-        if ch == ";":
-            self._pos += 1
-            return Token(TokenKind.SEMICOLON, ";", start)
-        if ch == "'":
-            return self._scan_string(start)
-        if ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
-            return self._scan_number(start)
-        if ch.isalpha() or ch == "_":
-            return self._scan_word(start)
-        if ch in ('"', "`", "["):
-            return self._scan_quoted_ident(start)
-        if ch == ".":
-            self._pos += 1
-            return Token(TokenKind.DOT, ".", start)
-        for op in _MULTI_OPS:
-            if self._sql.startswith(op, self._pos):
-                self._pos += len(op)
-                return Token(TokenKind.OPERATOR, op, start)
-        if ch == "*":
-            self._pos += 1
-            return Token(TokenKind.STAR, "*", start)
-        if ch in _SINGLE_OPS:
-            self._pos += 1
-            return Token(TokenKind.OPERATOR, ch, start)
-        raise SQLSyntaxError(f"unexpected character {ch!r}", self._sql, start)
-
-    def _scan_string(self, start: int) -> Token:
-        """Scan a single-quoted string literal with ``''`` escapes."""
-        self._pos += 1  # opening quote
-        parts: list[str] = []
-        while self._pos < self._n:
-            ch = self._sql[self._pos]
-            if ch == "'":
-                if self._peek(1) == "'":  # escaped quote
-                    parts.append("'")
-                    self._pos += 2
-                    continue
-                self._pos += 1
-                return Token(TokenKind.STRING, "".join(parts), start)
-            parts.append(ch)
-            self._pos += 1
-        raise SQLSyntaxError("unterminated string literal", self._sql, start)
-
-    def _scan_number(self, start: int) -> Token:
-        if self._sql.startswith(("0x", "0X"), self._pos):
-            self._pos += 2
-            while self._pos < self._n and self._sql[self._pos] in "0123456789abcdefABCDEF":
-                self._pos += 1
-            text = self._sql[start:self._pos]
-            if len(text) == 2:
-                raise SQLSyntaxError("malformed hex literal", self._sql, start)
-            return Token(TokenKind.HEXNUMBER, text, start)
-        seen_dot = False
-        seen_exp = False
-        while self._pos < self._n:
-            ch = self._sql[self._pos]
-            if ch.isdigit():
-                self._pos += 1
-            elif ch == "." and not seen_dot and not seen_exp:
-                seen_dot = True
-                self._pos += 1
-            elif ch in "eE" and not seen_exp and self._pos > start:
-                nxt = self._peek(1)
-                if nxt.isdigit() or (nxt in "+-" and self._peek(2).isdigit()):
-                    seen_exp = True
-                    self._pos += 2 if nxt in "+-" else 1
+def _tokens_from(sql: str, found: list[Scanned]) -> list[Token]:
+    """The tokens of ``sql`` from ``found = _scan(sql)`` (see :func:`tokenize`)."""
+    tokens: list[Token] = []
+    position = 0
+    for lead, text, literal, hexmark, quote, error, trail in found:
+        position += len(lead)
+        if text:
+            kind = _FIXED_KINDS.get(text)
+            if kind is not None:
+                tokens.append(Token(kind, text, position))
+            elif text[0] in "\"`[":
+                tokens.append(Token(TokenKind.IDENT, text[1:-1], position))
+            elif text[0].isalpha() or text[0] == "_":
+                upper = text.upper()
+                if upper in KEYWORDS:
+                    tokens.append(Token(TokenKind.KEYWORD, upper, position))
                 else:
-                    break
+                    tokens.append(Token(TokenKind.IDENT, text, position))
             else:
-                break
-        return Token(TokenKind.NUMBER, self._sql[start:self._pos], start)
-
-    def _scan_word(self, start: int) -> Token:
-        while self._pos < self._n and (
-            self._sql[self._pos].isalnum() or self._sql[self._pos] == "_"
-        ):
-            self._pos += 1
-        word = self._sql[start:self._pos]
-        upper = word.upper()
-        if upper in KEYWORDS:
-            return Token(TokenKind.KEYWORD, upper, start)
-        return Token(TokenKind.IDENT, word, start)
-
-    def _scan_quoted_ident(self, start: int) -> Token:
-        open_ch = self._sql[self._pos]
-        close_ch = {"[": "]"}.get(open_ch, open_ch)
-        self._pos += 1
-        end = self._sql.find(close_ch, self._pos)
-        if end < 0:
-            raise SQLSyntaxError("unterminated quoted identifier", self._sql, start)
-        word = self._sql[self._pos:end]
-        self._pos = end + 1
-        return Token(TokenKind.IDENT, word, start)
+                raise SQLSyntaxError(f"unexpected character {text[0]!r}", sql, position)
+            position += len(text)
+        elif literal:
+            if hexmark:
+                tokens.append(Token(TokenKind.HEXNUMBER, literal, position))
+            elif quote:
+                tokens.append(Token(TokenKind.STRING, _string_value(literal), position))
+            else:
+                tokens.append(Token(TokenKind.NUMBER, literal, position))
+            position += len(literal)
+        elif error:
+            message = _ERRORS.get(error, f"unexpected character {error!r}")
+            raise SQLSyntaxError(message, sql, position)
+        else:
+            tokens.append(Token(TokenKind.EOF, "", position))
+            return tokens
+        position += len(trail)
+    raise AssertionError("unreachable: the last match is the end of input")  # pragma: no cover
 
 
 def tokenize(sql: str) -> list[Token]:
     """Tokenize ``sql`` and return the token list, terminated by EOF.
 
     Raises:
-        SQLSyntaxError: on any lexical error.
+        SQLSyntaxError: on any lexical error, at the offending offset.
     """
-    return Lexer(sql).tokens()
+    return _tokens_from(sql, _scan(sql))

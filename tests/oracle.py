@@ -13,10 +13,14 @@ be compared against:
   table, then the global Algorithm 3 fixed point with prefix-scan
   descendants (no components, no memo beyond one run's pickWidget);
 * :func:`generate` — mine, map and merge a log into an ``Interface``;
-* :func:`compile_html` — the product walk over every widget's choices.
+* :func:`compile_html` — the product walk over every widget's choices;
+* :func:`tokenize` and :func:`parse_sql` — the character-by-character
+  :class:`Lexer` and a plain recursive-descent parse of its tokens, with
+  no template cache.
 
-Only the per-pair alignment (``_compare_pair``) and the per-widget
-rendering units are shared with the library.
+Only the per-pair alignment (``_compare_pair``), the per-widget rendering
+units and the recursive-descent :class:`~repro.sqlparser.parser.Parser`
+are shared with the library.
 """
 
 from __future__ import annotations
@@ -36,10 +40,187 @@ from repro.compiler.layout import grid_layout
 from repro.core.interface import Interface, as_interface
 from repro.core.mapper import pick_widget
 from repro.core.options import PipelineOptions
-from repro.errors import CompileError, MappingError
+from repro.errors import CompileError, MappingError, SQLSyntaxError
 from repro.graph.build import _FULL, _MEMOISED, BuildStats, _compare_pair
 from repro.graph.interaction import InteractionGraph
+from repro.sqlparser.astnodes import Node
 from repro.sqlparser.grammar import SQL_ANNOTATIONS
+from repro.sqlparser.parser import Parser
+from repro.sqlparser.tokens import _MULTI_OPS, _SINGLE_OPS, KEYWORDS, Token, TokenKind
+
+
+# ----------------------------------------------------------------------
+# parse: one character at a time
+# ----------------------------------------------------------------------
+class Lexer:
+    """Stateful scanner over a SQL string.
+
+    Typical use is via the module-level :func:`tokenize` helper::
+
+        tokens = tokenize("SELECT * FROM t")
+    """
+
+    def __init__(self, sql: str):
+        self._sql = sql
+        self._pos = 0
+        self._n = len(sql)
+
+    def tokens(self) -> list[Token]:
+        """Scan the entire input and return the token list (EOF-terminated)."""
+        out: list[Token] = []
+        while True:
+            token = self._next_token()
+            out.append(token)
+            if token.kind is TokenKind.EOF:
+                return out
+
+    # ------------------------------------------------------------------
+    # scanning internals
+    # ------------------------------------------------------------------
+    def _peek(self, offset: int = 0) -> str:
+        index = self._pos + offset
+        if index < self._n:
+            return self._sql[index]
+        return ""
+
+    def _skip_trivia(self) -> None:
+        """Advance past whitespace and comments."""
+        while self._pos < self._n:
+            ch = self._sql[self._pos]
+            if ch.isspace():
+                self._pos += 1
+            elif ch == "-" and self._peek(1) == "-":
+                while self._pos < self._n and self._sql[self._pos] != "\n":
+                    self._pos += 1
+            elif ch == "/" and self._peek(1) == "*":
+                end = self._sql.find("*/", self._pos + 2)
+                if end < 0:
+                    raise SQLSyntaxError(
+                        "unterminated block comment", self._sql, self._pos
+                    )
+                self._pos = end + 2
+            else:
+                return
+
+    def _next_token(self) -> Token:
+        self._skip_trivia()
+        start = self._pos
+        if self._pos >= self._n:
+            return Token(TokenKind.EOF, "", start)
+        ch = self._sql[self._pos]
+
+        if ch == "(":
+            self._pos += 1
+            return Token(TokenKind.LPAREN, "(", start)
+        if ch == ")":
+            self._pos += 1
+            return Token(TokenKind.RPAREN, ")", start)
+        if ch == ",":
+            self._pos += 1
+            return Token(TokenKind.COMMA, ",", start)
+        if ch == ";":
+            self._pos += 1
+            return Token(TokenKind.SEMICOLON, ";", start)
+        if ch == "'":
+            return self._scan_string(start)
+        if ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
+            return self._scan_number(start)
+        if ch.isalpha() or ch == "_":
+            return self._scan_word(start)
+        if ch in ('"', "`", "["):
+            return self._scan_quoted_ident(start)
+        if ch == ".":
+            self._pos += 1
+            return Token(TokenKind.DOT, ".", start)
+        for op in _MULTI_OPS:
+            if self._sql.startswith(op, self._pos):
+                self._pos += len(op)
+                return Token(TokenKind.OPERATOR, op, start)
+        if ch == "*":
+            self._pos += 1
+            return Token(TokenKind.STAR, "*", start)
+        if ch in _SINGLE_OPS:
+            self._pos += 1
+            return Token(TokenKind.OPERATOR, ch, start)
+        raise SQLSyntaxError(f"unexpected character {ch!r}", self._sql, start)
+
+    def _scan_string(self, start: int) -> Token:
+        """Scan a single-quoted string literal with ``''`` escapes."""
+        self._pos += 1  # opening quote
+        parts: list[str] = []
+        while self._pos < self._n:
+            ch = self._sql[self._pos]
+            if ch == "'":
+                if self._peek(1) == "'":  # escaped quote
+                    parts.append("'")
+                    self._pos += 2
+                    continue
+                self._pos += 1
+                return Token(TokenKind.STRING, "".join(parts), start)
+            parts.append(ch)
+            self._pos += 1
+        raise SQLSyntaxError("unterminated string literal", self._sql, start)
+
+    def _scan_number(self, start: int) -> Token:
+        if self._sql.startswith(("0x", "0X"), self._pos):
+            self._pos += 2
+            while self._pos < self._n and self._sql[self._pos] in "0123456789abcdefABCDEF":
+                self._pos += 1
+            text = self._sql[start:self._pos]
+            if len(text) == 2:
+                raise SQLSyntaxError("malformed hex literal", self._sql, start)
+            return Token(TokenKind.HEXNUMBER, text, start)
+        seen_dot = False
+        seen_exp = False
+        while self._pos < self._n:
+            ch = self._sql[self._pos]
+            if ch.isdigit():
+                self._pos += 1
+            elif ch == "." and not seen_dot and not seen_exp:
+                seen_dot = True
+                self._pos += 1
+            elif ch in "eE" and not seen_exp and self._pos > start:
+                nxt = self._peek(1)
+                if nxt.isdigit() or (nxt in "+-" and self._peek(2).isdigit()):
+                    seen_exp = True
+                    self._pos += 2 if nxt in "+-" else 1
+                else:
+                    break
+            else:
+                break
+        return Token(TokenKind.NUMBER, self._sql[start:self._pos], start)
+
+    def _scan_word(self, start: int) -> Token:
+        while self._pos < self._n and (
+            self._sql[self._pos].isalnum() or self._sql[self._pos] == "_"
+        ):
+            self._pos += 1
+        word = self._sql[start:self._pos]
+        upper = word.upper()
+        if upper in KEYWORDS:
+            return Token(TokenKind.KEYWORD, upper, start)
+        return Token(TokenKind.IDENT, word, start)
+
+    def _scan_quoted_ident(self, start: int) -> Token:
+        open_ch = self._sql[self._pos]
+        close_ch = {"[": "]"}.get(open_ch, open_ch)
+        self._pos += 1
+        end = self._sql.find(close_ch, self._pos)
+        if end < 0:
+            raise SQLSyntaxError("unterminated quoted identifier", self._sql, start)
+        word = self._sql[self._pos:end]
+        self._pos = end + 1
+        return Token(TokenKind.IDENT, word, start)
+
+
+def tokenize(sql: str) -> list[Token]:
+    """The reference lexer's token list, terminated by EOF."""
+    return Lexer(sql).tokens()
+
+
+def parse_sql(sql: str) -> Node:
+    """Parse ``sql`` from the reference lexer's tokens, cache-free."""
+    return Parser(sql, tokenize(sql)).parse_statement()
 
 
 # ----------------------------------------------------------------------

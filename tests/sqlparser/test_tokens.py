@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import SQLSyntaxError
+from repro.sqlparser import parse_sql
 from repro.sqlparser.tokens import TokenKind, tokenize
 
 
@@ -93,6 +94,35 @@ class TestNumbers:
 
     def test_number_adjacent_to_keyword(self):
         assert values("TOP 10") == ["TOP", "10"]
+
+
+class TestUnicodeDigits:
+    """A number takes decimal digits only (``str.isdecimal``): every digit
+    it takes converts with ``int``/``float``."""
+
+    def test_superscript_digit_is_a_syntax_error(self):
+        # str.isdigit accepts "²" but int() rejects it: this used to
+        # escape as a ValueError from the parser
+        sql = "SELECT a FROM t WHERE b = ²"
+        with pytest.raises(SQLSyntaxError) as info:
+            parse_sql(sql)
+        assert info.value.position == sql.index("²")
+        assert "unexpected character '²'" in str(info.value)
+
+    def test_decimal_digits_of_any_script_are_numbers(self):
+        assert parse_sql("SELECT a FROM t WHERE b = ٣") == parse_sql(
+            "SELECT a FROM t WHERE b = 3"
+        )
+
+    def test_superscript_inside_a_word_stays_in_the_identifier(self):
+        assert kinds("a²") == [TokenKind.IDENT]
+        assert values("a²") == ["a²"]
+
+    @pytest.mark.parametrize("ch", ["²", "Ⅻ", "½"])
+    def test_numeric_non_letters_do_not_start_identifiers(self, ch):
+        with pytest.raises(SQLSyntaxError) as info:
+            tokenize(f"a {ch}b")
+        assert info.value.position == 2
 
 
 class TestOperators:
