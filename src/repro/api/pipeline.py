@@ -38,10 +38,11 @@ from repro.api.stages import (
     PipelineState,
     SegmentStage,
     Stage,
+    publish,
 )
 from repro.core.interface import Interface
 from repro.core.options import PipelineOptions
-from repro.errors import LogError
+from repro.errors import CacheError, LogError
 from repro.sqlparser.astnodes import Node
 
 __all__ = [
@@ -100,7 +101,9 @@ class Pipeline:
 
     @classmethod
     def default(cls, options: PipelineOptions | None = None) -> "Pipeline":
-        """The paper's Figure 2a pipeline: parse → mine → map → merge.
+        """The paper's Figure 2a pipeline: parse → mine → map → merge —
+        what :func:`generate` and every
+        :class:`~repro.api.session.InterfaceSession` append run.
 
         When ``options.cache_dir`` is set, a
         :class:`~repro.api.stages.CacheStage` is inserted before the Mine
@@ -129,17 +132,12 @@ class Pipeline:
         self,
         state: PipelineState,
         observers: Iterable[PipelineObserver] = (),
-        prior_reports: Iterable[StageReport] = (),
     ) -> tuple[PipelineState, tuple[StageReport, ...], PipelineRun]:
         """Run every stage in order, timing each one.
 
         Args:
             state: the run's state (mutated and returned).
             observers: instrumentation hooks.
-            prior_reports: reports of work already done outside this
-                pipeline (the incremental session's mine step); they are
-                included in the returned reports and in the run handed to
-                ``on_pipeline_end``, so observers see the whole picture.
 
         Returns the advanced state, the per-stage reports, and the
         aggregated :class:`PipelineRun` (the same object observers see).
@@ -147,7 +145,7 @@ class Pipeline:
         observers = tuple(observers)
         for observer in observers:
             observer.on_pipeline_start(self, state)
-        reports: list[StageReport] = list(prior_reports)
+        reports: list[StageReport] = []
         for stage in self.stages:
             for observer in observers:
                 observer.on_stage_start(stage, state)
@@ -175,6 +173,11 @@ class Pipeline:
     ) -> GenerationResult:
         """Run the pipeline over one log and assemble a result.
 
+        With a store configured, what the run computed and the store did
+        not supply is then published (:func:`~repro.api.stages.publish`);
+        a failed write does not fail the run — its message is the
+        result's ``provenance["cache_save_error"]``.
+
         Args:
             log: a :class:`~repro.logs.model.QueryLog`, a list of raw SQL
                 strings, or a list of parsed ASTs (log order preserved).
@@ -186,8 +189,13 @@ class Pipeline:
             SQLSyntaxError: if any raw statement fails to parse.
         """
         state = _state_for(log, self.options, source=source)
-        state, reports, run = self.run(state, observers=observers)
-        return _assemble_result(state, reports, run=run)
+        state, _reports, run = self.run(state, observers=observers)
+        extra: dict[str, Any] = {}
+        try:
+            publish(state)
+        except (CacheError, OSError) as exc:
+            extra["cache_save_error"] = str(exc)
+        return _assemble_result(state, run, provenance_extra=extra)
 
 
 # ----------------------------------------------------------------------
@@ -229,10 +237,11 @@ def _run_from(
         if (report := by_name.get(name)) is not None
     )
     widgets = state.widgets or []
+    graph = state.graph
     return PipelineRun(
-        n_queries=len(state.queries or []),
-        n_edges=state.graph.n_edges if state.graph else 0,
-        n_diffs=state.graph.n_diffs if state.graph else 0,
+        n_queries=len(graph.queries if graph else state.queries or []),
+        n_edges=graph.n_edges if graph else 0,
+        n_diffs=graph.n_diffs if graph else 0,
         n_pairs_compared=int(mine.stats.get("n_pairs_compared", 0)) if mine else 0,
         mining_seconds=mining_seconds,
         mapping_seconds=mapping_seconds,
@@ -244,39 +253,34 @@ def _run_from(
 
 def _assemble_result(
     state: PipelineState,
-    reports: tuple[StageReport, ...],
-    run: PipelineRun | None = None,
+    run: PipelineRun,
     provenance_extra: dict[str, Any] | None = None,
 ) -> GenerationResult:
-    """Wrap the final state into an immutable GenerationResult.
-
-    ``run`` is the record :meth:`Pipeline.run` already aggregated; it is
-    rebuilt from the reports only when not supplied.
-    """
-    if not state.queries or state.graph is None or state.widgets is None:
+    """Wrap the final state and its run record into an immutable
+    GenerationResult; the interface covers the whole graph's log."""
+    graph = state.graph
+    if graph is None or not graph.queries or state.widgets is None:
         raise LogError("pipeline did not produce an interface (missing stages?)")
     options = state.options
     interface = Interface(
         widgets=state.widgets,
-        initial_query=state.queries[0],
+        initial_query=graph.queries[0],
         annotations=options.annotations,
         metadata={
-            "n_queries": len(state.queries),
-            "n_edges": state.graph.n_edges,
-            "n_diffs": state.graph.n_diffs,
+            "n_queries": len(graph.queries),
+            "n_edges": graph.n_edges,
+            "n_diffs": graph.n_diffs,
             "window": options.window,
             "lca_pruning": options.lca_pruning,
         },
     )
-    if run is None:
-        run = _run_from(state, reports)
     provenance: dict[str, Any] = {
         "source": state.source,
-        "n_queries": len(state.queries),
+        "n_queries": len(graph.queries),
         "window": options.window,
         "lca_pruning": options.lca_pruning,
         "merge": options.merge,
-        "stages": [report.name for report in reports],
+        "stages": [report.name for report in run.stages],
     }
     provenance.update(provenance_extra or {})
     return GenerationResult(interface=interface, run=run, provenance=provenance)

@@ -23,13 +23,19 @@ over the concatenated log, because the pair set is identical and the
 partition index maintains the full build's ``(q1, q2)``-lexicographic
 diff order.
 
+Every append runs :meth:`Pipeline.default <repro.api.pipeline.Pipeline.default>`,
+the stages a one-shot :func:`repro.api.generate` runs, over a
+:class:`~repro.api.stages.PipelineState` that carries the session's
+long-lived members (graph, map cache, diff memo, store, running log
+fingerprint and cumulative build stats) from one append to the next.
+
 Sessions are also durable.  :meth:`InterfaceSession.save` snapshots the
 accumulated graph (via :mod:`repro.cache.serialize`) and
 :meth:`InterfaceSession.resume` restores it in another process without
 re-mining a single pair; when ``options.cache_dir`` is set the session
 additionally reads and writes the shared
-:class:`~repro.cache.store.GraphStore`, so a session can adopt a graph a
-previous ``generate()`` run already mined, and
+:class:`~repro.cache.store.GraphStore`, so a session's first append can
+adopt the graph and widget set a previous ``generate()`` run stored, and
 :meth:`InterfaceSession.flush_to_store` publishes both the accumulated
 graph and the current widget set for later runs to full-hit on.
 
@@ -61,23 +67,22 @@ from repro.api.pipeline import (
     Pipeline,
     _assemble_result,
 )
-from repro.api.result import GenerationResult, StageReport
+from repro.api.result import GenerationResult, PipelineRun
 from repro.api.stages import (
     MapStage,
     MergeStage,
-    MineStage,
     PipelineState,
     parse_deduplicated,
+    publish,
 )
 from repro.cache.fingerprint import LogFingerprinter, options_fingerprint
 from repro.cache.serialize import load_graph, save_graph
 from repro.cache.store import GraphStore
 from repro.compiler.incremental import IncrementalCompiler
 from repro.core.closure import ClosureCache
-from repro.core.mapper import MapCache
 from repro.core.options import PipelineOptions
 from repro.errors import CacheError, LogError
-from repro.graph.build import BuildStats, extend_interaction_graph, in_build_order
+from repro.graph.build import extend_interaction_graph, in_build_order
 from repro.graph.interaction import InteractionGraph
 from repro.sqlparser.astnodes import Node
 from repro.sqlparser.parser import parse_sql
@@ -89,6 +94,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["InterfaceSession"]
 
+# ``parse_deduplicated`` and ``extend_interaction_graph`` are no longer
+# called here (the pipeline's stages run them); they stay importable from
+# this module because perfbench's tracer wraps them here by name.
+
 
 class InterfaceSession:
     """A generation session that consumes a query log incrementally.
@@ -98,13 +107,13 @@ class InterfaceSession:
             recommended configuration).  With ``options.cache_dir`` set,
             the session shares the :class:`~repro.cache.store.GraphStore`
             with one-shot ``generate()`` runs: the first append adopts a
-            cached graph of the same batch if one exists, and
-            :meth:`flush_to_store` publishes the accumulated graph and
+            cached graph (and widget set) of the same batch if one exists,
+            and :meth:`flush_to_store` publishes the accumulated graph and
             widget set for later runs to reuse (explicit, because
             serialising the whole graph on *every* append would cost
             O(accumulated log) — the very thing the incremental session
             avoids).
-        observers: hooks notified by the mapping pipeline of every append.
+        observers: hooks notified by the pipeline of every append.
     """
 
     def __init__(
@@ -114,27 +123,25 @@ class InterfaceSession:
     ) -> None:
         self.options = options or PipelineOptions()
         self._observers = tuple(observers)
-        self._graph = InteractionGraph(queries=[])
-        self._stats = BuildStats()
+        self._pipeline = Pipeline.default(self.options)
         self._n_appends = 0
         self._last: GenerationResult | None = None
-        # partition index (with its interval annotations over partition
-        # paths) + per-path, per-component, and per-window memos threaded
-        # into MapStage/MergeStage on every append (see
-        # repro.core.mapper.MapCache): the interval index lives exactly
-        # as long as the session, so window-revision signatures recorded
-        # by one append stay comparable at every later append
-        self._map_cache = MapCache()
-        # skeleton-level alignment plans shared by every append: once a
-        # template shape has been aligned, later appends of that shape
-        # replay the plan and do zero alignment-DP work (optionally
-        # LRU-capped per shape for high-cardinality traffic)
-        self._diff_memo = DiffMemo(
-            max_plans_per_shape=self.options.max_plans_per_shape
+        # the latest append's state (before the first, a seed): each
+        # append's state carries its long-lived members on (see
+        # PipelineState.next_run), so the map cache's window-revision
+        # signatures and the diff memo's alignment plans outlive appends.
+        # The store is opened here, once: the first append's lookup is
+        # then its only request to a store daemon.
+        self._state = PipelineState(
+            options=self.options,
+            graph=InteractionGraph(),
+            diff_memo=DiffMemo(max_plans_per_shape=self.options.max_plans_per_shape),
+            cache_store=(
+                GraphStore(self.options.cache_dir, remote=self.options.daemon_socket)
+                if self.options.cache_dir is not None
+                else None
+            ),
         )
-        # accumulated-log fingerprint, maintained per append so store
-        # adoption/publication never re-hashes the whole log
-        self._fingerprinter = LogFingerprinter()
         # positive closure proofs reused across expresses() calls while
         # the widget set is unchanged
         self._closure_cache = ClosureCache()
@@ -143,13 +150,13 @@ class InterfaceSession:
         # artifacts and closure slices carry over (see
         # repro.compiler.incremental)
         self._compiler: IncrementalCompiler | None = None
-        self._store = (
-            GraphStore(
-                self.options.cache_dir, remote=self.options.daemon_socket
-            )
-            if self.options.cache_dir is not None
-            else None
-        )
+
+    @property
+    def _graph(self) -> InteractionGraph:
+        """The accumulated graph (every state the session keeps has one)."""
+        graph = self._state.graph
+        assert graph is not None
+        return graph
 
     # ------------------------------------------------------------------
     # introspection
@@ -164,20 +171,21 @@ class InterfaceSession:
 
     @property
     def n_pairs_compared(self) -> int:
-        """Total tree alignments across all appends — equal to what one
-        full build over the same log would perform."""
-        return self._stats.n_pairs_compared
+        """Total tree alignments behind the accumulated graph — equal to
+        what one full build over the same log would perform (a graph
+        adopted from the store counts its producer's alignments)."""
+        return self._state.build_stats.n_pairs_compared
 
     @property
     def n_alignments_memoised(self) -> int:
-        """Pairs answered by diff-memo plan replay across all appends
-        (no alignment DP was run for them)."""
-        return self._stats.n_alignments_memoised
+        """Pairs answered by diff-memo plan replay behind the accumulated
+        graph (no alignment DP was run for them)."""
+        return self._state.build_stats.n_alignments_memoised
 
     @property
     def n_alignments_full(self) -> int:
-        """Pairs that ran the full alignment across all appends."""
-        return self._stats.n_alignments_full
+        """Pairs that ran the full alignment behind the accumulated graph."""
+        return self._state.build_stats.n_alignments_full
 
     @property
     def n_windows_reused(self) -> int:
@@ -185,14 +193,14 @@ class InterfaceSession:
         appends — clean sibling subtrees inside dirty components whose
         recorded outcome replayed instead of re-merging (see
         :class:`~repro.core.mapper.WindowMemo`)."""
-        windows = self._map_cache.windows
+        windows = self._state.map_cache.windows
         return windows.n_reused if windows is not None else 0
 
     @property
     def n_windows_merged(self) -> int:
         """Merge steps that actually recomputed across all appends (the
         dirty-subtree work the interval index could not skip)."""
-        windows = self._map_cache.windows
+        windows = self._state.map_cache.windows
         return windows.n_merged if windows is not None else 0
 
     @property
@@ -242,19 +250,16 @@ class InterfaceSession:
         components hand back the same objects), and renders only the
         closure combinations the previous page did not hold — those that
         select a choice of a re-rendered widget, or that are new to the
-        page (with a database, executing them — gated on the session's
-        closure proofs).  The compiler survives appends; call this after
-        each append for the incremental saving.
+        page (with a database, executing only SQL the previous page did
+        not already hold).  The compiler survives appends; call this
+        after each append for the incremental saving.
 
         Raises:
             LogError: when nothing has been appended yet.
             CompileError: when the interface has no widgets.
         """
         compiler = self._compiler_for(title, database, limit, columns)
-        page = compiler.compile(
-            self._last.interface, closure_cache=self._closure_cache
-        )
-        return page.html()
+        return compiler.compile(self._last.interface).html()
 
     def compile_patch(
         self,
@@ -278,9 +283,7 @@ class InterfaceSession:
             CompileError: when the interface has no widgets.
         """
         compiler = self._compiler_for(title, database, limit, columns)
-        return compiler.compile_patch(
-            self._last.interface, closure_cache=self._closure_cache
-        )
+        return compiler.compile_patch(self._last.interface)
 
     def _compiler_for(
         self,
@@ -326,8 +329,8 @@ class InterfaceSession:
         # bare graph (load_graph, then map) outside a session
         save_graph(
             path,
-            self._normalised_graph(),
-            self._stats,
+            in_build_order(self._graph),
+            self._state.build_stats,
             extra={
                 "session": {
                     "n_appends": self._n_appends,
@@ -346,8 +349,9 @@ class InterfaceSession:
         """Restore a :meth:`save` snapshot — typically in a new process.
 
         No pair is re-aligned: the graph comes back from disk and one
-        mapping pass rebuilds the current interface, so ``session.result``
-        is immediately available and later appends continue incrementally.
+        mapping pass (Map and Merge) rebuilds the current interface, so
+        ``session.result`` is immediately available and later appends
+        continue incrementally.
 
         Args:
             path: a file written by :meth:`save`.
@@ -376,12 +380,20 @@ class InterfaceSession:
                 f"(snapshot {str(expected)[:16]}…, resume {actual[:16]}…); "
                 "pass the original options to resume()"
             )
-        session._graph = graph
-        session._stats = stats
         session._n_appends = int(session_meta.get("n_appends", 1))
-        session._fingerprinter.update(graph.queries)
+        restored = session._state
+        restored.graph = graph
+        restored.build_stats = stats
+        if restored.cache_store is not None:
+            # a graph read back from JSON always fingerprints
+            restored.fingerprinter = LogFingerprinter().update(graph.queries)
         if graph.queries:
-            session._last = session._remap(BuildStats(), resumed=True)
+            remap = Pipeline([MapStage(), MergeStage()], session.options)
+            state, _reports, run = remap.run(
+                restored.next_run(source=f"session#{session._n_appends}"),
+                observers=session._observers,
+            )
+            session._finish(state, run, resumed=True)
         return session
 
     # ------------------------------------------------------------------
@@ -391,7 +403,7 @@ class InterfaceSession:
         """Parse raw SQL statements and append them.
 
         Byte-identical statements within the batch are parsed once and
-        share their (immutable) AST, mirroring the pipeline's
+        share their (immutable) AST — the pipeline's
         :class:`~repro.api.stages.ParseStage` de-duplication.
 
         Raises:
@@ -401,8 +413,7 @@ class InterfaceSession:
         statements = list(statements)
         if not statements:
             raise LogError("cannot append an empty batch of queries")
-        queries, _hits = parse_deduplicated(statements)
-        return self.append(queries)
+        return self._append(statements=statements)
 
     def append(self, queries: Iterable[Node]) -> GenerationResult:
         """Append parsed queries, mine only the new pairs, and remap.
@@ -414,26 +425,7 @@ class InterfaceSession:
         queries = list(queries)
         if not queries:
             raise LogError("cannot append an empty batch of queries")
-        append_stats = BuildStats()
-        cache_hit = self._adopt_cached_graph(queries)
-        if not cache_hit:
-            extend_interaction_graph(
-                self._graph,
-                queries,
-                window=self.options.window,
-                prune=self.options.lca_pruning,
-                annotations=self.options.annotations,
-                stats=append_stats,
-                memo=self._diff_memo,
-            )
-            self._fingerprinter.update(queries)
-        self._stats.n_pairs_compared += append_stats.n_pairs_compared
-        self._stats.mining_seconds += append_stats.mining_seconds
-        self._stats.n_alignments_memoised += append_stats.n_alignments_memoised
-        self._stats.n_alignments_full += append_stats.n_alignments_full
-        self._n_appends += 1
-        self._last = self._remap(append_stats, cache_hit=cache_hit)
-        return self._last
+        return self._append(queries=queries)
 
     def append_batch(self, batch: Any) -> GenerationResult:
         """Append one polymorphic batch: a statement, an AST, or an
@@ -446,16 +438,13 @@ class InterfaceSession:
             LogError: for an empty batch.
             SQLSyntaxError: if any raw statement fails to parse.
         """
-        if isinstance(batch, str):
-            return self.append_sql([batch])
-        if isinstance(batch, Node):
-            return self.append([batch])
+        if isinstance(batch, (str, Node)):
+            batch = [batch]
         items = list(batch)
-        if not items:
-            raise LogError("cannot append an empty batch of queries")
-        return self.append(
-            [parse_sql(item) if isinstance(item, str) else item for item in items]
-        )
+        if all(isinstance(item, Node) for item in items):
+            return self.append(items)
+        # ParseStage parses the statements and passes any AST through
+        return self._append(statements=items)
 
     def stream(self, batches: Iterable[Any]) -> Iterator[GenerationResult]:
         """Consume an iterable of batches, yielding a result per batch.
@@ -503,128 +492,58 @@ class InterfaceSession:
     # ------------------------------------------------------------------
     # shared graph store
     # ------------------------------------------------------------------
-    def _adopt_cached_graph(self, queries: list[Node]) -> bool:
-        """On the session's first batch, try the shared store.
-
-        A previous ``generate()`` (or session) over exactly this batch
-        under these options left its graph in the store; adopting it makes
-        the first append mine nothing.  Later appends never hit the graph
-        table — their accumulated log is session-specific — so the lookup
-        is skipped.
-        """
-        if self._store is None or self._graph.queries:
-            return False
-        probe = LogFingerprinter().update(queries)
-        cached = self._store.load(probe.hexdigest(), options_fingerprint(self.options))
-        if cached is None:
-            return False
-        graph, mined_stats = cached
-        self._graph = graph
-        self._fingerprinter = probe
-        # the alignments were paid for by whoever populated the store;
-        # count them into the session totals to keep the "equal to one
-        # full build" invariant of n_pairs_compared
-        self._stats.n_pairs_compared += mined_stats.n_pairs_compared
-        return True
-
     def flush_to_store(self) -> None:
-        """Publish the accumulated graph and widget set to the store.
+        """Publish the accumulated graph and widget set to the store
+        (:func:`~repro.api.stages.publish` over the latest append's state).
 
         Keyed by the *accumulated* log's fingerprint, so both a one-shot
         ``generate()`` over the concatenated log and a future session fed
         the same batches will hit — and, with the widget set alongside,
-        full-hit (Mine, Map, and Merge all skipped).  The *normalised*
-        graph is what gets written: store consumers map straight off the
-        stored diff order, and the greedy merge is order-sensitive, so
-        entries must always be in full-build ``(q1, q2)``-lexicographic
-        order.
+        full-hit (Mine, Map, and Merge all skipped).  Records the store
+        itself supplied to that append are not written back.
 
         Explicit rather than automatic: serialising the whole graph costs
         O(accumulated log), so the caller decides when that is worth
         paying (typically once, after the last append of a batch window).
-        A no-op when no ``cache_dir`` is configured.
+        A no-op when no ``cache_dir`` is configured, or when the log could
+        not be fingerprinted.
 
         Raises:
             LogError: when nothing has been appended yet.
+            CacheError, OSError: when a record cannot be written.
         """
-        if self._store is None:
+        if self._state.cache_store is None:
             return
-        if not self._graph.queries:
+        if self._last is None:
             raise LogError("cannot flush a session before the first append")
-        log_fp = self._fingerprinter.hexdigest()
-        opts_fp = options_fingerprint(self.options)
-        normalised = self._normalised_graph()
-        self._store.save(log_fp, opts_fp, normalised, self._stats)
-        if self._last is not None:
-            self._store.save_widget_set(
-                log_fp, opts_fp, self._last.interface.widgets, normalised
-            )
+        publish(self._state)
 
     # ------------------------------------------------------------------
-    # mapping over the accumulated graph
+    # the run path
     # ------------------------------------------------------------------
-    def _normalised_graph(self) -> InteractionGraph:
-        """The accumulated graph with edges/diffs in full-build order.
+    def _append(self, **batch: Any) -> GenerationResult:
+        """Run the default pipeline over one batch and the session's
+        long-lived members."""
+        state = self._state.next_run(
+            source=f"session#{self._n_appends + 1}", **batch
+        )
+        state, _reports, run = self._pipeline.run(state, observers=self._observers)
+        self._n_appends += 1
+        return self._finish(state, run)
 
-        ``extend_interaction_graph`` appends in arrival order; the mapper's
-        greedy merge is order-sensitive, so persistence normalises to the
-        ``(q1, q2)``-lexicographic order a one-shot build produces — the
-        in-memory remap gets the same order from the
-        :class:`~repro.core.mapper.PartitionIndex` without sorting.
-        """
-        return in_build_order(self._graph)
-
-    def _remap(
-        self,
-        append_stats: BuildStats,
-        cache_hit: bool = False,
-        resumed: bool = False,
+    def _finish(
+        self, state: PipelineState, run: PipelineRun, **provenance: Any
     ) -> GenerationResult:
-        # the raw (arrival-order) graph is enough here: MapStage/MergeStage
-        # consume the diffs through the MapCache's partition index, which
-        # maintains full-build order incrementally
-        state = PipelineState(
-            options=self.options,
-            queries=list(self._graph.queries),
-            graph=self._graph,
-            source=f"session#{self._n_appends}",
-            map_cache=self._map_cache,
-        )
-        mine_stats: dict[str, Any] = {
-            "n_pairs_compared": append_stats.n_pairs_compared,
-            "n_pairs_compared_total": self._stats.n_pairs_compared,
-            "n_alignments_memoised": append_stats.n_alignments_memoised,
-            "n_alignments_full": append_stats.n_alignments_full,
-            "n_edges": self._graph.n_edges,
-            "n_diffs": self._graph.n_diffs,
-            "incremental": True,
-        }
-        if cache_hit:
-            mine_stats["cache_hit"] = True
-        if resumed:
-            mine_stats["resumed"] = True
-        state.record(MineStage.name, **mine_stats)
-        mine_report = StageReport(
-            name=MineStage.name,
-            seconds=append_stats.mining_seconds,
-            stats=mine_stats,
-        )
-        # the mine report rides along as a prior report so observers'
-        # on_pipeline_end sees a run with the real mining stats
-        pipeline = Pipeline([MapStage(), MergeStage()], self.options)
-        state, reports, run = pipeline.run(
-            state, observers=self._observers, prior_reports=(mine_report,)
-        )
-        provenance_extra: dict[str, Any] = {
-            "incremental": True,
-            "n_appends": self._n_appends,
-            "n_pairs_compared_total": self._stats.n_pairs_compared,
-        }
-        if resumed:
-            provenance_extra["resumed"] = True
-        return _assemble_result(
+        """Keep ``state`` for the next append and assemble its result."""
+        self._state = state
+        self._last = _assemble_result(
             state,
-            reports,
-            run=run,
-            provenance_extra=provenance_extra,
+            run,
+            provenance_extra={
+                "incremental": True,
+                "n_appends": self._n_appends,
+                "n_pairs_compared_total": state.build_stats.n_pairs_compared,
+                **provenance,
+            },
         )
+        return self._last

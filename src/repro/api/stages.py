@@ -10,6 +10,13 @@ The paper's generation pipeline is an explicit sequence —
 stateless and reusable; per-run data lives only in the state, so one stage
 instance can serve many concurrent pipelines.
 
+One run path serves both the one-shot :func:`repro.api.generate` and every
+:class:`~repro.api.session.InterfaceSession` append: a one-shot run starts
+from an empty graph, a session's run carries the session's long-lived
+members (graph, map cache, diff memo, store, running fingerprint and
+cumulative build stats), and :class:`MineStage` extends the graph with
+the run's new queries either way.
+
 The bracketed step is optional: when ``options.cache_dir`` is set, the
 default pipeline inserts a :class:`CacheStage` that consults a persistent
 :class:`~repro.cache.store.GraphStore` keyed by (log, options)
@@ -17,7 +24,8 @@ fingerprints.  On a hit the mined graph is restored from disk and
 :class:`MineStage` skips its ``O(|Q| * window)`` tree alignments; on a
 *full* hit (the store also holds the key's widget set) :class:`MapStage`
 and :class:`MergeStage` skip as well — every skip is visible in the run's
-stage reports (``stats["skipped"]``).
+stage reports (``stats["skipped"]``).  :func:`publish` is the one write
+site: it stores what a run computed and the store did not supply.
 
 Stages record their counters with :meth:`PipelineState.record`; the
 :class:`~repro.api.pipeline.Pipeline` wraps each ``run`` with wall-clock
@@ -27,15 +35,15 @@ timing and turns the records into frozen
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
-from repro.cache.fingerprint import log_fingerprint, options_fingerprint
+from repro.cache.fingerprint import LogFingerprinter, options_fingerprint
 from repro.cache.store import GraphStore
 from repro.core.mapper import MapCache, initialize, merge_widgets
 from repro.core.options import PipelineOptions
 from repro.errors import CacheError, LogError
-from repro.graph.build import BuildStats, build_interaction_graph
+from repro.graph.build import BuildStats, extend_interaction_graph, in_build_order
 from repro.graph.interaction import InteractionGraph
 from repro.logs.sessions import segment_asts, validate_threshold
 from repro.sqlparser.astnodes import Node
@@ -53,69 +61,89 @@ __all__ = [
     "MapStage",
     "MergeStage",
     "parse_deduplicated",
+    "publish",
 ]
 
 
-def parse_deduplicated(statements: list[str]) -> tuple[list[Node], int]:
+def parse_deduplicated(statements: list[str | Node]) -> tuple[list[Node], int]:
     """Parse statements with byte-identical ones parsed once.
 
     Replayed logs repeat identical statements constantly; since ASTs are
     immutable, repeats can share one object (the cache loader aliases
-    identical queries the same way).  Returns ``(queries, n_hits)`` —
-    one AST per input statement, and how many reused a previous parse.
-    Shared by :class:`ParseStage` and the session's ``append_sql``.
+    identical queries the same way).  An item that is already an AST
+    passes through.  Returns ``(queries, n_hits)`` — one AST per input
+    item, and how many needed no parse (a repeat, or an AST).
     """
     parsed: dict[str, Node] = {}
     queries: list[Node] = []
     hits = 0
-    for sql in statements:
-        ast = parsed.get(sql)
+    for item in statements:
+        if isinstance(item, Node):
+            queries.append(item)
+            hits += 1
+            continue
+        ast = parsed.get(item)
         if ast is None:
-            parsed[sql] = ast = parse_sql(sql)
+            parsed[item] = ast = parse_sql(item)
         else:
             hits += 1
         queries.append(ast)
     return queries, hits
 
 
+def _add_stats(total: BuildStats, part: BuildStats) -> None:
+    """Fold one mine's counters into cumulative build stats."""
+    for stat in fields(BuildStats):
+        setattr(total, stat.name, getattr(total, stat.name) + getattr(part, stat.name))
+
+
 @dataclass
 class PipelineState:
     """The mutable carrier threaded through the stages of one run.
 
-    Attributes:
+    Per-run attributes:
         options: pipeline configuration shared by every stage.
-        statements: raw SQL strings (input of :class:`ParseStage`).
-        queries: parsed ASTs in log order.
+        statements: raw SQL strings (input of :class:`ParseStage`; an
+            item that is already an AST passes through).
+        queries: this run's parsed ASTs in log order — the whole log of a
+            one-shot run, the appended batch of a session's run.  The
+            accumulated log is ``graph.queries``.
         segments: per-analysis query lists (output of :class:`SegmentStage`).
-        graph: the mined interaction graph (output of :class:`MineStage`).
         widgets: the widget set (output of :class:`MapStage` /
             :class:`MergeStage`).
         source: free-form label of where the log came from (provenance).
         records: per-stage counters, keyed by stage name.
-        cache_store: the :class:`~repro.cache.store.GraphStore` the run is
-            using, set by :class:`CacheStage` (``None`` = caching off).
-        cache_key: the run's ``(log_fingerprint, options_fingerprint)``
-            pair, set by :class:`CacheStage`; :class:`MineStage` saves a
-            freshly mined graph under it and :class:`MergeStage` a freshly
-            merged widget set.
+        cache_key: the ``(log_fingerprint, options_fingerprint)`` pair
+            :class:`CacheStage` looked up; :func:`publish` writes under it.
+        graph_from_cache / widgets_from_cache: set by :class:`CacheStage`
+            when the store supplied the graph / the widget set; the stages
+            that would compute them skip, and :func:`publish` does not
+            write them back.
+
+    Long-lived attributes (one-shot runs start them empty; a session's
+    runs carry them from append to append, see :meth:`next_run`):
+        graph: the interaction graph, extended by :class:`MineStage`.
         map_cache: the :class:`~repro.core.mapper.MapCache` that
-            :class:`MapStage` and :class:`MergeStage` run over — empty by
-            default, so a one-shot run maps from scratch.  A long-lived
-            caller (the session) passes its own, so each run rebuilds
-            only the partitions whose diff lists changed since the
-            previous run and re-merges only the components incident to
-            them.
-        widgets_from_cache: set by :class:`CacheStage` on a widget-set
-            hit; tells :class:`MapStage` and :class:`MergeStage` to skip.
+            :class:`MapStage` and :class:`MergeStage` run over, so a run
+            rebuilds only the partitions whose diff lists changed since
+            the previous run and re-merges only the components incident
+            to them.
         diff_memo: the :class:`~repro.treediff.memo.DiffMemo` the Mine
-            stage aligns through.  A long-lived caller (the session) sets
-            it so memoised alignment plans survive across appends; when
-            unset, :class:`MineStage` creates a run-local memo, which
-            still collapses repeated shapes *within* one log.
+            stage aligns through (created on first use), so memoised
+            alignment plans survive across runs.
+        cache_store: the :class:`~repro.cache.store.GraphStore`
+            (``None`` = caching off, or not opened yet).
+        fingerprinter: the running
+            :class:`~repro.cache.fingerprint.LogFingerprinter` of
+            ``graph.queries``, kept by :class:`CacheStage` only while a
+            store is configured (``None`` on a non-empty graph = a log that
+            could not be fingerprinted, so the graph stays uncached).
+        build_stats: cumulative :class:`~repro.graph.build.BuildStats` of
+            the graph, written with it by :func:`publish`.
     """
 
     options: PipelineOptions
-    statements: list[str] | None = None
+    statements: list[str | Node] | None = None
     queries: list[Node] | None = None
     segments: list[list[Node]] | None = None
     graph: InteractionGraph | None = None
@@ -125,12 +153,62 @@ class PipelineState:
     cache_store: GraphStore | None = None
     cache_key: tuple[str, str] | None = None
     map_cache: MapCache = field(default_factory=MapCache)
+    graph_from_cache: bool = False
     widgets_from_cache: bool = False
     diff_memo: DiffMemo | None = None
+    fingerprinter: LogFingerprinter | None = None
+    build_stats: BuildStats = field(default_factory=BuildStats)
 
     def record(self, stage_name: str, **stats: Any) -> None:
         """Merge counters into the named stage's record."""
         self.records.setdefault(stage_name, {}).update(stats)
+
+    def next_run(self, **per_run: Any) -> "PipelineState":
+        """A fresh state for the next run over this state's long-lived
+        members; ``per_run`` sets per-run attributes (the batch, the
+        source label)."""
+        return PipelineState(
+            options=self.options,
+            graph=self.graph,
+            map_cache=self.map_cache,
+            diff_memo=self.diff_memo,
+            cache_store=self.cache_store,
+            fingerprinter=self.fingerprinter,
+            build_stats=self.build_stats,
+            **per_run,
+        )
+
+
+def publish(state: PipelineState) -> None:
+    """Write a run's graph and widget set to its store — the one write site.
+
+    The key is the running fingerprint of every query in ``state.graph``
+    with the options' fingerprint.  The graph is written in full-build
+    ``(q1, q2)`` order (store consumers map straight off the stored diff
+    order, and the greedy merge is order-sensitive) with the cumulative
+    build stats, then the widget set, which references the graph's diffs
+    by index.  A record the store itself supplied to the run is skipped.
+    A no-op without a store or a running fingerprint.
+
+    Raises:
+        CacheError: when a record cannot be encoded.
+        OSError: when the store cannot be written.
+    """
+    store, fingerprinter, graph = state.cache_store, state.fingerprinter, state.graph
+    if store is None or fingerprinter is None or graph is None:
+        return
+    widgets = None if state.widgets_from_cache else state.widgets
+    if state.graph_from_cache and widgets is None:
+        return
+    log_fp, opts_fp = state.cache_key or (
+        fingerprinter.hexdigest(),
+        options_fingerprint(state.options),
+    )
+    ordered = in_build_order(graph)
+    if not state.graph_from_cache:
+        store.save(log_fp, opts_fp, ordered, state.build_stats)
+    if widgets is not None:
+        store.save_widget_set(log_fp, opts_fp, widgets, ordered)
 
 
 class Stage:
@@ -211,44 +289,61 @@ class SegmentStage(Stage):
 
 class CacheStage(Stage):
     """Look up the run's interaction graph — and widget set — in a
-    persistent store.
+    persistent store, and keep the running log fingerprint.
 
-    Fingerprints the parsed log and the options, then consults the
-    :class:`~repro.cache.store.GraphStore` under ``options.cache_dir``.
-    On a graph hit the cached graph becomes ``state.graph`` and the
-    downstream :class:`MineStage` has nothing to do; on a *full* hit the
-    key's widget-set entry decodes against the loaded graph into
+    Only an empty graph is looked up: the stage fingerprints the parsed
+    log and the options and consults the
+    :class:`~repro.cache.store.GraphStore` under ``options.cache_dir``
+    (``state.cache_store`` when the caller opened it already).  On a graph
+    hit the cached graph becomes ``state.graph`` and the downstream
+    :class:`MineStage` has nothing to do; on a *full* hit the key's
+    widget-set entry decodes against the loaded graph into
     ``state.widgets`` and :class:`MapStage`/:class:`MergeStage` skip too —
     the warm path performs no pairwise diffing and no widget solving at
-    all.  On a miss the store and key are left on the state so
-    :class:`MineStage` (and :class:`MergeStage`) persist what they
-    compute.  With no ``cache_dir`` configured the stage records
-    ``enabled=False`` and passes the state through untouched.
+    all.  A later run over a growing graph (a session's append) only
+    feeds its queries to ``state.fingerprinter``, so :func:`publish` can
+    key the accumulated log without re-hashing it.  A log that cannot be
+    fingerprinted fails open: it is mined normally and stays uncached.
+    With no ``cache_dir`` configured the stage records ``enabled=False``
+    and passes the state through untouched.
     """
 
     name = "cache"
 
     def run(self, state: PipelineState) -> PipelineState:
         """Fill ``state.graph`` (and ``state.widgets``) from the store on
-        a hit; otherwise arm ``state.cache_store``/``state.cache_key``."""
-        if state.options.cache_dir is None:
+        a hit; keep ``state.fingerprinter`` running either way."""
+        options = state.options
+        if options.cache_dir is None:
             state.record(self.name, enabled=False, hit=False)
             return state
         if not state.queries:
             raise LogError("cache lookup needs a parsed query log")
-        store = GraphStore(
-            state.options.cache_dir, remote=state.options.daemon_socket
-        )
+        if state.graph is not None and state.graph.queries:
+            if state.fingerprinter is not None:
+                try:
+                    state.fingerprinter.update(state.queries)
+                except CacheError as exc:
+                    state.fingerprinter = None
+                    state.record(self.name, error=str(exc))
+            state.record(self.name, enabled=True, hit=False)
+            return state
         try:
-            log_fp = log_fingerprint(state.queries)
-            opts_fp = options_fingerprint(state.options)
+            fingerprinter = LogFingerprinter().update(state.queries)
+            opts_fp = options_fingerprint(options)
         except CacheError as exc:
             # a cache must fail open: a log that cannot be fingerprinted
             # (e.g. exotic non-JSON attribute values) mines normally, it
             # just cannot be cached
             state.record(self.name, enabled=True, hit=False, error=str(exc))
             return state
-        state.cache_store = store
+        if state.cache_store is None:
+            state.cache_store = GraphStore(
+                options.cache_dir, remote=options.daemon_socket
+            )
+        store = state.cache_store
+        log_fp = fingerprinter.hexdigest()
+        state.fingerprinter = fingerprinter
         state.cache_key = (log_fp, opts_fp)
         key = store.key(log_fp, opts_fp)
         cached = store.load(log_fp, opts_fp)
@@ -257,8 +352,12 @@ class CacheStage(Stage):
             return state
         graph, mined_stats = cached
         state.graph = graph
+        state.graph_from_cache = True
+        # the alignments were paid for by whoever populated the store;
+        # the graph's cumulative stats still count them
+        _add_stats(state.build_stats, mined_stats)
         widgets = store.load_widget_set(
-            log_fp, opts_fp, graph, state.options.library, state.options.annotations
+            log_fp, opts_fp, graph, options.library, options.annotations
         )
         if widgets is not None:
             state.widgets = widgets
@@ -282,25 +381,26 @@ class MineStage(Stage):
     sliding-window and LCA-pruning optimisations, plus skeleton-level
     diff memoisation).
 
-    Mining runs through a :class:`~repro.treediff.memo.DiffMemo` —
-    ``state.diff_memo`` when a long-lived caller (the session) provided
-    one, else a fresh run-local memo — so repeated query shapes replay
-    their alignment plan instead of re-running the alignment DP.  The
-    stage reports the split as ``n_alignments_memoised`` /
-    ``n_alignments_full``.
+    The stage extends ``state.graph`` with the run's queries — a one-shot
+    run extends an empty graph, a session's run its accumulated one — so
+    only pairs that involve a new query are aligned (see
+    :func:`~repro.graph.build.extend_interaction_graph`; the graph keeps
+    arrival order, which :func:`publish` normalises).  Alignment runs
+    through ``state.diff_memo`` (created on first use), so repeated query
+    shapes replay their alignment plan instead of re-running the
+    alignment DP; the stage reports the split as
+    ``n_alignments_memoised`` / ``n_alignments_full`` and folds its
+    counters into ``state.build_stats``.
 
-    When the state already carries a graph — a :class:`CacheStage` hit, or
-    a caller that mined out-of-band — the stage skips the alignment work
-    and records ``skipped=True`` with zero pairs compared.  After a fresh
-    mine it persists the graph through ``state.cache_store`` when a
-    :class:`CacheStage` armed it.
+    When :class:`CacheStage` restored the graph, the stage skips the
+    alignment work and records ``skipped=True`` with zero pairs compared.
     """
 
     name = "mine"
 
     def run(self, state: PipelineState) -> PipelineState:
-        """Fill ``state.graph`` by mining (or skip if already present)."""
-        if state.graph is not None:
+        """Extend ``state.graph`` by mining (or skip a cached graph)."""
+        if state.graph_from_cache and state.graph is not None:
             state.record(
                 self.name,
                 skipped=True,
@@ -312,12 +412,15 @@ class MineStage(Stage):
         if not state.queries:
             raise LogError("cannot mine an empty query log")
         options = state.options
-        stats = BuildStats()
+        if state.graph is None:
+            state.graph = InteractionGraph()
         if state.diff_memo is None:
             state.diff_memo = DiffMemo(
                 max_plans_per_shape=options.max_plans_per_shape
             )
-        state.graph = build_interaction_graph(
+        stats = BuildStats()
+        extend_interaction_graph(
+            state.graph,
             state.queries,
             window=options.window,
             prune=options.lca_pruning,
@@ -325,6 +428,7 @@ class MineStage(Stage):
             stats=stats,
             memo=state.diff_memo,
         )
+        _add_stats(state.build_stats, stats)
         state.record(
             self.name,
             n_pairs_compared=stats.n_pairs_compared,
@@ -333,13 +437,6 @@ class MineStage(Stage):
             n_edges=state.graph.n_edges,
             n_diffs=state.graph.n_diffs,
         )
-        if state.cache_store is not None and state.cache_key is not None:
-            try:
-                state.cache_store.save(*state.cache_key, state.graph, stats)
-            except (CacheError, OSError) as exc:
-                # the mine already succeeded; a failed persist must not
-                # destroy the run — surface it in the stage stats instead
-                state.record(self.name, cache_save_error=str(exc))
         return state
 
 
@@ -400,9 +497,6 @@ class MergeStage(Stage):
     :class:`~repro.core.mapper.WindowMemo` — reported as
     ``n_windows_reused`` / ``n_windows_merged``.  When
     :class:`CacheStage` restored a cached widget set, the stage skips.
-    After a fresh merge the widget set is persisted through
-    ``state.cache_store`` when a :class:`CacheStage` armed one, making the
-    next run over this key a full hit.
     """
 
     name = "merge"
@@ -434,13 +528,4 @@ class MergeStage(Stage):
             n_widgets=len(state.widgets),
             final_cost=sum(w.cost for w in state.widgets),
         )
-        if state.cache_store is not None and state.cache_key is not None:
-            try:
-                state.cache_store.save_widget_set(
-                    *state.cache_key, state.widgets, state.graph
-                )
-            except (CacheError, OSError) as exc:
-                # the merge already succeeded; a failed persist must not
-                # destroy the run — surface it in the stage stats instead
-                state.record(self.name, cache_save_error=str(exc))
         return state

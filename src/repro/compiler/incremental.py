@@ -27,12 +27,11 @@ Three layers make that correct *and* byte-identical to a full recompile:
   path, rendered domain labels, and the initialising diff-table indices
   — never the process-salted ``Node.fingerprint``), so a combination
   touching only clean widgets replays its cached slice byte-identically;
-  only combinations involving a dirty widget are re-rendered and, with a
-  database attached, re-executed.  Before executing, the session's
-  :class:`~repro.core.closure.ClosureCache` proofs are consulted: a
-  combination whose cover proof is already recorded replays the execution
-  memo, and newly rendered combinations record their (by-construction
-  sound) proof, warming ``session.expresses()``.
+  only combinations involving a dirty widget are re-rendered.  With a
+  database attached, a re-rendered combination executes only when its
+  SQL text is new: the execution memo (SQL text → rendered result) holds
+  every result the previous page showed, and a query is determined by
+  its SQL text, so a held result replays byte-identically.
 
 * **Patches.**  :meth:`IncrementalCompiler.compile_patch` emits the
   structural difference between consecutive pages — replaced widget
@@ -64,10 +63,8 @@ from repro.compiler.html import (
 )
 from repro.compiler.layout import grid_layout
 from repro.compiler.runtime import Database
-from repro.core.closure import ClosureCache
 from repro.core.interface import Interface, as_interface
 from repro.errors import CompileError
-from repro.paths import Path
 from repro.sqlparser.astnodes import Node
 from repro.sqlparser.render import render_sql
 from repro.widgets.base import Widget
@@ -345,19 +342,9 @@ class IncrementalCompiler:
     # ------------------------------------------------------------------
     # compilation
     # ------------------------------------------------------------------
-    def compile(
-        self,
-        interface: Interface,
-        closure_cache: ClosureCache | None = None,
-    ) -> CompiledPage:
-        """Compile ``interface``, reusing every artifact and closure slice
-        that is provably unchanged.
-
-        Args:
-            interface: the interface (or result) to compile.
-            closure_cache: the session's closure cache; consulted before
-                executing a combination and warmed with the rendered
-                combinations' cover proofs.
+    def compile(self, interface: Interface) -> CompiledPage:
+        """Compile ``interface`` (or a result), reusing every artifact,
+        closure slice and execution result that is provably unchanged.
 
         Raises:
             CompileError: when the interface has no widgets.
@@ -387,7 +374,7 @@ class IncrementalCompiler:
             self.stats.pages_reused += 1
             return self._page
 
-        closure = self._closure(interface, ordered, artifacts, closure_cache)
+        closure = self._closure(interface, ordered, artifacts)
 
         widget_ids = [f"w{i}" for i in range(len(ordered))]
         blocks: dict[str, str] = {}
@@ -411,16 +398,12 @@ class IncrementalCompiler:
         )
         return self._page
 
-    def compile_patch(
-        self,
-        interface: Interface,
-        closure_cache: ClosureCache | None = None,
-    ) -> dict[str, Any]:
+    def compile_patch(self, interface: Interface) -> dict[str, Any]:
         """Compile and return the structural patch against the previous
         page (a full ``kind="page"`` patch on the first compile; an empty
         delta when nothing changed)."""
         before = self._page
-        after = self.compile(interface, closure_cache=closure_cache)
+        after = self.compile(interface)
         return make_patch(before, after)
 
     # ------------------------------------------------------------------
@@ -507,7 +490,6 @@ class IncrementalCompiler:
         interface: Interface,
         ordered: list[Widget],
         artifacts: list[WidgetArtifact],
-        closure_cache: ClosureCache | None,
     ) -> dict[str, dict[str, str]]:
         """Enumerate the closure in product order, replaying cached
         slices and re-rendering only dirty combinations.
@@ -525,9 +507,6 @@ class IncrementalCompiler:
         """
         choice_lists = [artifact.choices for artifact in artifacts]
         fingerprints = [artifact.fingerprint for artifact in artifacts]
-        proven = (
-            closure_cache.proven_for(ordered) if closure_cache is not None else None
-        )
         closure: dict[str, dict[str, str]] = {}
         slices: dict[tuple[tuple[str, int], ...], dict[str, str]] = {}
         lengths = [len(choices) for choices in choice_lists]
@@ -552,7 +531,6 @@ class IncrementalCompiler:
                     ordered,
                     choice_lists,
                     zero_prefix + tail,
-                    proven,
                 )
                 self.stats.combos_rendered += 1
             else:
@@ -575,33 +553,21 @@ class IncrementalCompiler:
         ordered: list[Widget],
         choice_lists: list[list[Node | None | str]],
         combo: tuple[int, ...],
-        proven: dict | None,
     ) -> dict[str, str]:
         """Render (and with a database, execute) one dirty combination.
 
-        The execution memo (SQL string → rendered result) is replayed
-        only for combinations whose cover proof is already in the
-        session's :class:`ClosureCache`; an unproven combination executes
-        and records its proof — sound by construction, since the query
-        was produced by applying widget choices to ``q0``.
+        The execution memo (SQL text → rendered result) replays any SQL
+        the previous page held; only new SQL text reaches the database.
         """
         query = compose_query(interface.initial_query, ordered, choice_lists, combo)
         if self.database is None:
             return render_closure_entry(query, None)
-        proof_key = (
-            interface.initial_query.fingerprint,
-            query.fingerprint,
-            Path.root(),
-        )
-        known = bool(proven.get(proof_key)) if proven is not None else False
         sql = render_sql(query)
         cached_result = self._results.get(sql)
-        if known and cached_result is not None:
+        if cached_result is not None:
             self.stats.executions_replayed += 1
             return {"sql": sql, "result": cached_result}
         entry = render_closure_entry(query, self.database)
         self.stats.executions += 1
         self._results[sql] = entry["result"]
-        if proven is not None and not known:
-            proven[proof_key] = True
         return entry

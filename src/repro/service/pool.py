@@ -80,7 +80,6 @@ DEFAULT_QUEUE_DEPTH = 8
 _OP_APPEND = "append"
 _OP_DRAIN = "drain"
 _OP_RELEASE = "release"
-_OP_STOP = "stop"
 _OP_CLOSE = "close"
 
 
@@ -254,8 +253,6 @@ def _worker_main(
         elif op == _OP_CLOSE:
             _, flush_deadline = message
             outbox.put(_close_worker(worker_id, sessions, flush_deadline))
-            break
-        elif op == _OP_STOP:
             break
 
 

@@ -80,7 +80,7 @@ class TestInterfaceSession:
 
     def test_observers_see_real_mining_stats(self, sdss_asts):
         """The run handed to on_pipeline_end must match the returned
-        result's run, including the synthesized mine report."""
+        result's run, including the append's mine report."""
         from repro.api import PipelineObserver
 
         runs = []

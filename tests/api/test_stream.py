@@ -32,7 +32,8 @@ class TestStream:
         assert [s.provenance["n_appends"] for s in snapshots] == [1, 2, 3, 4]
         # each snapshot carries per-append stage reports
         for snapshot in snapshots:
-            assert snapshot.run.stage("mine").stats["incremental"] is True
+            assert snapshot.provenance["incremental"] is True
+            assert snapshot.run.stage("mine") is not None
             assert snapshot.run.stage("map") is not None
             assert snapshot.run.stage("merge") is not None
         assert snapshots[-1] is session.result

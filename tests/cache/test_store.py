@@ -16,6 +16,17 @@ SQL = [
 ]
 
 
+def _unfingerprintable():
+    """A log whose attribute values are not JSON: it mines, but cannot be
+    fingerprinted for a store key."""
+    from repro.sqlparser.astnodes import Node
+
+    return [
+        Node("SelectStmt", {"cols": ("a", "b")}, []),
+        Node("SelectStmt", {"cols": ("a", "c")}, []),
+    ]
+
+
 @pytest.fixture()
 def asts():
     return [parse_sql(s) for s in SQL]
@@ -146,12 +157,7 @@ class TestCacheStagePipeline:
     def test_unfingerprintable_log_fails_open(self, tmp_path):
         """Exotic attribute values that cannot be JSON-fingerprinted must
         disable caching for the run, not crash it."""
-        from repro.sqlparser.astnodes import Node
-
-        weird = [
-            Node("SelectStmt", {"cols": ("a", "b")}, []),
-            Node("SelectStmt", {"cols": ("a", "c")}, []),
-        ]
+        weird = _unfingerprintable()
         options = PipelineOptions(cache_dir=str(tmp_path))
         result = generate(weird, options=options)
         stats = result.run.stage("cache").stats
@@ -182,7 +188,7 @@ class TestSessionStoreSharing:
         one_shot = generate(SQL, options=options)
         session = InterfaceSession(options=PipelineOptions(cache_dir=str(tmp_path)))
         result = session.append_sql(SQL)
-        assert result.run.stage("mine").stats["cache_hit"] is True
+        assert result.run.stage("cache").stats["hit"] is True
         assert result.run.n_pairs_compared == 0
         # totals still reflect the alignments the store's producer paid for
         assert session.n_pairs_compared == one_shot.run.n_pairs_compared
@@ -210,3 +216,40 @@ class TestSessionStoreSharing:
         ).run.stage("cache").stats["hit"] is False
         # no cache_dir -> flush is a silent no-op
         InterfaceSession().flush_to_store()
+
+
+class TestUnfingerprintableSessions:
+    """A session fingerprints only when it has a store, and fails open the
+    way the cache stage does: the log mines, and stays uncached."""
+
+    def test_session_without_a_store(self):
+        weird = _unfingerprintable()
+        session = InterfaceSession()
+        result = session.append(weird)
+        assert result.run.n_pairs_compared > 0
+        assert session.append(weird[:1]).interface.widget_summary()
+        session.flush_to_store()  # no store: a no-op
+
+    def test_session_with_a_store(self, tmp_path):
+        weird = _unfingerprintable()
+        session = InterfaceSession(options=PipelineOptions(cache_dir=str(tmp_path)))
+        first = session.append(weird)
+        cache = first.run.stage("cache").stats
+        assert cache["hit"] is False and "error" in cache
+        second = session.append(weird[:1])
+        assert second.run.stage("cache").stats["hit"] is False
+        session.flush_to_store()  # uncached: nothing to write
+        assert len(GraphStore(tmp_path)) == 0
+
+    def test_session_pool(self, tmp_path):
+        from repro.service import SessionPool
+
+        weird = _unfingerprintable()
+        options = PipelineOptions(cache_dir=str(tmp_path))
+        with SessionPool(options=options, pool_size=1) as pool:
+            pool.submit("weird", weird)
+            pool.submit("weird", weird[:1])
+            results = pool.drain()
+            assert pool.flush_errors() == []
+        assert results["weird"].interface.n_widgets > 0
+        assert len(GraphStore(tmp_path)) == 0

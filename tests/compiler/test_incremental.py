@@ -198,6 +198,28 @@ class TestClosureSlices:
         n_executed = compiler.stats.executions - executions_before
         assert n_executed < compiler.stats.combos_rendered
 
+    @pytest.mark.parametrize(
+        "family, first, total", [("onehot", 14, 24), ("olap", 53, 80)]
+    )
+    def test_only_sql_new_to_the_page_executes(self, family, first, total):
+        """Results replay by SQL text alone: a compile executes exactly
+        the SQL texts the previous page did not hold (0 and 5 here, where
+        a memo gated on closure proofs ran 5 and 25)."""
+        asts = _family_log(family)
+        db = self._database()
+        session = InterfaceSession()
+        session.append(asts[:first])
+        session.compile(database=db, limit=150)
+        compiler = session._compiler
+        held = {entry["sql"] for entry in compiler.page.closure.values()}
+        session.append(asts[first:total])
+        executions_before = compiler.stats.executions
+        rendered_before = compiler.stats.combos_rendered
+        session.compile(database=db, limit=150)
+        shown = {entry["sql"] for entry in compiler.page.closure.values()}
+        assert compiler.stats.combos_rendered - rendered_before > len(shown - held)
+        assert compiler.stats.executions - executions_before == len(shown - held)
+
     def test_database_switch_recreates_the_compiler(self):
         session = InterfaceSession()
         session.append_sql(list(LISTING_6))

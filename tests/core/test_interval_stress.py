@@ -66,7 +66,7 @@ def _log():
 
 
 def _check_cache(session, errors, where):
-    cache = session._map_cache
+    cache = session._state.map_cache
     index = cache.index
     try:
         index.intervals.check_invariants()

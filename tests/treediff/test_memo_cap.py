@@ -107,7 +107,7 @@ class TestPipelinePlumbing:
         session = InterfaceSession(
             options=PipelineOptions(max_plans_per_shape=3)
         )
-        assert session._diff_memo.max_plans_per_shape == 3
+        assert session._state.diff_memo.max_plans_per_shape == 3
 
     def test_cap_excluded_from_options_fingerprint(self):
         """A pure resource knob: capped and uncapped runs must share
