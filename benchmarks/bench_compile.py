@@ -3,10 +3,12 @@
 Not a paper figure — this benchmarks the compiled-page layer on the same
 adversarial skewed one-hot workload the merge ablation uses: K clean
 function subtrees warmed up once, then every append varies a single
-literal.  Merge-layer dirtiness pins the change to one widget, so the
-incremental compiler re-renders that widget (and its closure slice) and
-reuses every other artifact byte-for-byte, while the one-shot
-``compile_html`` pays for the whole page on every arrival.
+literal.  A page ships each widget's domain and composes queries in the
+browser, so a compile renders widgets, never combinations.  Merge-layer
+dirtiness pins the change to one widget, so the incremental compiler
+re-renders that widget (its option labels and composer data) and reuses
+every other artifact byte-for-byte, while the one-shot ``compile_html``
+renders every widget on every arrival.
 
 Each hot append times both arms and — the acceptance bar — folds the
 emitted patch onto the running client state and asserts the result is
@@ -37,9 +39,6 @@ from helpers import emit, emit_json, run_once
 
 TINY = os.environ.get("REPRO_BENCH_BUDGET") == "tiny"
 
-#: closure budget per compile — bounds the combination walk so the
-#: one-shot arm measures rendering, not an unbounded product space
-COMPILE_LIMIT = 64 if TINY else 512
 COMPILE_BATCH = 4
 
 
@@ -56,7 +55,7 @@ def test_compile_incremental(benchmark):
         session.append(asts[:warmup])
         # the first compile builds every artifact from scratch — that is
         # the cold page, not the steady state being measured
-        state = apply_patch(None, session.compile_patch(limit=COMPILE_LIMIT))
+        state = apply_patch(None, session.compile_patch())
         gc.collect()
 
         incremental_seconds = []
@@ -66,11 +65,11 @@ def test_compile_incremental(benchmark):
         for start in range(warmup, len(asts), COMPILE_BATCH):
             result = session.append(asts[start : start + COMPILE_BATCH])
             t0 = time.perf_counter()
-            patch = session.compile_patch(limit=COMPILE_LIMIT)
+            patch = session.compile_patch()
             incremental_seconds.append(time.perf_counter() - t0)
             state = apply_patch(state, patch)
             t1 = time.perf_counter()
-            full = compile_html(result.interface, limit=COMPILE_LIMIT)
+            full = compile_html(result.interface)
             oneshot_seconds.append(time.perf_counter() - t1)
             # the optimisation is not an approximation: folding the patch
             # stream reproduces the full recompile byte-for-byte
@@ -99,7 +98,6 @@ def test_compile_incremental(benchmark):
             "n_queries": len(asts),
             "warmup": warm + SKEW_WARM_EXTRA,
             "batch": COMPILE_BATCH,
-            "limit": COMPILE_LIMIT,
             "window": 2,
             "n_cores": os.cpu_count(),
             "tiny_budget": TINY,
@@ -111,8 +109,6 @@ def test_compile_incremental(benchmark):
         "median_page_bytes": median_page,
         "widgets_rendered": stats.widgets_rendered,
         "widgets_reused": stats.widgets_reused,
-        "combos_rendered": stats.combos_rendered,
-        "combos_replayed": stats.combos_replayed,
         "per_append_incremental_seconds": out["incremental_seconds"],
         "per_append_oneshot_seconds": out["oneshot_seconds"],
     }
@@ -122,7 +118,7 @@ def test_compile_incremental(benchmark):
         "\n".join(
             [
                 f"compile over the skewed one-hot log "
-                f"(limit={COMPILE_LIMIT}, batch {COMPILE_BATCH}, "
+                f"(batch {COMPILE_BATCH}, "
                 f"{len(out['incremental_seconds'])} hot appends)",
                 f"  incremental patch:  {incremental * 1000:8.2f} ms",
                 f"  one-shot compile:   {oneshot * 1000:8.2f} ms  "
@@ -130,8 +126,7 @@ def test_compile_incremental(benchmark):
                 f"  median patch {median_patch / 1024:.1f} KiB vs "
                 f"page {median_page / 1024:.1f} KiB",
                 f"  widgets rendered/reused: {stats.widgets_rendered}/"
-                f"{stats.widgets_reused}   combos rendered/replayed: "
-                f"{stats.combos_rendered}/{stats.combos_replayed}",
+                f"{stats.widgets_reused}",
             ]
         ),
     )

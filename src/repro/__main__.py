@@ -234,10 +234,12 @@ def _print_follow_event(ack: "AppendAck", json_mode: bool) -> None:
             elif kind == "page":
                 compiled = " (full page patch)"
             else:
-                compiled = (
-                    f" (patch: {len(ack.compiled.get('blocks', {}))} block(s), "
-                    f"{len(ack.compiled.get('closure_set', {}))} combo(s))"
-                )
+                compiled = f" (patch: {len(ack.compiled.get('blocks', {}))} block(s)"
+                # result entries ride along only when a database is attached
+                results = len(ack.compiled.get("closure_set", {}))
+                if results:
+                    compiled += f", {results} result(s)"
+                compiled += ")"
         print(
             f"[{ack.client_id}] batch #{ack.seq}: {ack.n_queries} queries "
             f"-> {ack.n_widgets} widget(s) in {ack.seconds * 1000:.0f} ms"
@@ -532,8 +534,7 @@ def main(argv: list[str] | None = None) -> int:
                        help="with --follow: compile each append's interface "
                             "in the worker and stream it on the event — "
                             "'patch' emits structural patches (replaced "
-                            "widget blocks + closure delta), 'page' the "
-                            "full HTML page")
+                            "widget blocks), 'page' the full HTML page")
     serve.set_defaults(fn=_cmd_serve)
 
     daemon = commands.add_parser(

@@ -147,9 +147,12 @@ class InterfaceSession:
         self._closure_cache = ClosureCache()
         # incremental page compiler, created lazily on the first
         # compile()/compile_patch() and kept across appends so per-widget
-        # artifacts and closure slices carry over (see
+        # artifacts and execution results carry over (see
         # repro.compiler.incremental)
         self._compiler: IncrementalCompiler | None = None
+        # the append state flush_to_store last published: a flush with
+        # no append since then has nothing new to write
+        self._published: PipelineState | None = None
 
     @property
     def _graph(self) -> InteractionGraph:
@@ -247,12 +250,11 @@ class InterfaceSession:
         page: the session's :class:`IncrementalCompiler` re-renders a
         widget only when it is a new object whose picked type or diff
         list differs from the cached rendering at its path (clean merge
-        components hand back the same objects), and renders only the
-        closure combinations the previous page did not hold — those that
-        select a choice of a re-rendered widget, or that are new to the
-        page (with a database, executing only SQL the previous page did
-        not already hold).  The compiler survives appends; call this
-        after each append for the incremental saving.
+        components hand back the same objects).  The page composes each
+        combination's query itself; with a database, the first
+        ``limit`` combinations' results are embedded, executing only SQL
+        the previous page did not already hold.  The compiler survives
+        appends; call this after each append for the incremental saving.
 
         Raises:
             LogError: when nothing has been appended yet.
@@ -269,10 +271,12 @@ class InterfaceSession:
         columns: int = 2,
     ) -> dict[str, Any]:
         """Compile incrementally and return the *structural patch* since
-        the previous compile: replaced widget blocks plus the closure
-        delta (wire format of :func:`repro.compiler.incremental.make_patch`).
+        the previous compile: replaced widget blocks plus, with a
+        database, the results delta (wire format of
+        :func:`repro.compiler.incremental.make_patch`).
 
-        The first call (or a title/layout change) returns a full
+        The first call (or a title, layout or initial-query change)
+        returns a full
         ``kind="page"`` patch; :func:`repro.compiler.incremental.apply_patch`
         folds the stream into a page state whose
         :func:`~repro.compiler.incremental.page_html` is byte-identical
@@ -293,7 +297,7 @@ class InterfaceSession:
         columns: int,
     ) -> IncrementalCompiler:
         """The session's compiler, recreated when the compile options
-        change (artifacts and slices are only sound for one configuration)."""
+        change (artifacts and results are only sound for one configuration)."""
         if self._last is None:
             raise LogError("cannot compile before the first append")
         compiler = self._compiler
@@ -505,8 +509,9 @@ class InterfaceSession:
         Explicit rather than automatic: serialising the whole graph costs
         O(accumulated log), so the caller decides when that is worth
         paying (typically once, after the last append of a batch window).
-        A no-op when no ``cache_dir`` is configured, or when the log could
-        not be fingerprinted.
+        A no-op when no ``cache_dir`` is configured, when the log could
+        not be fingerprinted, or when nothing was appended since the last
+        flush that published (a failed write is retried by the next one).
 
         Raises:
             LogError: when nothing has been appended yet.
@@ -516,7 +521,10 @@ class InterfaceSession:
             return
         if self._last is None:
             raise LogError("cannot flush a session before the first append")
+        if self._state is self._published:
+            return
         publish(self._state)
+        self._published = self._state
 
     # ------------------------------------------------------------------
     # the run path

@@ -4,14 +4,18 @@
 internal query q by running the provided exec() function, and renders the
 results using the user provided render() method."
 
-Offline we have no query server, so the compiler *pre-evaluates* the
-interface closure: every combination of widget states (sliders sampled at
-their initialising values) is rendered to SQL — and, when a
-:class:`~repro.compiler.runtime.Database` is supplied, executed — and the
-results are embedded in the page.  The generated file is fully
-self-contained: interacting with a widget looks up the composed query and
-updates the SQL view and the result table, exactly the interaction loop of
-Figure 2b.
+The page composes q itself.  It ships the initial query's AST, each
+widget's path, deletion guard and choice subtrees (in the widget's
+block), and one small composer (``composer.js``, a port of
+:func:`compose_query`, :func:`~repro.core.closure.apply_widget_choice`
+and :func:`~repro.sqlparser.render.render_sql`): moving a widget
+composes the query of the current combination and shows its SQL, for
+every combination of widget states.  Offline there is no query server,
+so with a :class:`~repro.compiler.runtime.Database` the compiler
+pre-evaluates the first ``limit`` combinations and embeds their results,
+keyed by SQL text; the page shows a combination's result when its SQL
+is among them.  The generated file is fully self-contained — the
+interaction loop of Figure 2b.
 
 The compilation is factored into pure per-widget units, which the
 compiler (:mod:`repro.compiler.incremental`) composes:
@@ -20,11 +24,13 @@ compiler (:mod:`repro.compiler.incremental`) composes:
 * :func:`render_control_body` — the expensive per-widget rendering (the
   ``<option>`` labels, or the checkbox ``data-on`` index for presence
   toggles);
+* :func:`render_widget_spec` — the widget's composer data (path, guard,
+  choice subtrees) as page-ready JSON;
 * :func:`render_widget_block` — the cheap per-widget block assembly;
-* :func:`render_closure_entry` — one closure combination's SQL (and,
-  with a database, its executed result);
-* :func:`assemble_page` — the page template, with a canonical closure
-  key order so any route to the same closure yields identical bytes.
+* :func:`page_json` / :func:`node_data` — JSON safe inside the page's
+  script, and the composer's tree form of an AST;
+* :func:`assemble_page` — the page template, with a canonical result
+  order so any route to the same page yields identical bytes.
 
 :func:`compile_html` is the page of a fresh
 :class:`~repro.compiler.incremental.IncrementalCompiler` — one-shot
@@ -35,21 +41,28 @@ from __future__ import annotations
 
 import html as html_escape
 import json
+from functools import cache
+from importlib.resources import files
+from typing import Any
 
 from repro.compiler.runtime import Database, execute, render_text
 from repro.core.closure import apply_widget_choice
 from repro.core.interface import Interface
 from repro.errors import CompileError
 from repro.sqlparser.astnodes import Node
-from repro.sqlparser.render import render_sql
+from repro.sqlparser.render import _Renderer, render_sql
 from repro.widgets.base import Widget
 
 __all__ = [
     "compile_html",
     "build_choice_list",
     "render_control_body",
+    "render_widget_spec",
     "render_widget_block",
-    "render_closure_entry",
+    "render_result",
+    "node_data",
+    "page_json",
+    "composer_source",
     "assemble_page",
 ]
 
@@ -87,36 +100,47 @@ h1 {{ font-size: 1.3em; }}
 <div id="sql"></div>
 <div id="result"></div>
 <script>
-const CLOSURE = {closure_json};
-const WIDGET_IDS = {widget_ids_json};
-function currentKey() {{
-  return WIDGET_IDS.map(id => {{
-    const el = document.getElementById(id);
-    if (el.type === "checkbox") return el.checked ? (el.dataset.on || "1") : "0";
-    return el.value;
-  }}).join("|");
-}}
-function refresh() {{
-  const entry = CLOSURE[currentKey()];
-  const sqlDiv = document.getElementById("sql");
-  const resultDiv = document.getElementById("result");
-  if (!entry) {{
-    sqlDiv.innerHTML = '<span class="miss">-- combination not pre-evaluated --</span>';
-    resultDiv.textContent = "";
-    return;
-  }}
-  sqlDiv.textContent = entry.sql;
-  resultDiv.textContent = entry.result || "(no result pre-computed)";
-}}
-for (const id of WIDGET_IDS) {{
-  document.getElementById(id).addEventListener("input", refresh);
-  document.getElementById(id).addEventListener("change", refresh);
-}}
-refresh();
-</script>
+const Q0 = {initial_query};
+const RESULTS = {results};
+const WIDGET_IDS = {widget_ids};
+{composer}</script>
 </body>
 </html>
 """
+
+
+#: Literal leaves the page takes as SQL text from Python's renderer:
+#: JavaScript spells numbers differently (``1e-05`` is ``0.00001`` there)
+#: and loses the digits of integers beyond 2**53.
+_TEXT_LEAVES = frozenset({"NumExpr", "HexExpr", "StrExpr", "BoolExpr"})
+
+
+@cache
+def composer_source() -> str:
+    """The page's composer script (``composer.js``, package data): a
+    fixed part of every page, read once."""
+    return files("repro.compiler").joinpath("composer.js").read_text(encoding="utf-8")
+
+
+def page_json(value: Any) -> str:
+    """``value`` as JSON that cannot end or comment out the page's
+    script: ``</`` and ``<!--`` inside strings are escaped."""
+    text = json.dumps(value, separators=(",", ":"))
+    return text.replace("</", "<\\/").replace("<!--", "<\\u0021--")
+
+
+def node_data(node: Node) -> dict[str, Any]:
+    """A subtree as the composer's JSON tree: ``t`` its type, ``a`` its
+    attributes, ``s`` a literal leaf's SQL text, ``c`` its children
+    (empty members omitted)."""
+    data: dict[str, Any] = {"t": node.node_type}
+    if node.node_type in _TEXT_LEAVES:
+        data["s"] = _Renderer().expr(node)
+    elif node.attributes:
+        data["a"] = node.attributes
+    if node.children:
+        data["c"] = [node_data(child) for child in node.children]
+    return data
 
 
 def _option_label(entry: Node | None) -> str:
@@ -127,8 +151,6 @@ def _option_label(entry: Node | None) -> str:
 
 def _render_fragment(entry: Node) -> str:
     """Best-effort SQL text for a subtree (fall back to the node label)."""
-    from repro.sqlparser.render import _Renderer  # local: shares expr logic
-
     renderer = _Renderer()
     try:
         if entry.node_type in ("SelectStmt", "SetOpStmt"):
@@ -192,20 +214,41 @@ def render_control_body(
     return ("select", options)
 
 
+def render_widget_spec(widget: Widget, choices: list[Node | None | str]) -> str:
+    """The widget's composer data — its path, deletion guard
+    (``domain.node_types``) and the subtree of every choice after
+    "(unchanged)" — as JSON text ready for a single-quoted attribute."""
+    spec = page_json(
+        {
+            "path": list(widget.path.steps),
+            "guard": sorted(widget.domain.node_types),
+            "choices": [
+                None if choice is None else node_data(choice)  # type: ignore[arg-type]
+                for choice in choices[1:]
+            ],
+        }
+    )
+    return spec.replace("&", "&amp;").replace("'", "&#x27;")
+
+
 def render_widget_block(
-    widget_id: str, label: str, tag: str, kind: str, body: str
+    widget_id: str, label: str, tag: str, kind: str, body: str, spec: str
 ) -> str:
-    """Assemble one widget's HTML block from its rendered control body.
+    """Assemble one widget's HTML block from its rendered control body
+    and composer data.
 
     Cheap by design (string concatenation only): the incremental compiler
     re-runs this for every widget on every page — the element id depends
-    on grid position — while ``(kind, body)`` is reused from the artifact
-    cache.
+    on grid position — while ``(kind, body, spec)`` is reused from the
+    artifact cache.
     """
     if kind == "checkbox":
-        control = f'<input type="checkbox" id="{widget_id}" data-on="{body}">'
+        control = (
+            f'<input type="checkbox" id="{widget_id}" data-on="{body}" '
+            f"data-spec='{spec}'>"
+        )
     else:
-        control = f'<select id="{widget_id}">{body}</select>'
+        control = f"<select id=\"{widget_id}\" data-spec='{spec}'>{body}</select>"
     return (
         f'<div class="widget"><label>{html_escape.escape(label)} '
         f'<small>({tag})</small></label>{control}</div>'
@@ -218,7 +261,8 @@ def compose_query(
     choice_lists: list[list[Node | None | str]],
     combo: tuple[int, ...],
 ) -> Node:
-    """Apply one combination of widget states to the initial query."""
+    """Apply one combination of widget states to the initial query, in
+    grid order (ancestors first); the page's composer ports this."""
     query = initial_query
     for widget, choices, choice_index in zip(ordered, choice_lists, combo):
         choice = choices[choice_index]
@@ -228,40 +272,37 @@ def compose_query(
     return query
 
 
-def render_closure_entry(query: Node, database: Database | None) -> dict[str, str]:
-    """One closure combination: rendered SQL plus, with a database, the
-    executed result (execution failures are surfaced in the page)."""
-    entry: dict[str, str] = {"sql": render_sql(query)}
-    if database is not None:
-        try:
-            entry["result"] = render_text(execute(query, database))
-        except Exception as exc:  # noqa: BLE001 - surface in the page
-            entry["result"] = f"(execution failed: {exc})"
-    return entry
-
-
-def _combo_sort_key(key: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in key.split("|"))
+def render_result(query: Node, database: Database) -> str:
+    """A composed query's executed result as page text (execution
+    failures are surfaced in the page)."""
+    try:
+        return render_text(execute(query, database))
+    except Exception as exc:  # noqa: BLE001 - surface in the page
+        return f"(execution failed: {exc})"
 
 
 def assemble_page(
     title: str,
     columns: int,
     widget_blocks: list[str],
-    closure: dict[str, dict[str, str]],
+    initial_query: str,
+    results: dict[str, str],
     widget_ids: list[str],
 ) -> str:
-    """Fill the page template.  The closure is emitted in canonical
-    (numeric combination) order — the product enumeration order — so a
-    closure reassembled from patches renders byte-identically to a
+    """Fill the page template from its pre-rendered parts.
+
+    ``initial_query`` is q0's :func:`page_json` text; ``results`` maps
+    SQL text to a pre-evaluated result and is emitted in SQL order, so
+    results reassembled from patches render byte-identically to a
     one-shot compile."""
-    ordered_closure = {key: closure[key] for key in sorted(closure, key=_combo_sort_key)}
     return _PAGE.format(
         title=html_escape.escape(title),
         columns=columns,
         widgets="\n".join(widget_blocks),
-        closure_json=json.dumps(ordered_closure),
-        widget_ids_json=json.dumps(widget_ids),
+        initial_query=initial_query,
+        results=page_json({sql: results[sql] for sql in sorted(results)}),
+        widget_ids=page_json(widget_ids),
+        composer=composer_source(),
     )
 
 
@@ -282,9 +323,11 @@ def compile_html(
         interface: the generated interface (or a
             :class:`~repro.api.result.GenerationResult`, which is unwrapped).
         title: page title.
-        database: optional in-memory database; when given, every closure
-            query is executed and its rendered result embedded.
-        limit: cap on pre-evaluated widget-state combinations.
+        database: optional in-memory database; when given, the queries
+            of the first ``limit`` combinations are executed and their
+            results embedded.
+        limit: with a database, how many combinations (in product
+            order) to pre-evaluate; ignored without one.
         columns: grid columns.
 
     Returns:

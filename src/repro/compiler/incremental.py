@@ -7,49 +7,50 @@ incremental-view-maintenance shape of Berkholz et al. ("Answering FO+MOD
 queries under updates"): pay for the dirty part only — and a one-shot
 :func:`~repro.compiler.html.compile_html` is a fresh compiler's first page.
 
-Three layers make that correct *and* byte-identical to a full recompile:
+The page never lists the closure: it ships each widget's domain and
+composes the query of a combination in the browser (the decomposed
+product form of Koch & Olteanu's world sets), so a compile costs
+O(dirty widgets).  Three layers make that correct *and* byte-identical
+to a full recompile:
 
 * **Per-widget artifacts.**  Every widget's expensive rendering — its
-  choice list and its control body (the ``<option>`` labels, or a
-  presence toggle's checkbox) — is cached in a
-  :class:`WidgetArtifact`, keyed by the widget's path.  A widget's domain
-  is a deterministic function of its picked type and its diff list ``D``,
-  so an unchanged ``(type, D)`` identity proves the cached rendering
-  still exact even when merging restructured *neighbouring* partitions
-  (see :meth:`IncrementalCompiler._artifact_for`).  Clean widgets are
-  also the *same objects* across appends (the merge memo), so identity
-  is accepted as an equivalent proof.
+  choice list, its control body (the ``<option>`` labels, or a presence
+  toggle's checkbox) and its composer data (path, deletion guard, choice
+  subtrees as JSON) — is cached in a :class:`WidgetArtifact`, keyed by
+  the widget's path.  A widget's domain is a deterministic function of
+  its picked type and its diff list ``D``, so an unchanged ``(type, D)``
+  identity proves the cached rendering still exact even when merging
+  restructured *neighbouring* partitions (see
+  :meth:`IncrementalCompiler._artifact_for`).  Clean widgets are also
+  the *same objects* across appends (the merge memo), so identity is
+  accepted as an equivalent proof.  The initial query's JSON is cached
+  while its SQL is unchanged.
 
-* **Closure slices.**  The closure table is maintained as a delta.  Each
-  combination's entry is cached under its *selection signature* — the
-  ``(widget fingerprint, choice index)`` pairs of its non-default
-  choices.  Fingerprints are content hashes (sha256 over the picked type,
-  path, rendered domain labels, and the initialising diff-table indices
-  — never the process-salted ``Node.fingerprint``), so a combination
-  touching only clean widgets replays its cached slice byte-identically;
-  only combinations involving a dirty widget are re-rendered.  With a
-  database attached, a re-rendered combination executes only when its
-  SQL text is new: the execution memo (SQL text → rendered result) holds
-  every result the previous page showed, and a query is determined by
-  its SQL text, so a held result replays byte-identically.
+* **Pre-evaluated results (with a database only).**  The page embeds
+  the results of the first ``limit`` combinations in product order,
+  keyed by SQL text.  A query executes only when its SQL text is new to
+  the page: the execution memo (SQL text → rendered result) holds every
+  result the previous page showed, and a query is determined by its SQL
+  text, so a held result replays byte-identically.
 
 * **Patches.**  :meth:`IncrementalCompiler.compile_patch` emits the
   structural difference between consecutive pages — replaced widget
-  blocks plus a closure delta — and :func:`apply_patch` folds a patch
-  into a page state such that :func:`page_html` over the patched state is
-  byte-identical to a full ``compile_html`` of the new interface.
+  blocks (a widget's composer data rides in its block) plus the results
+  delta — and :func:`apply_patch` folds a patch into a page state such
+  that :func:`page_html` over the patched state is byte-identical to a
+  full ``compile_html`` of the new interface.
 
 Every cache is bounded by the live page: after a compile the compiler
-holds the artifacts of the page's widgets, the slices of its closure
-entries (at most ``limit``), and the execution results of its SQL — a
-long-lived session's memory tracks its page, not its history.
+holds the artifacts of the page's widgets and the execution results of
+its SQL — a long-lived session's memory tracks its page, not its
+history.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from itertools import product
+from dataclasses import dataclass
+from itertools import islice, product
 from typing import Any
 
 from repro.compiler.html import (
@@ -57,9 +58,12 @@ from repro.compiler.html import (
     assemble_page,
     build_choice_list,
     compose_query,
-    render_closure_entry,
+    node_data,
+    page_json,
     render_control_body,
+    render_result,
     render_widget_block,
+    render_widget_spec,
 )
 from repro.compiler.layout import grid_layout
 from repro.compiler.runtime import Database
@@ -81,8 +85,10 @@ __all__ = [
 ]
 
 #: Version tag carried by page states and patches; a consumer must reject
-#: a payload of a different version.
-PATCH_VERSION = 1
+#: a payload of a different version.  Version 2: pages compose queries
+#: from the widgets' composer data, and ``closure`` holds results keyed
+#: by SQL text.
+PATCH_VERSION = 2
 
 
 def widget_fingerprint(widget: Widget) -> str:
@@ -115,7 +121,9 @@ class WidgetArtifact:
     """The cached compilation of one widget.
 
     ``(kind, body)`` is the expensive position-independent rendering (see
-    :func:`~repro.compiler.html.render_control_body`); the block itself is
+    :func:`~repro.compiler.html.render_control_body`) and ``spec`` the
+    JSON text of its composer data, choices included (see
+    :func:`~repro.compiler.html.render_widget_spec`); the block itself is
     reassembled per page because the element id is positional.
     ``identity`` is the cheap reuse proof — the picked type plus the
     diff-list coordinates the domain was derived from.
@@ -127,6 +135,7 @@ class WidgetArtifact:
     choices: list[Node | None | str]
     kind: str
     body: str
+    spec: str
 
 
 @dataclass
@@ -135,8 +144,6 @@ class CompileStats:
 
     widgets_rendered: int = 0
     widgets_reused: int = 0
-    combos_rendered: int = 0
-    combos_replayed: int = 0
     executions: int = 0
     executions_replayed: int = 0
     pages_reused: int = 0
@@ -145,8 +152,6 @@ class CompileStats:
         return {
             "widgets_rendered": self.widgets_rendered,
             "widgets_reused": self.widgets_reused,
-            "combos_rendered": self.combos_rendered,
-            "combos_replayed": self.combos_replayed,
             "executions": self.executions,
             "executions_replayed": self.executions_replayed,
             "pages_reused": self.pages_reused,
@@ -157,9 +162,10 @@ class CompileStats:
 class CompiledPage:
     """One compiled interface page, decomposed for patching.
 
-    ``blocks`` maps widget element ids to their HTML blocks in grid
-    order; ``closure`` maps combination keys (``"i|j|k"``) to closure
-    entries; ``widget_fingerprints`` records the content hash of each
+    ``initial_query`` is q0's JSON text; ``blocks`` maps widget element
+    ids to their HTML blocks (composer data included) in grid order;
+    ``closure`` maps SQL text to a pre-evaluated result (empty without a
+    database); ``widget_fingerprints`` records the content hash of each
     widget in the same order as ``widget_ids``.
     """
 
@@ -167,10 +173,11 @@ class CompiledPage:
     title: str
     columns: int
     initial_sql: str
+    initial_query: str
     widget_ids: list[str]
     widget_fingerprints: list[str]
     blocks: dict[str, str]
-    closure: dict[str, dict[str, str]]
+    closure: dict[str, str]
 
     def html(self) -> str:
         """The full page — byte-identical to ``compile_html``."""
@@ -185,10 +192,11 @@ class CompiledPage:
             "title": self.title,
             "columns": self.columns,
             "initial_sql": self.initial_sql,
+            "initial_query": self.initial_query,
             "widget_ids": list(self.widget_ids),
             "widget_fingerprints": list(self.widget_fingerprints),
             "blocks": dict(self.blocks),
-            "closure": {key: dict(entry) for key, entry in self.closure.items()},
+            "closure": dict(self.closure),
         }
 
 
@@ -203,6 +211,7 @@ def page_html(state: dict[str, Any]) -> str:
         state["title"],
         int(state["columns"]),
         [blocks[widget_id] for widget_id in state["widget_ids"]],
+        state["initial_query"],
         state["closure"],
         list(state["widget_ids"]),
     )
@@ -212,13 +221,14 @@ def make_patch(before: CompiledPage | None, after: CompiledPage) -> dict[str, An
     """The structural difference between two consecutive pages.
 
     A ``kind="page"`` patch carries the full state (first compile, or a
-    title/layout change); a ``kind="patch"`` carries only replaced widget
-    blocks and the closure delta.
+    title, layout or initial-query change); a ``kind="patch"`` carries
+    only replaced widget blocks and the results delta.
     """
     if (
         before is None
         or before.title != after.title
         or before.columns != after.columns
+        or before.initial_query != after.initial_query
     ):
         return {
             "version": PATCH_VERSION,
@@ -234,17 +244,16 @@ def make_patch(before: CompiledPage | None, after: CompiledPage) -> dict[str, An
     }
     removed = [wid for wid in before.widget_ids if wid not in after.blocks]
     closure_set = {
-        key: entry
-        for key, entry in after.closure.items()
-        if before.closure.get(key) != entry
+        sql: result
+        for sql, result in after.closure.items()
+        if before.closure.get(sql) != result
     }
-    closure_del = [key for key in before.closure if key not in after.closure]
+    closure_del = [sql for sql in before.closure if sql not in after.closure]
     return {
         "version": PATCH_VERSION,
         "kind": "patch",
         "fingerprint": after.fingerprint,
         "base": before.fingerprint,
-        "initial_sql": after.initial_sql,
         "widget_ids": list(after.widget_ids),
         "widget_fingerprints": list(after.widget_fingerprints),
         "blocks": blocks,
@@ -281,15 +290,16 @@ def apply_patch(state: dict[str, Any] | None, patch: dict[str, Any]) -> dict[str
         blocks.pop(widget_id, None)
     blocks.update(patch["blocks"])
     closure = dict(state["closure"])
-    for key in patch["closure_del"]:
-        closure.pop(key, None)
+    for sql in patch["closure_del"]:
+        closure.pop(sql, None)
     closure.update(patch["closure_set"])
     return {
         "version": PATCH_VERSION,
         "fingerprint": patch["fingerprint"],
         "title": state["title"],
         "columns": state["columns"],
-        "initial_sql": patch["initial_sql"],
+        "initial_sql": state["initial_sql"],
+        "initial_query": state["initial_query"],
         "widget_ids": list(patch["widget_ids"]),
         "widget_fingerprints": list(patch["widget_fingerprints"]),
         "blocks": blocks,
@@ -302,9 +312,11 @@ class IncrementalCompiler:
 
     Args:
         title: page title (part of the page fingerprint).
-        database: optional in-memory database; closure entries embed
-            executed results, with re-execution memoised per SQL string.
-        limit: cap on pre-evaluated widget-state combinations.
+        database: optional in-memory database; the page embeds the
+            executed results of the first ``limit`` combinations, with
+            re-execution memoised per SQL string.
+        limit: with a database, how many combinations (in product
+            order) to pre-evaluate; without one it changes nothing.
         columns: grid columns.
 
     Usage::
@@ -329,9 +341,9 @@ class IncrementalCompiler:
         self.columns = columns
         self.stats = CompileStats()
         self._artifacts: dict[str, WidgetArtifact] = {}
-        self._slices: dict[tuple[tuple[str, int], ...], dict[str, str]] = {}
         self._results: dict[str, str] = {}
         self._initial_sql: str | None = None
+        self._initial_query = ""
         self._page: CompiledPage | None = None
 
     @property
@@ -343,8 +355,8 @@ class IncrementalCompiler:
     # compilation
     # ------------------------------------------------------------------
     def compile(self, interface: Interface) -> CompiledPage:
-        """Compile ``interface`` (or a result), reusing every artifact,
-        closure slice and execution result that is provably unchanged.
+        """Compile ``interface`` (or a result), reusing every artifact
+        and execution result that is provably unchanged.
 
         Raises:
             CompileError: when the interface has no widgets.
@@ -357,10 +369,8 @@ class IncrementalCompiler:
 
         initial_sql = render_sql(interface.initial_query)
         if initial_sql != self._initial_sql:
-            # a different q0 invalidates every cached combination (they
-            # were composed against the old initial query)
-            self._slices.clear()
             self._initial_sql = initial_sql
+            self._initial_query = page_json(node_data(interface.initial_query))
 
         artifacts = [self._artifact_for(widget) for widget in ordered]
         # keep only the live page's artifacts
@@ -374,7 +384,11 @@ class IncrementalCompiler:
             self.stats.pages_reused += 1
             return self._page
 
-        closure = self._closure(interface, ordered, artifacts)
+        closure = (
+            {}
+            if self.database is None
+            else self._evaluate(interface, self.database, artifacts)
+        )
 
         widget_ids = [f"w{i}" for i in range(len(ordered))]
         blocks: dict[str, str] = {}
@@ -385,12 +399,14 @@ class IncrementalCompiler:
                 artifact.widget.widget_type.name,
                 artifact.kind,
                 artifact.body,
+                artifact.spec,
             )
         self._page = CompiledPage(
             fingerprint=fingerprint,
             title=self.title,
             columns=plan.columns,
             initial_sql=initial_sql,
+            initial_query=self._initial_query,
             widget_ids=widget_ids,
             widget_fingerprints=[a.fingerprint for a in artifacts],
             blocks=blocks,
@@ -462,6 +478,7 @@ class IncrementalCompiler:
             choices=choices,
             kind=kind,
             body=body,
+            spec=render_widget_spec(widget, choices),
         )
         self._artifacts[key] = artifact
         self.stats.widgets_rendered += 1
@@ -475,9 +492,12 @@ class IncrementalCompiler:
         digest = hashlib.sha256()
         digest.update(self.title.encode("utf-8"))
         digest.update(b"\x00")
-        digest.update(f"{self.columns}|{self.limit}".encode("utf-8"))
+        digest.update(str(self.columns).encode("utf-8"))
         digest.update(b"\x00")
-        digest.update(b"db" if self.database is not None else b"nodb")
+        # the limit shapes a page only through its pre-evaluated results
+        digest.update(
+            b"nodb" if self.database is None else f"db|{self.limit}".encode("utf-8")
+        )
         digest.update(b"\x00")
         digest.update(initial_sql.encode("utf-8"))
         for artifact in artifacts:
@@ -485,89 +505,39 @@ class IncrementalCompiler:
             digest.update(artifact.fingerprint.encode("utf-8"))
         return digest.hexdigest()[:16]
 
-    def _closure(
+    def _evaluate(
         self,
         interface: Interface,
-        ordered: list[Widget],
+        database: Database,
         artifacts: list[WidgetArtifact],
-    ) -> dict[str, dict[str, str]]:
-        """Enumerate the closure in product order, replaying cached
-        slices and re-rendering only dirty combinations.
-
-        ``product`` varies the rightmost position fastest, so within the
-        first ``limit`` combinations only a short suffix of positions
-        ever leaves index 0.  Enumerating just that suffix (the prefix is
-        a constant run of zeros) makes the per-combination key and
-        signature work O(suffix), not O(n_widgets) — on a wide page the
-        steady-state compile is dominated by exactly this loop.
-
-        The walk builds the next slice table from the entries it uses, so
-        slices the page no longer shows are dropped, and with them the
-        execution results of SQL the page no longer shows.
-        """
-        choice_lists = [artifact.choices for artifact in artifacts]
-        fingerprints = [artifact.fingerprint for artifact in artifacts]
-        closure: dict[str, dict[str, str]] = {}
-        slices: dict[tuple[tuple[str, int], ...], dict[str, str]] = {}
-        lengths = [len(choices) for choices in choice_lists]
-        split, cap = len(lengths), 1
-        while split > 0 and (cap < self.limit or split == len(lengths)):
-            split -= 1
-            cap *= lengths[split]
-        zero_prefix = (0,) * split
-        key_prefix = "0|" * split
-        for tail in product(*(range(n) for n in lengths[split:])):
-            if len(closure) >= self.limit:
-                break
-            signature = tuple(
-                (fingerprints[split + pos], idx)
-                for pos, idx in enumerate(tail)
-                if idx != 0
-            )
-            entry = self._slices.get(signature)
-            if entry is None:
-                entry = self._render_combo(
-                    interface,
-                    ordered,
-                    choice_lists,
-                    zero_prefix + tail,
-                )
-                self.stats.combos_rendered += 1
-            else:
-                self.stats.combos_replayed += 1
-            slices[signature] = entry
-            closure[key_prefix + "|".join(map(str, tail))] = entry
-        self._slices = slices
-        if self._results:
-            live_sql = {entry["sql"] for entry in closure.values()}
-            self._results = {
-                sql: result
-                for sql, result in self._results.items()
-                if sql in live_sql
-            }
-        return closure
-
-    def _render_combo(
-        self,
-        interface: Interface,
-        ordered: list[Widget],
-        choice_lists: list[list[Node | None | str]],
-        combo: tuple[int, ...],
     ) -> dict[str, str]:
-        """Render (and with a database, execute) one dirty combination.
+        """The results of the first ``limit`` combinations in product
+        order, keyed by SQL text.
 
-        The execution memo (SQL text → rendered result) replays any SQL
-        the previous page held; only new SQL text reaches the database.
+        A query executes only when its SQL text is new to the page; the
+        memo then keeps exactly the page's results, so results of SQL
+        the page no longer shows are dropped.  A combination whose query
+        cannot be rendered has no result (the page's composer reports
+        it).
         """
-        query = compose_query(interface.initial_query, ordered, choice_lists, combo)
-        if self.database is None:
-            return render_closure_entry(query, None)
-        sql = render_sql(query)
-        cached_result = self._results.get(sql)
-        if cached_result is not None:
-            self.stats.executions_replayed += 1
-            return {"sql": sql, "result": cached_result}
-        entry = render_closure_entry(query, self.database)
-        self.stats.executions += 1
-        self._results[sql] = entry["result"]
-        return entry
+        ordered = [artifact.widget for artifact in artifacts]
+        choice_lists = [artifact.choices for artifact in artifacts]
+        combos = product(*(range(len(choices)) for choices in choice_lists))
+        results: dict[str, str] = {}
+        for combo in islice(combos, self.limit):
+            query = compose_query(interface.initial_query, ordered, choice_lists, combo)
+            try:
+                sql = render_sql(query)
+            except CompileError:
+                continue
+            if sql in results:
+                continue
+            result = self._results.get(sql)
+            if result is None:
+                result = render_result(query, database)
+                self.stats.executions += 1
+            else:
+                self.stats.executions_replayed += 1
+            results[sql] = result
+        self._results = results
+        return results

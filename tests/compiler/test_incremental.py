@@ -3,11 +3,13 @@ artifact reuse, and the patch wire format.
 
 The acceptance bar for the incremental refactor is *byte identity*: at
 every append, folding the session's patch stream must render exactly the
-page the reference product walk (``tests/oracle.py``) produces, on every
-bundled log family.
+page the reference compile (``tests/oracle.py``, blocks from scratch and
+the product walk over results) produces, on every bundled log family.
+What the page's composer answers is tested in ``test_composer.py``.
 """
 
 import json
+from itertools import islice, product
 from pathlib import Path as FilePath
 
 import pytest
@@ -42,10 +44,11 @@ def interface():
 class TestGoldenPage:
     def test_listing6_page_matches_golden_file(self, interface):
         """The committed golden page pins the full output format — template,
-        widget blocks, closure order — so any unintended byte change in
-        either compiler path fails loudly.  Regenerate deliberately by
-        writing ``compile_html(generate_iface(list(LISTING_6)),
-        title="Listing 6")`` over the golden file."""
+        composer, widget blocks and their composer data, q0's tree — so
+        any unintended byte change in either compiler path fails loudly.
+        Regenerate deliberately by writing
+        ``compile_html(generate_iface(list(LISTING_6)), title="Listing 6")``
+        over the golden file."""
         page = compile_html(interface, title="Listing 6")
         assert page == GOLDEN.read_text(encoding="utf-8")
         assert oracle.compile_html(interface, title="Listing 6") == page
@@ -100,6 +103,24 @@ class TestPatchParity:
             assert page_html(state) == oracle.compile_html(
                 result.interface, limit=200
             )
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_patch_stream_with_a_database_equals_full_recompile(self, family):
+        """With a database the patches also carry the results delta
+        (``closure_set``/``closure_del``, keyed by SQL text)."""
+        asts = _family_log(family)
+        db = TestClosureSlices._database()
+        session = InterfaceSession()
+        state = None
+        step = max(1, len(asts) // 5)
+        for start in range(0, len(asts), step):
+            result = session.append(asts[start : start + step])
+            patch = session.compile_patch(database=db, limit=200)
+            state = apply_patch(state, patch)
+            assert page_html(state) == oracle.compile_html(
+                result.interface, database=db, limit=200
+            )
+        assert state["closure"]
 
     def test_compile_is_byte_identical_to_compile_html(self):
         asts = _family_log("onehot")
@@ -163,7 +184,7 @@ class TestWidgetArtifacts:
 
 
 # ----------------------------------------------------------------------
-# closure slices and execution, with and without a database
+# pre-evaluated results with a database
 # ----------------------------------------------------------------------
 class TestClosureSlices:
     @staticmethod
@@ -192,11 +213,12 @@ class TestClosureSlices:
         compiler = session._compiler
         session.append(asts[14:24])
         executions_before = compiler.stats.executions
+        replayed_before = compiler.stats.executions_replayed
         session.compile(database=db, limit=150)
-        assert compiler.stats.combos_replayed > 0
-        # replayed combinations did not hit the database again
+        assert compiler.stats.executions_replayed > replayed_before
+        # replayed results did not hit the database again
         n_executed = compiler.stats.executions - executions_before
-        assert n_executed < compiler.stats.combos_rendered
+        assert n_executed < len(compiler.page.closure)
 
     @pytest.mark.parametrize(
         "family, first, total", [("onehot", 14, 24), ("olap", 53, 80)]
@@ -211,14 +233,34 @@ class TestClosureSlices:
         session.append(asts[:first])
         session.compile(database=db, limit=150)
         compiler = session._compiler
-        held = {entry["sql"] for entry in compiler.page.closure.values()}
+        held = set(compiler.page.closure)
         session.append(asts[first:total])
         executions_before = compiler.stats.executions
-        rendered_before = compiler.stats.combos_rendered
         session.compile(database=db, limit=150)
-        shown = {entry["sql"] for entry in compiler.page.closure.values()}
-        assert compiler.stats.combos_rendered - rendered_before > len(shown - held)
+        shown = set(compiler.page.closure)
         assert compiler.stats.executions - executions_before == len(shown - held)
+
+    def test_each_sql_text_is_pre_evaluated_once(self):
+        """Results are keyed by SQL text: the first 150 combinations of
+        this one-hot page all compose ``SELECT g, SUM(m) FROM t GROUP BY
+        g`` (the root toggle comes first and leaves q0, whose tree lacks
+        the other widgets' paths), so the page holds one result, not 150
+        copies of it."""
+        asts = _family_log("onehot")[:14]
+        db = self._database()
+        session = InterfaceSession()
+        result = session.append(asts)
+        session.compile(database=db, limit=150)
+        page = session._compiler.page
+        ordered, choice_lists = oracle.page_widgets(result.interface)
+        combos = product(*(range(len(choices)) for choices in choice_lists))
+        distinct = {
+            oracle.compose_sql(result.interface, ordered, choice_lists, combo)
+            for combo in islice(combos, 150)
+        }
+        assert distinct == {"SELECT g, SUM(m) FROM t GROUP BY g"}
+        assert len(page.closure) == len(distinct)
+        assert set(page.closure) == distinct
 
     def test_database_switch_recreates_the_compiler(self):
         session = InterfaceSession()
@@ -250,13 +292,11 @@ class TestCacheBounds:
             )
         return session, state, result
 
-    def test_slices_stay_within_the_page_limit(self):
-        """Every rendered combination used to stay cached forever (1,677
-        slices for 64-entry pages here); the walk now keeps only the
-        slices the current page uses."""
+    def test_artifacts_stay_within_the_page(self):
+        """The compiler keeps the artifacts of the live page's widgets
+        only, however many widgets earlier pages had."""
         session, state, result = self._drive()
         compiler = session._compiler
-        assert len(compiler._slices) <= 64
         assert len(compiler._artifacts) == len(result.interface.widgets)
         assert page_html(state) == oracle.compile_html(result.interface, limit=64)
 
@@ -264,7 +304,7 @@ class TestCacheBounds:
         db = TestClosureSlices._database()
         session, state, result = self._drive(database=db)
         compiler = session._compiler
-        assert len(compiler._slices) <= 64
+        assert compiler._results == compiler.page.closure
         assert len(compiler._results) <= 64
         assert page_html(state) == oracle.compile_html(
             result.interface, database=db, limit=64

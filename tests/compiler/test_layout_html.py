@@ -62,14 +62,16 @@ class TestHtmlCompiler:
         page = compile_html(interface, title="Listing 6")
         assert page.startswith("<!DOCTYPE html>")
         assert "Listing 6" in page
-        assert "CLOSURE" in page
+        # the composer ships with the page: no server, no closure table
+        assert "function composeSql(" in page
+        assert "CLOSURE" not in page
         assert page.count('<div class="widget">') == interface.n_widgets
 
     def test_initial_query_in_closure(self, interface):
-        from repro.sqlparser.render import render_sql
+        from repro.compiler.html import node_data, page_json
 
         page = compile_html(interface)
-        assert render_sql(interface.initial_query) in page
+        assert f"const Q0 = {page_json(node_data(interface.initial_query))};" in page
 
     def test_results_embedded_with_database(self):
         db = Database()
@@ -81,9 +83,13 @@ class TestHtmlCompiler:
         assert "result" in page
 
     def test_limit_caps_closure(self, interface):
-        small = compile_html(interface, limit=2)
-        big = compile_html(interface, limit=1000)
+        # the limit caps pre-evaluation, so only a database page has one
+        db = Database()
+        db.add(Table("Galaxy", ["objID"], [(1,)]))
+        small = compile_html(interface, database=db, limit=1)
+        big = compile_html(interface, database=db, limit=1000)
         assert len(small) < len(big)
+        assert compile_html(interface, limit=1) == compile_html(interface, limit=1000)
 
     def test_empty_interface_rejected(self):
         iface = generate_iface(["SELECT a"] * 2)

@@ -13,7 +13,10 @@ be compared against:
   table, then the global Algorithm 3 fixed point with prefix-scan
   descendants (no components, no memo beyond one run's pickWidget);
 * :func:`generate` — mine, map and merge a log into an ``Interface``;
-* :func:`compile_html` — the product walk over every widget's choices;
+* :func:`compose_sql` — one combination's query, composed and rendered:
+  the reference of the page's JavaScript composer;
+* :func:`compile_html` — every block rendered from scratch and, with a
+  database, the product walk over the widgets' choices;
 * :func:`tokenize` and :func:`parse_sql` — the character-by-character
   :class:`Lexer` and a plain recursive-descent parse of its tokens, with
   no template cache.
@@ -26,15 +29,18 @@ are shared with the library.
 from __future__ import annotations
 
 import time
-from itertools import product
+from itertools import islice, product
 
 from repro.compiler.html import (
     assemble_page,
     build_choice_list,
     compose_query,
-    render_closure_entry,
+    node_data,
+    page_json,
     render_control_body,
+    render_result,
     render_widget_block,
+    render_widget_spec,
 )
 from repro.compiler.layout import grid_layout
 from repro.core.interface import Interface, as_interface
@@ -46,6 +52,7 @@ from repro.graph.interaction import InteractionGraph
 from repro.sqlparser.astnodes import Node
 from repro.sqlparser.grammar import SQL_ANNOTATIONS
 from repro.sqlparser.parser import Parser
+from repro.sqlparser.render import render_sql
 from repro.sqlparser.tokens import _MULTI_OPS, _SINGLE_OPS, KEYWORDS, Token, TokenKind
 
 
@@ -413,23 +420,48 @@ def widget_coordinates(widgets):
 # ----------------------------------------------------------------------
 # compile: the product walk
 # ----------------------------------------------------------------------
+def page_widgets(interface, columns=2):
+    """The page's widgets in grid order and each one's choice list."""
+    plan = grid_layout(as_interface(interface), columns=columns)
+    ordered = [cell.widget for cell in plan.cells]
+    return ordered, [build_choice_list(widget) for widget in ordered]
+
+
+def compose_sql(interface, ordered, choice_lists, combo) -> str:
+    """The SQL of one combination of choice indices (grid order).
+
+    Raises:
+        CompileError: when the composed query cannot be rendered.
+    """
+    interface = as_interface(interface)
+    return render_sql(
+        compose_query(interface.initial_query, ordered, choice_lists, combo)
+    )
+
+
 def compile_html(
     interface, title="Precision Interface", database=None, limit=2048, columns=2
 ) -> str:
-    """Enumerate the first ``limit`` combinations of the widgets' choices
-    in product order and fill the page template."""
+    """Render every widget block from scratch and, with a database,
+    walk the first ``limit`` combinations of the widgets' choices in
+    product order, keeping each new SQL text's result."""
     interface = as_interface(interface)
     if not interface.widgets:
         raise CompileError("cannot compile an interface with no widgets")
     plan = grid_layout(interface, columns=columns)
     ordered = [cell.widget for cell in plan.cells]
     choice_lists = [build_choice_list(widget) for widget in ordered]
-    closure = {}
-    for combo in product(*(range(len(c)) for c in choice_lists)):
-        if len(closure) >= limit:
-            break
-        query = compose_query(interface.initial_query, ordered, choice_lists, combo)
-        closure["|".join(map(str, combo))] = render_closure_entry(query, database)
+    results = {}
+    if database is not None:
+        combos = product(*(range(len(c)) for c in choice_lists))
+        for combo in islice(combos, limit):
+            query = compose_query(interface.initial_query, ordered, choice_lists, combo)
+            try:
+                sql = render_sql(query)
+            except CompileError:
+                continue
+            if sql not in results:
+                results[sql] = render_result(query, database)
     widget_ids = [f"w{index}" for index in range(len(ordered))]
     blocks = [
         render_widget_block(
@@ -437,7 +469,15 @@ def compile_html(
             cell.label,
             cell.widget.widget_type.name,
             *render_control_body(cell.widget, choices),
+            render_widget_spec(cell.widget, choices),
         )
         for widget_id, cell, choices in zip(widget_ids, plan.cells, choice_lists)
     ]
-    return assemble_page(title, plan.columns, blocks, closure, widget_ids)
+    return assemble_page(
+        title,
+        plan.columns,
+        blocks,
+        page_json(node_data(interface.initial_query)),
+        results,
+        widget_ids,
+    )

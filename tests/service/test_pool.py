@@ -354,6 +354,52 @@ class TestSharedStore:
         assert warm.run.stage("mine").stats["skipped"] is True
         assert warm.run.stage("merge").stats["skipped"] is True
 
+    def test_drains_publish_only_sessions_with_new_appends(self, tmp_path):
+        """A drain flushes a session only when it appended since its last
+        flush: re-publishing an unchanged session re-encoded and re-sent
+        its whole graph and widget set under the same key."""
+        from repro.cache import SegmentReader
+        from repro.cache.format import TRAILER_FRAME_LEN
+        from repro.cache.store import TABLES
+        from repro.logs import SDSSLogGenerator
+
+        logs = SDSSLogGenerator(0).clients(2, 30)
+        log_a, log_b = logs["C1"].statements(), logs["C2"].statements()
+        cache_dir = tmp_path / "store"
+        segments = [cache_dir / table.segment for table in TABLES]
+
+        def snapshot():
+            readers = [SegmentReader(str(path)) for path in segments]
+            try:
+                return [path.stat().st_size for path in segments], [
+                    reader.index() for reader in readers
+                ]
+            finally:
+                for reader in readers:
+                    reader.close()
+
+        options = PipelineOptions(cache_dir=str(cache_dir))
+        with SessionPool(options=options, pool_size=1) as pool:
+            pool.submit("a", log_a)
+            pool.submit("b", log_b[:10])
+            pool.drain()
+            sizes, indexes = snapshot()
+            pool.submit("b", log_b[10:11])
+            pool.drain()
+            after_sizes, after_indexes = snapshot()
+            for size, after_size, before, after in zip(
+                sizes, after_sizes, indexes, after_indexes
+            ):
+                written = {k for k, e in after.items() if e.offset >= size}
+                # b's new key and the write's trailer: no record or
+                # recency marker of a
+                assert written == set(after) - set(before)
+                assert len(written) == 1
+                (key,) = written
+                assert after_size - size == after[key].frame_len + TRAILER_FRAME_LEN
+            pool.drain()
+            assert snapshot()[0] == after_sizes
+
     def test_generate_many_through_a_pool(self, pool):
         logs = [LOG_A, LOG_B]
         pooled = generate_many(logs, pool=pool)
