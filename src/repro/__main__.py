@@ -69,6 +69,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -344,8 +345,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_daemon(args: argparse.Namespace) -> int:
-    import os
-
     from repro.service.daemon import StoreDaemon
 
     daemon = StoreDaemon(
@@ -493,7 +492,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """Parse arguments, dispatch the subcommand, and return the exit code
-    (0 success, 1 negative ``check`` verdict, 2 for any library error)."""
+    (0 success, 1 negative ``check`` verdict or a closed stdout, 2 for
+    any library error)."""
     parser = argparse.ArgumentParser(
         prog="repro", description="Precision Interfaces (SIGMOD 2019) reproduction"
     )
@@ -609,10 +609,17 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code: int = args.fn(args)
+        sys.stdout.flush()
+        return code
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader of stdout is gone (``| head``): exit quietly, with
+        # stdout on devnull so the interpreter's last flush is quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -35,8 +35,12 @@ class LintConfig:
     exclude: tuple[str, ...] = ()
 
     # RL001 — lock discipline
-    #: modules whose persistence mutations require the store lock
-    store_modules: tuple[str, ...] = ("*repro/cache/store.py",)
+    #: modules whose persistence mutations require the store lock: the
+    #: store and its packed segment layer
+    store_modules: tuple[str, ...] = (
+        "*repro/cache/store.py",
+        "*repro/cache/blockstore.py",
+    )
     #: call names (function or method) that mutate store-owned state
     store_mutating_calls: tuple[str, ...] = (
         "save_graph",
@@ -48,6 +52,11 @@ class LintConfig:
         "write_bytes",
         "remove",
         "rmtree",
+        # segment-mutating calls (repro.cache.blockstore.Segment)
+        "append_records",
+        "append_tombstones",
+        "append_touches",
+        "compact",
     )
     #: method names that acquire the store lock when used as a with-item
     lock_methods: tuple[str, ...] = ("held",)

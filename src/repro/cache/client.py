@@ -211,6 +211,7 @@ class StoreClient:
             DaemonUnavailable: transport failure after one reconnect
                 attempt.
             QuotaExceeded: the daemon refused for quota.
+            ValueError: the daemon's store rejected an argument.
             CacheError: any other daemon-reported error.
         """
         request = {"op": op, "client": self.client_id, **fields}
@@ -237,5 +238,7 @@ class StoreClient:
             error = str(response.get("error", "unknown daemon error"))
             if response.get("code") == "quota":
                 raise QuotaExceeded(error)
+            if response.get("code") == "invalid":
+                raise ValueError(error)
             raise CacheError(f"store daemon refused {op!r}: {error}")
         return response, resp_payload

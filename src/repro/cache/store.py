@@ -60,16 +60,20 @@ racing an eviction simply misses.
 
 Remote mode: constructed with ``remote=<socket path>``, the store
 becomes a thin client of a :class:`~repro.service.daemon.StoreDaemon` —
-the same public API, but every byte operation (record get/put, prune,
-stats) travels over a unix-domain socket to the one process that owns
-the segment files.  Encoding/decoding stays in this process; the daemon
-only moves bytes.  When no daemon answers (never started, crashed), the
-store *fails open* to direct in-process access and keeps working; see
+the same public API, but each method of the :data:`OPS` registry
+(record get/has/put, keys, stats, prune, invalidate, compact) travels
+over a unix-domain socket to the one process that owns the segment
+files, through one forwarding path, and the daemon runs the same method
+there.  Encoding/decoding stays in this process; the daemon only moves
+bytes.  When no daemon answers (never started, crashed), the store
+*fails open* to direct in-process access and keeps working; see
 :mod:`repro.cache.client` for the transport and failure semantics.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import os
 from pathlib import Path as FilePath
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple, TypeVar
@@ -92,7 +96,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sqlparser.grammar import GrammarAnnotations
     from repro.widgets.base import Widget, WidgetType
 
-__all__ = ["GraphStore", "TABLES", "Table"]
+__all__ = ["GraphStore", "OPS", "Op", "TABLES", "Table"]
 
 _T = TypeVar("_T")
 
@@ -132,16 +136,82 @@ _BY_NAME = {table.name: table for table in TABLES}
 #: graphs table — that would orphan every derived record).
 _DERIVED_TABLES = tuple(table.name for table in TABLES[1:])
 
+
+class Op(NamedTuple):
+    """One store operation a daemon serves: its name on the wire and the
+    :class:`GraphStore` method it runs.
+
+    The method's arguments travel as named header fields (``fields``),
+    except its bytes arguments (``parts``), which ride the message's
+    payload and extra parts, each flagged ``has_<name>`` in the header.
+    The result comes back in the reply field ``reply``; a record (bytes,
+    or ``None`` for a miss) rides the reply's payload part instead,
+    flagged ``found``.  ``refused`` is what the method answers when the
+    daemon refuses the client for quota; the default,
+    :class:`~repro.cache.client.QuotaExceeded`, raises it.
+    """
+
+    name: str
+    method: str
+    fields: tuple[str, ...] = ()
+    parts: tuple[str, ...] = ()
+    reply: str | None = None
+    refused: Any = QuotaExceeded
+
+    def call(self, client: StoreClient, arguments: dict[str, Any]) -> Any:
+        """Run the method in the daemon behind ``client`` on a call's
+        bound arguments, and return its result."""
+        fields = {name: arguments[name] for name in self.fields if name in arguments}
+        blobs = [arguments.get(name) for name in self.parts] + [None, None]
+        for name, blob in zip(self.parts, blobs):
+            fields[f"has_{name}"] = blob is not None
+        reply, part = client.call(self.name, blobs[0] or b"", blobs[1] or b"", **fields)
+        if self.reply is None:
+            return part if reply.get("found") else None
+        if "daemon" in reply:
+            # the stats reply: the daemon's own sub-report joins the store's
+            return {**reply[self.reply], "daemon": reply["daemon"]}
+        return reply[self.reply]
+
+    def serve(
+        self, store: "GraphStore", header: dict[str, Any], payload: bytes, extra: bytes
+    ) -> tuple[dict[str, Any], bytes]:
+        """Run the method on ``store`` for one request; returns the reply
+        header and its payload."""
+        arguments = {name: header[name] for name in self.fields if name in header}
+        for name, blob in zip(self.parts, (payload, extra)):
+            arguments[name] = blob if header.get(f"has_{name}") else None
+        result = getattr(store, self.method)(**arguments)
+        if self.reply is None:
+            return {"ok": True, "found": result is not None}, result or b""
+        return {"ok": True, self.reply: result}, b""
+
+
+#: The operation registry: every store operation a daemon serves.  An
+#: attached :class:`GraphStore` forwards each of these methods to its
+#: daemon (:func:`_forwarded`), and the daemon runs the same method on
+#: the store it owns.  Over quota, reads degrade to misses; a ``put``
+#: raises to its callers, which skip the save.
+OPS = {
+    op.name: op
+    for op in (
+        Op("get", "record_get", ("table", "key"), refused=None),
+        Op("has", "record_has", ("table", "key"), reply="found", refused=False),
+        Op("put", "_put", ("table", "key"), ("payload", "graph_payload"), "stored"),
+        Op("keys", "keys", reply="keys"),
+        Op("stats", "stats", reply="store"),
+        Op("prune", "prune", ("max_bytes", "max_entries"), reply="removed"),
+        Op("invalidate", "invalidate", ("log_fingerprint", "options_fingerprint"), reply="removed"),
+        Op("invalidate_table", "invalidate_table", ("table",), reply="removed"),
+        Op("compact", "compact", reply="rewritten"),
+    )
+}
+
 #: Keys imported per append batch.  Batching keeps a JSON import
 #: O(keys) instead of O(keys^2) footer rebuilds, while an interruption
 #: loses at most one batch of progress (the source files of a batch are
 #: only removed after its records are committed).
 _IMPORT_BATCH = 256
-
-#: Sentinel returned by ``GraphStore._via_remote`` when the daemon
-#: vanished mid-operation and the store fell open to direct access — the
-#: caller then re-runs the operation against the local segments.
-_FELL_BACK = object()
 
 
 def _check_table(name: str) -> None:
@@ -159,8 +229,8 @@ class GraphStore:
             exceeding saves evict least-recently-used keys.
         max_entries: optional cap on the number of distinct keys.
         remote: unix-domain socket of a running
-            :class:`~repro.service.daemon.StoreDaemon`; when set, all
-            store operations go through the daemon (the caps then
+            :class:`~repro.service.daemon.StoreDaemon`; when set, the
+            methods of :data:`OPS` run in the daemon (the caps then
             describe the *fallback* store).  When no daemon answers — at
             construction or later — the store fails open to direct
             access on ``root``.
@@ -222,16 +292,6 @@ class GraphStore:
             self._remote.close()
             self._remote = None
 
-    def _via_remote(self, fn: Any, *args: Any) -> Any:
-        """Run one remote operation; on transport failure fall open and
-        return the :data:`_FELL_BACK` sentinel so the caller re-runs the
-        operation against the local store."""
-        try:
-            return fn(*args)
-        except DaemonUnavailable:
-            self._fail_open()
-            return _FELL_BACK
-
     @property
     def format(self) -> str:
         """``"packed"``, or ``"remote"`` while attached to a store
@@ -270,25 +330,21 @@ class GraphStore:
         load already updated the daemon's exact recency, so there is
         nothing to flush.
         """
-        if self._remote is None and any(self._pending_touches.values()):
+        if any(self._pending_touches.values()):
             with self._lock.held():
                 self._flush_touches_locked()
 
     # ------------------------------------------------------------------
     # byte-level record surface: the one get path and the one put path
     # ------------------------------------------------------------------
-    # The daemon serves these over its socket: records travel as raw
-    # payload bytes, so the daemon never encodes or decodes a graph and
-    # its lock hold times stay tiny.
+    # The daemon serves these (and the maintenance methods below) as the
+    # ops of OPS: records travel as raw payload bytes, so the daemon
+    # never encodes or decodes a graph and its lock hold times stay tiny.
 
     def record_get(self, table: str, key: str) -> bytes | None:
         """Raw payload bytes of one record, or ``None`` on a miss.  A
         hit counts as recency (a TOUCH marker)."""
         _check_table(table)
-        if self._remote is not None:
-            outcome = self._via_remote(self._remote_record_get, table, key)
-            if outcome is not _FELL_BACK:
-                return outcome  # type: ignore[no-any-return]
         payload = self._segments[table].get(key)
         if payload is not None:
             self._pending_touches[table].add(key)
@@ -297,10 +353,6 @@ class GraphStore:
     def record_has(self, table: str, key: str) -> bool:
         """True when a live record exists for ``key`` in ``table``."""
         _check_table(table)
-        if self._remote is not None:
-            outcome = self._via_remote(self._remote_record_has, table, key)
-            if outcome is not _FELL_BACK:
-                return bool(outcome)
         return self._segments[table].reader().has(key)
 
     def record_put(
@@ -336,12 +388,6 @@ class GraphStore:
         :class:`~repro.cache.client.QuotaExceeded` so that the typed
         saves can tell it from a missing graph record."""
         _check_table(table)
-        if self._remote is not None:
-            outcome = self._via_remote(
-                self._remote_record_put, table, key, payload, graph_payload
-            )
-            if outcome is not _FELL_BACK:
-                return bool(outcome)
         with self._lock.held():
             graphs = self._segments["graphs"]
             if table != "graphs" and not graphs.reader().has(key):
@@ -395,84 +441,6 @@ class GraphStore:
                 self._put(table, key, payload, graph_to_jsonl_bytes(graph))
         except QuotaExceeded:
             pass
-
-    # ------------------------------------------------------------------
-    # remote dispatch (thin byte shims over StoreClient)
-    # ------------------------------------------------------------------
-    def _client(self) -> StoreClient:
-        client = self._remote
-        if client is None:  # pragma: no cover - guarded by callers
-            raise CacheError("store is not attached to a daemon")
-        return client
-
-    def _remote_record_get(self, table: str, key: str) -> bytes | None:
-        try:
-            header, payload = self._client().call("get", table=table, key=key)
-        except QuotaExceeded:
-            # an over-quota client degrades to cache misses; it still
-            # works, it just stops being accelerated
-            return None
-        return payload if header.get("found") else None
-
-    def _remote_record_has(self, table: str, key: str) -> bool:
-        try:
-            header, _ = self._client().call("has", table=table, key=key)
-        except QuotaExceeded:
-            return False
-        return bool(header.get("found"))
-
-    def _remote_record_put(
-        self,
-        table: str,
-        key: str,
-        payload: bytes,
-        graph_payload: bytes | None,
-    ) -> bool:
-        header, _ = self._client().call(
-            "put",
-            payload=payload,
-            extra=graph_payload or b"",
-            table=table,
-            key=key,
-            has_graph_payload=graph_payload is not None,
-        )
-        return bool(header.get("stored"))
-
-    def _remote_keys(self) -> list[str]:
-        header, _ = self._client().call("keys", table="graphs")
-        return [str(key) for key in header.get("keys", [])]
-
-    def _remote_stats(self) -> dict[str, Any]:
-        header, _ = self._client().call("stats")
-        payload = dict(header.get("store", {}))
-        payload["daemon"] = header.get("daemon", {})
-        return payload
-
-    def _remote_prune(
-        self, max_bytes: int | None, max_entries: int | None
-    ) -> int:
-        header, _ = self._client().call(
-            "prune", max_bytes=max_bytes, max_entries=max_entries
-        )
-        return int(header.get("removed", 0))
-
-    def _remote_invalidate(
-        self, log_fingerprint: str | None, options_fingerprint: str | None
-    ) -> int:
-        header, _ = self._client().call(
-            "invalidate",
-            log_fingerprint=log_fingerprint,
-            options_fingerprint=options_fingerprint,
-        )
-        return int(header.get("removed", 0))
-
-    def _remote_invalidate_table(self, table: str) -> int:
-        header, _ = self._client().call("invalidate_table", table=table)
-        return int(header.get("removed", 0))
-
-    def _remote_compact(self) -> bool:
-        header, _ = self._client().call("compact")
-        return bool(header.get("rewritten"))
 
     # ------------------------------------------------------------------
     # typed tables
@@ -571,10 +539,6 @@ class GraphStore:
     # ------------------------------------------------------------------
     def keys(self) -> list[str]:
         """All keys with a live graph entry, sorted."""
-        if self._remote is not None:
-            outcome = self._via_remote(self._remote_keys)
-            if outcome is not _FELL_BACK:
-                return sorted(outcome)
         return self._segments["graphs"].reader().keys()
 
     def __len__(self) -> int:
@@ -596,10 +560,6 @@ class GraphStore:
         the daemon store's own plus a ``daemon`` sub-report with uptime
         and the per-client request/byte meters.
         """
-        if self._remote is not None:
-            outcome = self._via_remote(self._remote_stats)
-            if outcome is not _FELL_BACK:
-                return dict(outcome)
         counts: dict[str, int] = {}
         bytes_by_table: dict[str, int] = {}
         tables: dict[str, dict[str, int]] = {}
@@ -639,10 +599,6 @@ class GraphStore:
         dead bytes now and leave every segment in its densest, fastest
         to-bulk-load layout.
         """
-        if self._remote is not None:
-            outcome = self._via_remote(self._remote_compact)
-            if outcome is not _FELL_BACK:
-                return bool(outcome)
         with self._lock.held():
             self._flush_touches_locked()
             rewritten = False
@@ -657,6 +613,8 @@ class GraphStore:
 
         Explicit caps override the store's own; with neither configured
         nor given, this is a no-op.  Returns the number of keys removed.
+        Through a daemon, the store's own caps are the daemon's, which
+        own eviction fleet-wide.
 
         Runs entirely under the store lock: concurrent pruners from other
         processes serialise instead of interleaving their scans, so a key
@@ -679,12 +637,6 @@ class GraphStore:
             raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
         if max_entries is not None and max_entries < 0:
             raise ValueError(f"max_entries must be >= 0, got {max_entries}")
-        if self._remote is not None:
-            # explicit caps travel as given; None defers to the *daemon*
-            # store's configured caps, which own eviction fleet-wide
-            outcome = self._via_remote(self._remote_prune, max_bytes, max_entries)
-            if outcome is not _FELL_BACK:
-                return int(outcome)
         max_bytes = max_bytes if max_bytes is not None else self.max_bytes
         max_entries = max_entries if max_entries is not None else self.max_entries
         if max_bytes is None and max_entries is None:
@@ -775,12 +727,6 @@ class GraphStore:
         records are removed together.  Returns the number of keys
         removed.
         """
-        if self._remote is not None:
-            outcome = self._via_remote(
-                self._remote_invalidate, log_fingerprint, options_fingerprint
-            )
-            if outcome is not _FELL_BACK:
-                return int(outcome)
         log_part = log_fingerprint[:_KEY_DIGITS] if log_fingerprint else None
         opts_part = (
             options_fingerprint[:_KEY_DIGITS] if options_fingerprint else None
@@ -826,10 +772,6 @@ class GraphStore:
             raise ValueError(
                 f"table must be one of {_DERIVED_TABLES}, got {table!r}"
             )
-        if self._remote is not None:
-            outcome = self._via_remote(self._remote_invalidate_table, table)
-            if outcome is not _FELL_BACK:
-                return int(outcome)
         with self._lock.held():
             segment = self._segments[table]
             segment.invalidate_reader()
@@ -962,3 +904,34 @@ class GraphStore:
                     if table.name == "graphs":
                         exported += 1
         return {"exported_keys": exported, "orphans_dropped": orphans}
+
+
+def _forwarded(op: Op, local: Callable[..., Any]) -> Callable[..., Any]:
+    """The one forwarding path: ``local``, a :class:`GraphStore` method,
+    runs in the daemon while the store is attached to one, and in
+    process otherwise.
+
+    A :class:`~repro.cache.client.DaemonUnavailable` falls the store
+    open (for good) and runs ``local`` instead; a quota refusal answers
+    ``op.refused``, or raises.
+    """
+    signature = inspect.signature(local)
+
+    @functools.wraps(local)
+    def method(store: GraphStore, *args: Any, **kwargs: Any) -> Any:
+        if store._remote is not None:
+            try:
+                return op.call(store._remote, signature.bind(store, *args, **kwargs).arguments)
+            except DaemonUnavailable:
+                store._fail_open()
+            except QuotaExceeded:
+                if op.refused is QuotaExceeded:
+                    raise
+                return op.refused
+        return local(store, *args, **kwargs)
+
+    return method
+
+
+for _op in OPS.values():
+    setattr(GraphStore, _op.method, _forwarded(_op, getattr(GraphStore, _op.method)))

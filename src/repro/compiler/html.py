@@ -50,7 +50,7 @@ from repro.core.closure import apply_widget_choice
 from repro.core.interface import Interface
 from repro.errors import CompileError
 from repro.sqlparser.astnodes import Node
-from repro.sqlparser.render import _Renderer, render_sql
+from repro.sqlparser.render import render_fragment
 from repro.widgets.base import Widget
 
 __all__ = [
@@ -132,10 +132,14 @@ def page_json(value: Any) -> str:
 def node_data(node: Node) -> dict[str, Any]:
     """A subtree as the composer's JSON tree: ``t`` its type, ``a`` its
     attributes, ``s`` a literal leaf's SQL text, ``c`` its children
-    (empty members omitted)."""
+    (empty members omitted).
+
+    Raises:
+        CompileError: for a literal leaf that does not render.
+    """
     data: dict[str, Any] = {"t": node.node_type}
     if node.node_type in _TEXT_LEAVES:
-        data["s"] = _Renderer().expr(node)
+        data["s"] = render_fragment(node)
     elif node.attributes:
         data["a"] = node.attributes
     if node.children:
@@ -144,26 +148,12 @@ def node_data(node: Node) -> dict[str, Any]:
 
 
 def _option_label(entry: Node | None) -> str:
+    """A choice's option text: its SQL, or its node label when the
+    subtree does not render."""
     if entry is None:
         return _ABSENT
-    return render_sql(entry) if entry.node_type in ("SelectStmt", "SetOpStmt") else _render_fragment(entry)
-
-
-def _render_fragment(entry: Node) -> str:
-    """Best-effort SQL text for a subtree (fall back to the node label)."""
-    renderer = _Renderer()
     try:
-        if entry.node_type in ("SelectStmt", "SetOpStmt"):
-            return renderer.statement(entry)
-        if entry.node_type == "Top":
-            return f"TOP {renderer.expr(entry.children[0])}"
-        if entry.node_type == "ProjClause":
-            return renderer._proj(entry)
-        if entry.node_type in ("TableRef", "FuncTableRef", "SubqueryRef", "JoinRef"):
-            return renderer._from_item(entry)
-        if entry.node_type == "GroupClause":
-            return renderer.expr(entry.children[0])
-        return renderer.expr(entry)
+        return render_fragment(entry)
     except CompileError:
         return entry.label()
 

@@ -11,13 +11,15 @@ sees *every* load and its recency is exact at each eviction decision.
 
 The daemon is deliberately dumb: it moves **bytes**.  Requests arrive
 over a unix-domain socket (wire format in :mod:`repro.cache.client`)
-and map onto the store's byte-level record surface
-(:meth:`~repro.cache.store.GraphStore.record_get` /
-:meth:`~repro.cache.store.GraphStore.record_put`) plus the maintenance
-ops (``keys``/``stats``/``prune``/``invalidate``/``compact``).  Graph
-encoding and decoding stay in the clients, so a request's time under
-the store lock is one segment append or one block read — the daemon
-never deserialises a graph.
+and name an op of the store's registry
+(:data:`~repro.cache.store.OPS`: the record get/has/put surface plus
+the maintenance ops ``keys``/``stats``/``prune``/``invalidate``/
+``invalidate_table``/``compact``); the daemon runs that
+:class:`~repro.cache.store.GraphStore` method on the store it owns.
+Its own ops are ``ping`` and ``shutdown``, and it adds a ``daemon``
+block to the ``stats`` reply.  Graph encoding and decoding stay in the
+clients, so a request's time under the store lock is one segment
+append or one block read — the daemon never deserialises a graph.
 
 Per-client accounting: every request carries a client id; the daemon
 keeps request/byte meters per client (surfaced by the ``stats`` op and
@@ -45,22 +47,13 @@ import socketserver
 import threading
 import time
 from pathlib import Path as FilePath
-from typing import Any, Iterator
+from typing import Any, Callable
 
 from repro.cache.client import read_message, write_message
-from repro.cache.store import TABLES, GraphStore
+from repro.cache.store import OPS, GraphStore
 from repro.errors import CacheError, ServiceError
 
 __all__ = ["ClientMeter", "StoreDaemon", "running_daemon"]
-
-#: Ops that mutate the store — refused once a client is over quota.
-#: Reads are refused too (a free-riding reader still costs lock time),
-#: except ``ping``/``stats`` so an over-quota client can observe *why*.
-_METERED_OPS = frozenset(
-    {"get", "put", "has", "keys", "prune", "invalidate", "invalidate_table", "compact"}
-)
-
-_TABLES = frozenset(table.name for table in TABLES)
 
 
 class ClientMeter:
@@ -76,12 +69,7 @@ class ClientMeter:
         self.refused = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "requests": self.requests,
-            "bytes_in": self.bytes_in,
-            "bytes_out": self.bytes_out,
-            "refused": self.refused,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 class _Server(socketserver.ThreadingUnixStreamServer):
@@ -125,10 +113,12 @@ class _Handler(socketserver.BaseRequestHandler):
             try:
                 response, out_payload = daemon.dispatch(header, payload, extra)
             except Exception as exc:  # noqa: BLE001 - fault barrier
-                response, out_payload = (
-                    {"ok": False, "error": f"{type(exc).__name__}: {exc}"},
-                    b"",
-                )
+                response = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+                if isinstance(exc, ValueError):
+                    # the store rejected an argument: the client raises
+                    # the ValueError the same call raises in process
+                    response["code"] = "invalid"
+                out_payload = b""
             stopping = header.get("op") == "shutdown"
             try:
                 write_message(sock, response, out_payload)
@@ -187,6 +177,15 @@ class StoreDaemon:
         self._server: _Server | None = None
         self._thread: threading.Thread | None = None
         self._shutdown_requested = threading.Event()
+        #: the daemon's own reply fields per op: ``ping`` and
+        #: ``shutdown`` are its own ops, and ``stats`` adds its block to
+        #: the store's report.  These ops are never refused for quota,
+        #: so an over-quota client can still see why.
+        self._own_replies: dict[str, Callable[[], dict[str, Any]]] = {
+            "ping": self._identity,
+            "stats": lambda: {"daemon": self.daemon_stats()},
+            "shutdown": dict,
+        }
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -204,52 +203,41 @@ class StoreDaemon:
             with contextlib.suppress(OSError):
                 os.unlink(self.socket_path)
         else:
-            probe.close()
             raise ServiceError(
                 f"a store daemon is already listening on {self.socket_path}"
             )
         finally:
             probe.close()
 
-    def start(self) -> None:
-        """Bind the socket and serve from a background thread.
-
-        Raises:
-            ServiceError: when another daemon is live on the path.
-        """
+    def _bind(self) -> _Server:
         if self._server is not None:
             raise ServiceError("daemon already started")
         self._claim_socket()
         self._server = _Server(self.socket_path, self)
         self._started_at = time.monotonic()
+        return self._server
+
+    def start(self) -> None:
+        """Bind the socket, then :meth:`serve_forever` on a background
+        thread; the socket exists when this returns.
+
+        Raises:
+            ServiceError: when another daemon is live on the path.
+        """
+        self._bind()
         self._thread = threading.Thread(
-            target=self._serve_in_background,
-            name="repro-store-daemon",
-            daemon=True,
+            target=self.serve_forever, name="repro-store-daemon", daemon=True
         )
         self._thread.start()
 
-    def _serve_in_background(self) -> None:
-        """Thread target for :meth:`start`: serve, then tear down — so a
-        ``shutdown`` RPC fully stops a background daemon (socket file
-        removed, recency flushed) without anyone calling :meth:`stop`."""
-        server = self._server
-        if server is None:  # pragma: no cover - start() just set it
-            return
+    def serve_forever(self) -> None:
+        """Serve until :meth:`stop` or a ``shutdown`` RPC, then tear down
+        (socket file removed, recency flushed); binds first unless
+        :meth:`start` did.  The ``python -m repro daemon`` entry point
+        runs it on the calling thread."""
+        server = self._server if self._server is not None else self._bind()
         try:
             server.serve_forever()
-        finally:
-            self._teardown()
-
-    def serve_forever(self) -> None:
-        """Bind and serve on the calling thread until :meth:`stop` (or a
-        ``shutdown`` RPC) — the ``python -m repro daemon`` entry point."""
-        if self._server is None:
-            self._claim_socket()
-            self._server = _Server(self.socket_path, self)
-            self._started_at = time.monotonic()
-        try:
-            self._server.serve_forever()
         finally:
             self._teardown()
 
@@ -321,20 +309,14 @@ class StoreDaemon:
         client = str(header.get("client", "?"))
         with self._ops_lock:
             meter = self._meters.setdefault(client, ClientMeter())
-            if op in _METERED_OPS and self._over_quota(meter):
+            metered = op in OPS and op not in self._own_replies
+            if metered and self._over_quota(meter):
                 meter.refused += 1
-                return (
-                    {
-                        "ok": False,
-                        "code": "quota",
-                        "error": (
-                            f"client {client!r} is over quota "
-                            f"({meter.requests} requests, "
-                            f"{meter.bytes_in + meter.bytes_out} bytes)"
-                        ),
-                    },
-                    b"",
+                error = (
+                    f"client {client!r} is over quota ({meter.requests} requests, "
+                    f"{meter.bytes_in + meter.bytes_out} bytes)"
                 )
+                return {"ok": False, "code": "quota", "error": error}, b""
             meter.requests += 1
             meter.bytes_in += len(payload) + len(extra)
             response, out_payload = self._serve_op(op, header, payload, extra)
@@ -350,75 +332,31 @@ class StoreDaemon:
         )
 
     def _serve_op(
-        self, op: str, header: dict[str, Any], payload: bytes, extra: bytes
+        self, name: str, header: dict[str, Any], payload: bytes, extra: bytes
     ) -> tuple[dict[str, Any], bytes]:
-        store = self.store
-        if op == "ping":
-            return (
-                {
-                    "ok": True,
-                    "pid": os.getpid(),
-                    "root": str(store.root),
-                    "format": store.format,
-                    "uptime": self._uptime(),
-                },
-                b"",
-            )
-        if op == "get":
-            table, key = self._table_key(header)
-            record = store.record_get(table, key)
-            if record is None:
-                return {"ok": True, "found": False}, b""
-            return {"ok": True, "found": True}, record
-        if op == "has":
-            table, key = self._table_key(header)
-            return {"ok": True, "found": store.record_has(table, key)}, b""
-        if op == "put":
-            table, key = self._table_key(header)
-            graph_payload = extra if header.get("has_graph_payload") else None
-            stored = store.record_put(table, key, payload, graph_payload)
-            return {"ok": True, "stored": stored}, b""
-        if op == "keys":
-            return {"ok": True, "keys": store.keys()}, b""
-        if op == "stats":
-            return (
-                {
-                    "ok": True,
-                    "store": store.stats(),
-                    "daemon": self.daemon_stats(),
-                },
-                b"",
-            )
-        if op == "prune":
-            removed = store.prune(
-                max_bytes=_opt_int(header, "max_bytes"),
-                max_entries=_opt_int(header, "max_entries"),
-            )
-            return {"ok": True, "removed": removed}, b""
-        if op == "invalidate":
-            removed = store.invalidate(
-                log_fingerprint=_opt_str(header, "log_fingerprint"),
-                options_fingerprint=_opt_str(header, "options_fingerprint"),
-            )
-            return {"ok": True, "removed": removed}, b""
-        if op == "invalidate_table":
-            removed = store.invalidate_table(str(header.get("table", "")))
-            return {"ok": True, "removed": removed}, b""
-        if op == "compact":
-            return {"ok": True, "rewritten": store.compact()}, b""
-        if op == "shutdown":
-            return {"ok": True}, b""
-        return {"ok": False, "error": f"unknown op {op!r}"}, b""
+        """Run the registry op ``name`` on the store, then add the
+        daemon's own reply fields; an op in neither is refused."""
+        op = OPS.get(name)
+        own = self._own_replies.get(name)
+        if op is None and own is None:
+            return {"ok": False, "error": f"unknown op {name!r}"}, b""
+        response, out_payload = (
+            ({"ok": True}, b"")
+            if op is None
+            else op.serve(self.store, header, payload, extra)
+        )
+        if own is not None:
+            response.update(own())
+        return response, out_payload
 
-    @staticmethod
-    def _table_key(header: dict[str, Any]) -> tuple[str, str]:
-        table = str(header.get("table", ""))
-        key = str(header.get("key", ""))
-        if table not in _TABLES:
-            raise CacheError(f"unknown table {table!r}")
-        if not key:
-            raise CacheError("missing record key")
-        return table, key
+    def _identity(self) -> dict[str, Any]:
+        """The ``ping`` reply: who serves which store, for how long."""
+        return {
+            "pid": os.getpid(),
+            "root": str(self.store.root),
+            "format": self.store.format,
+            "uptime": self._uptime(),
+        }
 
     def _uptime(self) -> float:
         if self._started_at is None:
@@ -454,25 +392,9 @@ class StoreDaemon:
         ).start()
 
 
-def _opt_int(header: dict[str, Any], field: str) -> int | None:
-    value = header.get(field)
-    return None if value is None else int(value)
-
-
-def _opt_str(header: dict[str, Any], field: str) -> str | None:
-    value = header.get(field)
-    return None if value is None else str(value)
-
-
-@contextlib.contextmanager
 def running_daemon(
     root: str | FilePath, socket_path: str | FilePath, **kwargs: Any
-) -> Iterator[StoreDaemon]:
-    """``with running_daemon(dir, sock) as d:`` — start/stop convenience
-    for tests and doc snippets."""
-    daemon = StoreDaemon(root, socket_path, **kwargs)
-    daemon.start()
-    try:
-        yield daemon
-    finally:
-        daemon.stop()
+) -> StoreDaemon:
+    """``with running_daemon(dir, sock) as d:`` — a daemon that starts on
+    entering the block and stops on leaving it (tests, doc snippets)."""
+    return StoreDaemon(root, socket_path, **kwargs)

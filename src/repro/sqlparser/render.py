@@ -9,10 +9,12 @@ tests.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.errors import CompileError
 from repro.sqlparser.astnodes import Node
 
-__all__ = ["render_sql"]
+__all__ = ["render_fragment", "render_sql"]
 
 # Operator precedence used to decide when parentheses are required.
 _PRECEDENCE = {
@@ -25,13 +27,36 @@ _PRECEDENCE = {
 }
 
 
+#: What the renderer trips on in a malformed tree: a node missing an
+#: attribute or a child, or a clause with too few children.
+_MALFORMED = (KeyError, IndexError, ValueError, TypeError)
+
+
 def render_sql(node: Node) -> str:
     """Render an AST into a SQL string.
 
     Raises:
-        CompileError: for node types the renderer does not know.
+        CompileError: for node types the renderer does not know, and for
+            malformed trees.
     """
-    return _Renderer().statement(node)
+    return _guarded(_Renderer().statement, node)
+
+
+def render_fragment(node: Node) -> str:
+    """SQL text for a statement or any subtree of one: a ``TOP``, a
+    projection, a FROM item, a GROUP BY item or an expression.
+
+    Raises:
+        CompileError: as :func:`render_sql`.
+    """
+    return _guarded(_Renderer().fragment, node)
+
+
+def _guarded(render: Callable[[Node], str], node: Node) -> str:
+    try:
+        return render(node)
+    except _MALFORMED as exc:
+        raise CompileError(f"malformed {node.node_type} tree: {exc!r}") from exc
 
 
 class _Renderer:
@@ -48,6 +73,20 @@ class _Renderer:
             op = node.attributes.get("op", "UNION")
             return f"{self.statement(left)} {op} {self.statement(right)}"
         raise CompileError(f"cannot render statement of type {node.node_type}")
+
+    def fragment(self, node: Node) -> str:
+        kind = node.node_type
+        if kind in ("SelectStmt", "SetOpStmt"):
+            return self.statement(node)
+        if kind == "Top":
+            return f"TOP {self.expr(node.children[0])}"
+        if kind == "ProjClause":
+            return self._proj(node)
+        if kind in ("TableRef", "FuncTableRef", "SubqueryRef", "JoinRef"):
+            return self._from_item(node)
+        if kind == "GroupClause":
+            return self.expr(node.children[0])
+        return self.expr(node)
 
     def _select(self, node: Node) -> str:
         """Emit canonical SQL clause order regardless of the AST child

@@ -56,6 +56,15 @@ class TestLockDiscipline:
         """
         assert rule_ids(source, path=STORE_PATH) == ["RL001"]
 
+    def test_defaults_cover_the_segment_layer(self):
+        # no [tool.repro-lint] block needed: the defaults alone hold the
+        # segment module and its mutating calls
+        source = """
+        def write(segment, records):
+            segment.append_records(records)
+        """
+        assert rule_ids(source, path="src/repro/cache/blockstore.py") == ["RL001"]
+
     def test_only_store_modules_are_in_scope(self):
         # the same unlocked unlink outside a store module is fine — tmp
         # files, test scaffolding, and atomic single-file writers abound

@@ -1,9 +1,14 @@
 """The ``--json`` output mode of ``python -m repro``."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.__main__ import main
 from repro.logs import LISTING_6
 
@@ -226,3 +231,41 @@ class TestCacheCli:
         assert main(["cache", "stats", "--cache-dir", str(missing)]) == 2
         assert "does not exist" in capsys.readouterr().err
         assert not missing.exists()  # maintenance must not create it
+
+
+class TestClosedStdout:
+    """A reader that is gone before the first write (``| head`` that
+    already exited): every subcommand exits 1 without a traceback, and
+    ``serve`` leaves no worker process behind."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["mine", "{log}"],
+            ["serve", "{log}", "--pool-size", "2"],
+            ["serve", "{log}", "--pool-size", "2", "--follow", "--json",
+             "--compile", "patch"],
+        ],
+        ids=["mine", "serve", "serve-follow"],
+    )
+    def test_exits_quietly(self, log_file, args):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro",
+                 *(arg.format(log=log_file) for arg in args)],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": src},
+                start_new_session=True,
+            )
+        finally:
+            os.close(write_end)
+        stderr = proc.communicate(timeout=120)[1].decode()
+        assert "Traceback" not in stderr and "Exception ignored" not in stderr, stderr
+        assert proc.returncode == 1
+        # the CLI led its own process group: nothing of it outlives it
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)

@@ -103,3 +103,25 @@ class TestHtmlCompiler:
         page = compile_html(iface, title="<script>")
         assert "<script>alert" not in page
         assert "&lt;script&gt;" in page
+
+
+class TestMalformedSubtrees:
+    """A subtree the renderer cannot render costs one option label, not
+    the compile."""
+
+    def test_nameless_domain_entry_gets_its_node_label(self, interface):
+        from repro.compiler.html import build_choice_list, render_control_body
+        from repro.sqlparser import Node
+
+        widget = interface.widgets[0]
+        choices = build_choice_list(widget) + [Node("ColExpr")]
+        kind, body = render_control_body(widget, choices)
+        assert kind == "select"
+        assert f'<option value="{len(choices) - 1}">ColExpr</option>' in body
+
+    def test_node_data_raises_compile_error_on_a_malformed_leaf(self):
+        from repro.compiler.html import node_data
+        from repro.sqlparser import Node
+
+        with pytest.raises(CompileError, match="malformed"):
+            node_data(Node("NumExpr"))

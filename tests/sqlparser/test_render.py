@@ -89,3 +89,32 @@ class TestRenderedText:
         bad = Node("SelectStmt", {}, list(bad.children) + [where])
         with pytest.raises(CompileError):
             render_sql(bad)
+
+
+class TestMalformedTrees:
+    """Whatever a malformed tree trips the renderer on, it raises the one
+    error ``render_sql`` documents and its callers catch."""
+
+    @staticmethod
+    def _select_where(where):
+        query = parse_sql("SELECT a FROM t WHERE x = 1")
+        return Node("SelectStmt", {}, list(query.children[:2]) + [where])
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            # a set operation left with one child
+            lambda: Node("SetOpStmt", {"op": "UNION"}, [parse_sql("SELECT a FROM t")]),
+            # a column without its name
+            lambda: TestMalformedTrees._select_where(
+                Node("Where", {}, [Node("BiExpr", {"op": "="}, [
+                    Node("ColExpr"), Node("NumExpr", {"value": 1})])])
+            ),
+            # a clause with no children
+            lambda: TestMalformedTrees._select_where(Node("Where")),
+        ],
+        ids=["one-child-setop", "nameless-column", "empty-where"],
+    )
+    def test_render_sql_raises_compile_error(self, build):
+        with pytest.raises(CompileError, match="malformed"):
+            render_sql(build())
