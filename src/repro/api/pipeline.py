@@ -346,7 +346,6 @@ def generate_many(
     options: PipelineOptions | None = None,
     observers: Iterable[PipelineObserver] = (),
     workers: int | None = None,
-    pool: Any | None = None,
 ) -> list[GenerationResult]:
     """Mine one interface per log, in input order (batch/multi-client).
 
@@ -359,15 +358,6 @@ def generate_many(
     cannot follow a run into another process, so they are only supported
     serially.
 
-    Alternatively, pass a live :class:`~repro.service.SessionPool` as
-    ``pool``: each log is submitted as its own pool client and the batch
-    rides the pool's existing worker processes — repeated
-    ``generate_many`` calls amortise worker start-up, and the pool's
-    bounded queues apply backpressure while the batch is fed in.  The
-    pool's own options govern the mining (it hosts the sessions), and it
-    stays open afterwards.  ``pool`` and ``workers > 1`` are mutually
-    exclusive.
-
     The serial path is unchanged: the stage objects are stateless, so one
     pipeline serves the whole batch; each log still gets its own state,
     reports, and result.  An empty batch yields an empty list (unlike an
@@ -375,70 +365,22 @@ def generate_many(
 
     Args:
         logs: the batch; each element is anything :func:`generate` accepts.
-        options: shared pipeline configuration (ignored with ``pool`` —
-            the pool already carries its sessions' options).
-        observers: instrumentation hooks (``workers`` must be left serial,
-            ``pool`` unset).
+        options: shared pipeline configuration.
+        observers: instrumentation hooks (``workers`` must be left serial).
         workers: process count; ``None`` or ``1`` runs in-process.
-        pool: an open :class:`~repro.service.SessionPool` to serve the
-            batch through instead of a one-shot executor.
 
     Raises:
-        ValueError: for ``workers < 1``, observers combined with
-            ``workers > 1`` or ``pool``, or ``pool`` combined with
+        ValueError: for ``workers < 1``, or observers combined with
             ``workers > 1`` (raised up front, even for batches too small
             to actually shard).
     """
     logs = list(logs)
-    if pool is not None:
-        if workers is not None and workers > 1:
-            raise ValueError(
-                "pass either a pool or workers > 1, not both — the pool "
-                "already owns its worker processes"
-            )
-        if tuple(observers):
-            raise ValueError(
-                "observers hold process-local state and are not supported "
-                "with a pool; drop the observers or run serially"
-            )
-        return _generate_many_pooled(logs, pool)
     n_workers = min(_validate_sharding(workers, observers), len(logs))
     if n_workers <= 1:
         pipeline = Pipeline.default(options)
         return [pipeline.generate(log, observers=observers) for log in logs]
     resolved = options or PipelineOptions()
     return _shard([(log, resolved, None) for log in logs], n_workers)
-
-
-def _generate_many_pooled(logs: list[Any], pool: Any) -> list[GenerationResult]:
-    """Serve a ``generate_many`` batch through a live SessionPool.
-
-    Each log becomes a fresh, pool-unique client (so repeated calls never
-    append onto a previous batch's sessions), is submitted as one batch,
-    and is released after the drain.
-    """
-    client_ids = [pool.unique_client_id("generate-many") for _ in logs]
-    for client_id, log in zip(client_ids, logs):
-        # QueryLog duck-type: feed the statements; sessions parse in-worker
-        if hasattr(log, "statements") and hasattr(log, "asts"):
-            batch: Any = list(log.statements())
-        else:
-            batch = log
-        pool.submit(client_id, batch)
-    try:
-        # scope failure reporting to this batch's clients: an unrelated
-        # client's earlier bad batch must neither fail this call nor be
-        # consumed away from its owner's own drain()
-        drained = pool.drain(clients=client_ids)
-        missing = [cid for cid in client_ids if cid not in drained]
-        if missing:  # pragma: no cover - drain(strict=True) raises first
-            raise LogError(
-                f"pool returned no result for {len(missing)} of "
-                f"{len(client_ids)} submitted logs"
-            )
-        return [drained[cid] for cid in client_ids]
-    finally:
-        pool.release(client_ids)
 
 
 def generate_segmented(

@@ -26,15 +26,31 @@ def save_text(log: QueryLog, path: str | FilePath) -> None:
     FilePath(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _read(file_path: FilePath) -> str:
+    """The file's text.
+
+    Raises:
+        LogError: when the path is missing, is a directory, or cannot be
+            read, or the file is not UTF-8 text.
+    """
+    try:
+        return file_path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise LogError(f"cannot read {file_path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise LogError(f"{file_path} is not UTF-8 text: {exc.reason}") from exc
+
+
 def load_text(path: str | FilePath, client: str = "c0", name: str | None = None) -> QueryLog:
     """Read a one-statement-per-line file, skipping blanks and ``--`` lines.
 
     Raises:
-        LogError: when the file holds no statements.
+        LogError: when the file cannot be read (see :func:`_read`) or
+            holds no statements.
     """
     file_path = FilePath(path)
     statements = []
-    for line in file_path.read_text(encoding="utf-8").splitlines():
+    for line in _read(file_path).splitlines():
         stripped = line.strip()
         if stripped and not stripped.startswith("--"):
             statements.append(stripped)
@@ -54,7 +70,7 @@ def load_log(path: str | FilePath, name: str | None = None) -> QueryLog:
     batch.
 
     Raises:
-        LogError: when the file is empty or malformed.
+        LogError: when the file cannot be read, or is empty or malformed.
     """
     file_path = FilePath(path)
     if file_path.suffix.lower() in (".jsonl", ".ndjson"):
@@ -83,13 +99,12 @@ def load_jsonl(path: str | FilePath, name: str | None = None) -> QueryLog:
     """Read a JSON-lines log.
 
     Raises:
-        LogError: on malformed rows or an empty file.
+        LogError: when the file cannot be read, on malformed rows, or on
+            an empty file.
     """
     file_path = FilePath(path)
     entries: list[LogEntry] = []
-    for line_number, line in enumerate(
-        file_path.read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    for line_number, line in enumerate(_read(file_path).splitlines(), start=1):
         if not line.strip():
             continue
         try:

@@ -58,12 +58,13 @@ import contextlib
 import inspect
 import itertools
 import multiprocessing as mp
+import queue
 import signal
 import threading
 import time
 import zlib
 from dataclasses import dataclass
-from typing import Any, AsyncIterator, Callable, Iterable
+from typing import Any, AsyncIterator, Callable, Iterable, NamedTuple
 
 from repro.api.result import GenerationResult
 from repro.api.session import InterfaceSession
@@ -78,9 +79,10 @@ __all__ = ["SessionPool", "AppendAck", "CloseReport", "PoolStats"]
 DEFAULT_QUEUE_DEPTH = 8
 
 _OP_APPEND = "append"
-_OP_DRAIN = "drain"
 _OP_RELEASE = "release"
-_OP_CLOSE = "close"
+# a drain, or with a deadline a close: each worker answers it with a
+# _Reply after every message queued before it
+_OP_BARRIER = "barrier"
 
 
 @dataclass(frozen=True)
@@ -95,7 +97,7 @@ class AppendAck:
     seconds: float
     error: str | None = None
     #: The append's compiled interface — attached only for appends
-    #: submitted while a ``serve(compile=...)`` mode is active.  In
+    #: submitted by a ``serve(compile=...)`` call.  In
     #: ``"patch"`` mode this is the structural patch
     #: (:func:`repro.compiler.incremental.make_patch` wire format); in
     #: ``"page"`` mode it is ``{"kind": "page_html", "html": ...}``.  A
@@ -146,6 +148,17 @@ class PoolStats:
     n_clients: int
 
 
+class _Reply(NamedTuple):
+    """A worker's answer to a drain or close barrier (see
+    :func:`_flush_sessions`); ``seq`` is the barrier's."""
+
+    worker: int
+    seq: int
+    results: dict[str, GenerationResult]
+    flush_errors: list[str]
+    unflushed: list[str]
+
+
 def _exit_on_sigterm(signum: int, frame: Any) -> None:
     """SIGTERM → ``SystemExit``: unwind instead of dying on the spot.
 
@@ -166,15 +179,15 @@ def _worker_main(
     inbox: Any,
     outbox: Any,
 ) -> None:
-    """Worker-process loop: host sessions, apply appends, answer drains.
+    """Worker-process loop: host sessions, apply appends, answer barriers.
 
     Module-level so it pickles by reference under every multiprocessing
     start method.  Messages are processed strictly in queue order, which
-    is what makes per-client ordering and the drain barrier correct: a
-    drain sentinel enqueued after a client's batches is necessarily
-    handled after them.
+    is what makes per-client ordering and the barriers correct: a drain
+    or close enqueued after a client's batches is necessarily handled
+    after them.
     """
-    with _swallow_os_error():
+    with contextlib.suppress(OSError, ValueError):  # restricted environments
         signal.signal(signal.SIGTERM, _exit_on_sigterm)
     sessions: dict[str, InterfaceSession] = {}
     while True:
@@ -183,13 +196,15 @@ def _worker_main(
         if op == _OP_APPEND:
             _, seq, client_id, batch, compile_mode = message
             started = time.perf_counter()
+            n_widgets = 0
+            error: str | None = None
+            compiled: dict[str, Any] | None = None
             try:
                 session = sessions.get(client_id)
                 if session is None:
                     session = InterfaceSession(options=options)
                     sessions[client_id] = session
-                result = session.append_batch(batch)
-                compiled = None
+                n_widgets = len(session.append_batch(batch).interface.widgets)
                 if compile_mode is not None:
                     # compile inside the worker — the incremental
                     # compiler's artifacts live with the session, so the
@@ -209,97 +224,77 @@ def _worker_main(
                             "kind": "error",
                             "error": f"{type(exc).__name__}: {exc}",
                         }
-                outbox.put(
-                    AppendAck(
-                        client_id=client_id,
-                        seq=seq,
-                        worker=worker_id,
-                        n_queries=len(session),
-                        n_widgets=len(result.interface.widgets),
-                        seconds=time.perf_counter() - started,
-                        compiled=compiled,
-                    )
-                )
             except BaseException as exc:  # the pool must survive bad batches
-                outbox.put(
-                    AppendAck(
-                        client_id=client_id,
-                        seq=seq,
-                        worker=worker_id,
-                        n_queries=len(sessions.get(client_id) or ()),
-                        n_widgets=0,
-                        seconds=time.perf_counter() - started,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
+                error = f"{type(exc).__name__}: {exc}"
+            outbox.put(
+                AppendAck(
+                    client_id=client_id,
+                    seq=seq,
+                    worker=worker_id,
+                    n_queries=len(sessions.get(client_id) or ()),
+                    n_widgets=n_widgets,
+                    seconds=time.perf_counter() - started,
+                    error=error,
+                    compiled=compiled,
                 )
-        elif op == _OP_DRAIN:
-            _, seq = message
-            results: dict[str, GenerationResult] = {}
-            flush_errors: list[str] = []
-            for client_id, session in sessions.items():
-                if session.result is None:
-                    continue
+            )
+        elif op == _OP_RELEASE:
+            _, client_ids = message
+            for client_id in client_ids:
+                sessions.pop(client_id, None)
+        else:  # _OP_BARRIER
+            _, seq, close_deadline = message
+            outbox.put(_flush_sessions(worker_id, seq, sessions, close_deadline))
+            if close_deadline is not None:
+                break
+
+
+def _flush_sessions(
+    worker_id: int,
+    seq: int,
+    sessions: dict[str, InterfaceSession],
+    close_deadline: float | None,
+) -> _Reply:
+    """Publish every session to the store and answer a barrier.
+
+    A drain (no deadline) flushes inline and returns each session's
+    result.  A close flushes on a *daemon* thread and waits at most
+    ``close_deadline`` seconds: a flush wedged on the store lock (or a
+    hung daemon socket) can no longer wedge ``close()`` — the reply
+    names the clients the worker could not publish and the worker
+    exits; the wedged thread dies with the process, and process exit
+    releases any held ``flock``.
+    """
+    flush_errors: list[str] = []
+    flushed: set[str] = set()
+    results: dict[str, GenerationResult] = {}
+
+    def flush_all() -> None:
+        for client_id, session in list(sessions.items()):
+            if session.result is not None:
                 try:
                     session.flush_to_store()  # no-op without a cache_dir
                 except Exception as exc:
                     # publication is an optimisation; the results are not
                     flush_errors.append(f"{client_id}: {exc}")
                 results[client_id] = session.result
-            outbox.put(("drained", worker_id, seq, results, flush_errors))
-        elif op == _OP_RELEASE:
-            _, client_ids = message
-            for client_id in client_ids:
-                sessions.pop(client_id, None)
-        elif op == _OP_CLOSE:
-            _, flush_deadline = message
-            outbox.put(_close_worker(worker_id, sessions, flush_deadline))
-            break
-
-
-def _close_worker(
-    worker_id: int,
-    sessions: dict[str, InterfaceSession],
-    flush_deadline: float,
-) -> tuple[str, int, list[str], list[str]]:
-    """Flush every session to the store under a deadline.
-
-    The flush runs on a *daemon* thread and the worker waits at most
-    ``flush_deadline`` seconds: a flush wedged on the store lock (or a
-    hung daemon socket) can no longer wedge ``close()`` — the worker
-    reports which clients it could not publish and exits; the wedged
-    thread dies with the process, and process exit releases any held
-    ``flock``.  Returns the ``("closed", ...)`` outbox message.
-    """
-    close_errors: list[str] = []
-    flushed: set[str] = set()
-    done = threading.Event()
-
-    def _flush_all() -> None:
-        for client_id, session in list(sessions.items()):
-            if session.result is not None:
-                try:
-                    session.flush_to_store()  # no-op without a cache_dir
-                except Exception as exc:
-                    close_errors.append(f"{client_id}: {exc}")
             flushed.add(client_id)
-        done.set()
 
-    thread = threading.Thread(
-        target=_flush_all, daemon=True, name=f"repro-close-flush-{worker_id}"
+    if close_deadline is None:
+        flush_all()
+    else:
+        thread = threading.Thread(
+            target=flush_all, daemon=True, name=f"repro-close-flush-{worker_id}"
+        )
+        thread.start()
+        thread.join(close_deadline)
+    return _Reply(
+        worker_id,
+        seq,
+        results if close_deadline is None else {},  # a close discards them
+        list(flush_errors),
+        sorted(set(sessions) - set(flushed)),
     )
-    thread.start()
-    finished = done.wait(flush_deadline)
-    unflushed = [] if finished else sorted(set(sessions) - set(flushed))
-    return ("closed", worker_id, list(close_errors), unflushed)
-
-
-@contextlib.contextmanager
-def _swallow_os_error() -> Any:
-    """Signal registration is best-effort (restricted environments)."""
-    try:
-        yield
-    except (OSError, ValueError):  # pragma: no cover - platform-specific
-        pass
 
 
 def _shard_of(client_id: str, pool_size: int) -> int:
@@ -319,9 +314,6 @@ class SessionPool:
         queue_depth: per-worker inbox bound, in batches (>= 1); this is
             the backpressure knob — :meth:`submit` blocks when the target
             shard's queue is full.
-        mp_context: a :mod:`multiprocessing` start-method name
-            (``"fork"``/``"spawn"``/``"forkserver"``) or ``None`` for the
-            platform default.
 
     The pool is a context manager; leaving the ``with`` block (or calling
     :meth:`close`) stops the workers.  Observers are deliberately not
@@ -334,7 +326,6 @@ class SessionPool:
         options: PipelineOptions | None = None,
         pool_size: int = 2,
         queue_depth: int = DEFAULT_QUEUE_DEPTH,
-        mp_context: str | None = None,
     ) -> None:
         if pool_size < 1:
             raise ServiceError(f"pool_size must be >= 1, got {pool_size}")
@@ -343,35 +334,29 @@ class SessionPool:
         self.options = options or PipelineOptions()
         self.pool_size = pool_size
         self.queue_depth = queue_depth
-        self._ctx = mp.get_context(mp_context)
         self._seq = itertools.count()
         self._n_submitted = 0
         self._n_completed = 0
         self._n_failed = 0
-        # acks are recorded by whichever thread reads the outbox (drain,
-        # serve's waits, a monitor polling stats()): keep the counts exact
-        self._count_lock = threading.Lock()
-        # error acks not yet reported by a drain() (per-client consumption)
+        # held by the one thread taking messages off the outbox (_take)
+        self._reading = threading.Lock()
+        # the counters and the failure list, across threads
+        self._lock = threading.Lock()
+        # error acks not yet reported by a drain()
         self._unreported_failures: list[AppendAck] = []
-        # acks not yet handed to the on_result subscriber of the running
-        # serve(); None while no such serve runs, so no ack is kept
-        self._undelivered: collections.deque[AppendAck] | None = None
-        # non-ack messages (drain replies) popped by _collect_ready while
-        # a concurrent drain() was waiting for them — never discard these
-        self._stashed_replies: list[tuple[Any, ...]] = []
+        # append seq -> the ack deque of the serve(on_result=...) call
+        # that submitted it; no other ack is kept
+        self._routes: dict[int, collections.deque[AppendAck]] = {}
+        # barrier seq -> the replies for the drain() or close() waiting
+        self._replies: dict[int, list[_Reply]] = {}
         self._flush_errors: list[str] = []
         self._clients: set[str] = set()
         self._closed = False
         self._close_report: CloseReport | None = None
-        # while a serve(compile=...) is active, appends also carry the
-        # compiled interface (page or structural patch; AppendAck.compiled)
-        self._compile_mode: str | None = None
-        self._outbox = self._ctx.Queue()
-        self._inboxes = [
-            self._ctx.Queue(maxsize=queue_depth) for _ in range(pool_size)
-        ]
+        self._outbox = mp.Queue()
+        self._inboxes = [mp.Queue(maxsize=queue_depth) for _ in range(pool_size)]
         self._workers = [
-            self._ctx.Process(
+            mp.Process(
                 target=_worker_main,
                 args=(worker_id, self.options, self._inboxes[worker_id], self._outbox),
                 daemon=True,
@@ -401,29 +386,30 @@ class SessionPool:
         """Stop every worker and release the queues.  Idempotent.
 
         Pending (submitted but undrained) work is still processed — the
-        close sentinel queues behind it — and each worker publishes its
+        close barrier queues behind it — and each worker publishes its
         sessions to the shared store under ``flush_timeout`` seconds
         before exiting; undrained *results* are still discarded, so call
         :meth:`drain` first to keep them.
 
         Unlike the old fire-and-forget teardown, nothing is swallowed:
         the returned :class:`CloseReport` carries every flush error the
-        workers managed to queue (including ones from earlier drains
-        that no drain call collected), the clients whose sessions missed
-        the flush deadline, and any worker that had to be terminated.  A
-        terminated worker now exits by ``SystemExit`` (SIGTERM handler),
-        so a held store lock is released by its ``finally`` block rather
-        than left to kernel cleanup mid-write.
+        workers reported while closing (including ones from earlier
+        drains that no drain call collected), the clients whose sessions
+        missed the flush deadline, and any worker that had to be
+        terminated.  A terminated worker now exits by ``SystemExit``
+        (SIGTERM handler), so a held store lock is released by its
+        ``finally`` block rather than left to kernel cleanup mid-write.
         """
-        import queue as queue_mod
-
         if self._closed:
             return self._close_report or CloseReport()
         self._closed = True
+        n_earlier_errors = len(self._flush_errors)
         awaiting: set[int] = set()
         terminated: list[str] = []
         unflushed: set[str] = set()
-        close_errors: list[str] = []
+        seq = next(self._seq)
+        replies: list[_Reply] = []
+        self._replies[seq] = replies
         for worker_id, (inbox, worker) in enumerate(
             zip(self._inboxes, self._workers)
         ):
@@ -435,31 +421,24 @@ class SessionPool:
             try:
                 # bounded put: a dead or wedged worker leaves its queue
                 # full forever, and close() must never hang on it
-                inbox.put((_OP_CLOSE, flush_timeout), timeout=5)
+                inbox.put((_OP_BARRIER, seq, flush_timeout), timeout=5)
                 awaiting.add(worker_id)
             except Exception:  # queue.Full, or a queue already torn down
                 self._terminate_worker(worker_id, terminated, unflushed)
         deadline = time.monotonic() + flush_timeout + 5.0
         while awaiting and time.monotonic() < deadline:
-            try:
-                message = self._outbox.get(timeout=0.2)
-            except queue_mod.Empty:
+            arrived = self._take(0.2)
+            while replies:
+                reply = replies.pop()
+                awaiting.discard(reply.worker)
+                unflushed.update(reply.unflushed)
+            if not arrived:
                 for worker_id in sorted(awaiting):
                     if not self._workers[worker_id].is_alive():
                         # crashed before answering: its sessions are gone
                         awaiting.discard(worker_id)
                         unflushed.update(self._clients_of(worker_id))
-                continue
-            if isinstance(message, AppendAck):
-                self._record_ack(message)
-            elif message[0] == "closed":
-                _, worker_id, worker_errors, worker_unflushed = message
-                awaiting.discard(worker_id)
-                close_errors.extend(worker_errors)
-                unflushed.update(worker_unflushed)
-            elif message[0] == "drained":
-                # a drain reply nobody collected: keep its flush errors
-                self._flush_errors.extend(message[4])
+        del self._replies[seq]
         for worker_id in sorted(awaiting):
             self._terminate_worker(worker_id, terminated, unflushed)
         for worker in self._workers:
@@ -467,11 +446,10 @@ class SessionPool:
             if worker.is_alive():  # pragma: no cover - defensive
                 worker.kill()
                 worker.join(timeout=5)
-        for queue in (*self._inboxes, self._outbox):
-            queue.close()
-        self._flush_errors.extend(close_errors)
+        for channel in (*self._inboxes, self._outbox):
+            channel.close()
         self._close_report = CloseReport(
-            flush_errors=tuple(close_errors),
+            flush_errors=tuple(self._flush_errors[n_earlier_errors:]),
             unflushed_clients=tuple(sorted(unflushed)),
             terminated_workers=tuple(terminated),
         )
@@ -517,62 +495,84 @@ class SessionPool:
         Raises:
             ServiceError: when the pool is closed or a worker died.
         """
+        return self._submit(client_id, batch, None, None)
+
+    def _submit(
+        self,
+        client_id: str,
+        batch: Any,
+        compile_mode: str | None,
+        route: collections.deque[AppendAck] | None,
+    ) -> int:
+        """:meth:`submit`, with the append's compile mode and the deque
+        its ack is routed to (``None``: counted, not kept)."""
         self._require_open()
         seq = next(self._seq)
+        if route is not None:
+            # before the put: the ack can be taken before this returns
+            self._routes[seq] = route
         shard = _shard_of(client_id, self.pool_size)
-        self._inboxes[shard].put(
-            (_OP_APPEND, seq, client_id, batch, self._compile_mode)
-        )
-        self._n_submitted += 1
+        self._inboxes[shard].put((_OP_APPEND, seq, client_id, batch, compile_mode))
+        with self._lock:
+            self._n_submitted += 1
         self._clients.add(client_id)
         return seq
 
     def pending(self) -> int:
         """Batches submitted but not yet acknowledged (approximate while
         workers are mid-append; exact after :meth:`drain`)."""
-        self._collect_ready()
+        self._take()
         return self._n_submitted - self._n_completed - self._n_failed
 
-    def _record_ack(self, ack: AppendAck) -> None:
-        with self._count_lock:
-            if ack.error is None:
-                self._n_completed += 1
-            else:
-                self._n_failed += 1
-        if ack.error is not None:
-            self._unreported_failures.append(ack)
-        if self._undelivered is not None:
-            self._undelivered.append(ack)
+    def _take(self, timeout: float = 0.0) -> bool:
+        """Take every message off the outbox, first waiting up to
+        ``timeout`` seconds for one; False when none came.
 
-    def _collect_ready(self) -> None:
-        """Drain the outbox of already-available acks without blocking.
-
-        A drain reply popped here (stats()/pending() racing a concurrent
-        :meth:`drain`, e.g. a monitor polling while ``serve`` drains in a
-        worker thread) is stashed, not dropped — the waiting drain would
-        otherwise hang forever on a reply that already left the queue.
+        The outbox's one reader, for every thread (drain, close, a
+        ``serve`` waiting for its acks, a monitor polling :meth:`stats`).
+        An ack is counted and handed to the ``serve`` call that submitted
+        it; a barrier reply's flush errors are recorded at once, and the
+        reply is kept for the drain or close that sent the barrier.
         """
-        import queue as queue_mod
-
-        while True:
-            try:
-                message = self._outbox.get_nowait()
-            except queue_mod.Empty:
-                return
-            if isinstance(message, AppendAck):
-                self._record_ack(message)
-            else:
-                self._stashed_replies.append(message)
+        if not self._reading.acquire(False):
+            # another thread is reading: once it is done, do not wait on
+            # the queue — the caller first checks what that thread routed
+            if timeout <= 0 or not self._reading.acquire(True, timeout):
+                return False
+            timeout = 0.0
+        taken = False
+        try:
+            while True:
+                try:
+                    message = self._outbox.get(timeout > 0 and not taken, timeout)
+                except queue.Empty:
+                    return taken
+                taken = True
+                if isinstance(message, AppendAck):
+                    with self._lock:
+                        if message.ok:
+                            self._n_completed += 1
+                        else:
+                            self._n_failed += 1
+                            self._unreported_failures.append(message)
+                    route = self._routes.pop(message.seq, None)
+                    if route is not None:
+                        route.append(message)
+                else:
+                    self._flush_errors.extend(message.flush_errors)
+                    replies = self._replies.get(message.seq)
+                    if replies is not None:
+                        replies.append(message)
+        finally:
+            self._reading.release()
 
     # ------------------------------------------------------------------
     # synchronisation
     # ------------------------------------------------------------------
-    def drain(
-        self, strict: bool = True, clients: Iterable[str] | None = None
-    ) -> dict[str, GenerationResult]:
+    def drain(self, strict: bool = True) -> dict[str, GenerationResult]:
         """Wait for every submitted batch, then return per-client results.
 
-        Sends a drain sentinel down each shard (FIFO guarantees it runs
+        Sends a drain barrier down each shard (FIFO guarantees it runs
         after all pending appends) and gathers the workers' replies.  Each
         worker also publishes its sessions to the shared store first, when
         one is configured.  The pool stays usable afterwards — sessions
@@ -585,11 +585,6 @@ class SessionPool:
                 visible through :meth:`stats`.  Store-flush
                 failures never gate result delivery — publication is an
                 optimisation — and are reported via :meth:`flush_errors`.
-            clients: restrict *failure* reporting/consumption to these
-                client ids; other clients' failures stay pending for
-                their owner's drain (the ``generate_many(pool=...)``
-                contract on a shared pool).  Results are always the full
-                barrier's — every client's latest.
 
         Returns:
             The latest :class:`GenerationResult` per client, for every
@@ -598,43 +593,24 @@ class SessionPool:
         Raises:
             ServiceError: per ``strict``, or when a worker died.
         """
-        import queue as queue_mod
-
         self._require_open()
-        drain_seq = next(self._seq)
-        for inbox in self._inboxes:
-            inbox.put((_OP_DRAIN, drain_seq))
-        results: dict[str, GenerationResult] = {}
-        replied = 0
-        while replied < self.pool_size:
-            if self._stashed_replies:
-                message: Any = self._stashed_replies.pop(0)
-            else:
-                try:
-                    message = self._outbox.get(timeout=1.0)
-                except queue_mod.Empty:
+        seq = next(self._seq)
+        replies: list[_Reply] = []
+        self._replies[seq] = replies
+        try:
+            for inbox in self._inboxes:
+                inbox.put((_OP_BARRIER, seq, None))
+            while len(replies) < self.pool_size:
+                if not self._take(1.0):
                     # a dead worker mid-drain would otherwise hang us here
                     self._require_open()
-                    continue
-            if isinstance(message, AppendAck):
-                self._record_ack(message)
-                continue
-            kind, _worker_id, seq, worker_results, worker_flush_errors = message
-            if kind == "drained" and seq == drain_seq:
-                replied += 1
-                results.update(worker_results)
-                self._flush_errors.extend(worker_flush_errors)
-            # a reply for an older drain (stashed after its waiter gave
-            # up) is obsolete; drop it
-        client_filter = set(clients) if clients is not None else None
-        reported = [
-            ack
-            for ack in self._unreported_failures
-            if client_filter is None or ack.client_id in client_filter
-        ]
-        self._unreported_failures = [
-            ack for ack in self._unreported_failures if ack not in reported
-        ]
+        finally:
+            del self._replies[seq]
+        results: dict[str, GenerationResult] = {}
+        for reply in replies:
+            results.update(reply.results)
+        with self._lock:
+            reported, self._unreported_failures = self._unreported_failures, []
         if strict and reported:
             raise ServiceError(
                 f"{len(reported)} append(s) failed in the pool",
@@ -646,7 +622,7 @@ class SessionPool:
         return results
 
     def flush_errors(self) -> list[str]:
-        """Store-publication failures observed by drains so far.  These
+        """Store-publication failures the workers reported so far.  These
         never fail a drain (the results exist regardless); a caller that
         needs durability checks here."""
         return list(self._flush_errors)
@@ -696,22 +672,24 @@ class SessionPool:
         async, invoked on the event loop) receives each append's
         :class:`AppendAck` — its counters, and the compiled interface
         under ``compile=`` — *as the worker finishes it*, not at the
-        drain barrier.  Every ack for a batch this call submitted is
-        delivered before the final drain runs, so a subscriber always
-        sees the live updates before the caller sees the drained
-        results; the pool keeps an ack only until it is delivered.
-        Failed appends are delivered too (``ack.ok`` false,
-        ``ack.error`` set) so a subscriber can surface them immediately
-        even under ``strict=False``.
+        drain barrier.  It receives exactly the acks of the batches this
+        call submitted, so concurrent ``serve`` calls on one pool each
+        see only their own.  Every one is delivered before the final
+        drain runs, so a subscriber always sees the live updates before
+        the caller sees the drained results; the pool keeps an ack only
+        until it is delivered.  Failed appends are delivered too
+        (``ack.ok`` false, ``ack.error`` set) so a subscriber can surface
+        them immediately even under ``strict=False``.
 
-        With ``compile="patch"`` (or ``"page"``), each append is also
-        compiled *in the worker* and the ack's ``compiled`` field carries
-        the structural interface patch (or the full page HTML) — the
-        opt-in that turns a serve into interface streaming.  Workers keep
-        their sessions' incremental compilers across appends, so the
-        steady-state compile cost is the dirty part of the page, and the
-        emitted patch stream folds (:func:`repro.compiler.incremental.apply_patch`)
-        into pages byte-identical to a full recompile.
+        With ``compile="patch"`` (or ``"page"``), each append this call
+        submits is also compiled *in the worker* and the ack's
+        ``compiled`` field carries the structural interface patch (or
+        the full page HTML) — the opt-in that turns a serve into
+        interface streaming.  Workers keep their sessions' incremental
+        compilers across appends, so the steady-state compile cost is the
+        dirty part of the page, and the emitted patch stream folds
+        (:func:`repro.compiler.incremental.apply_patch`) into pages
+        byte-identical to a full recompile.
 
         Raises:
             ServiceError: as :meth:`submit` / :meth:`drain`, and for an
@@ -721,66 +699,40 @@ class SessionPool:
             raise ServiceError(
                 f"compile must be 'page', 'patch', or None, got {compile!r}"
             )
-        undelivered: collections.deque[AppendAck] = collections.deque()
+        # this call's acks, routed here by seq; none kept without a subscriber
+        route = None if on_result is None else collections.deque[AppendAck]()
+        n_undelivered = 0
 
-        async def _dispatch_new() -> None:
-            """Deliver any newly arrived acks, in arrival order."""
-            if on_result is None:
-                return
-            self._collect_ready()
-            while undelivered:
-                outcome = on_result(undelivered.popleft())
+        async def deliver(subscriber: Callable[[AppendAck], Any]) -> None:
+            """Hand the subscriber every ack routed here so far."""
+            nonlocal n_undelivered
+            while route:
+                n_undelivered -= 1
+                outcome = subscriber(route.popleft())
                 if inspect.isawaitable(outcome):
                     await outcome
 
-        if on_result is not None:
-            # acks recorded before this serve are not its own
-            self._undelivered = undelivered
-        self._compile_mode = compile
-        try:
-            if hasattr(stream, "__aiter__"):
-                async for client_id, batch in stream:
-                    await asyncio.to_thread(self.submit, client_id, batch)
-                    await _dispatch_new()
-            else:
-                for client_id, batch in stream:
-                    await asyncio.to_thread(self.submit, client_id, batch)
-                    await _dispatch_new()
+        async for client_id, batch in _events(stream):
+            await asyncio.to_thread(self._submit, client_id, batch, compile, route)
             if on_result is not None:
-                # deliver every outstanding ack *before* the drain barrier
-                while self.pending() > 0:
-                    await asyncio.to_thread(self._wait_for_message, 0.2)
-                    await _dispatch_new()
-                    self._require_open()
-                await _dispatch_new()
-        finally:
-            self._undelivered = None
-            self._compile_mode = None
+                n_undelivered += 1
+                self._take()
+                await deliver(on_result)
+        # deliver every outstanding ack *before* the drain barrier
+        while on_result is not None and n_undelivered:
+            await asyncio.to_thread(self._take, 0.2)
+            await deliver(on_result)
+            self._require_open()
         if not drain:
             return {}
         return await asyncio.to_thread(self.drain, strict)
-
-    def _wait_for_message(self, timeout: float) -> None:
-        """Block up to ``timeout`` for one outbox message and absorb it
-        (acks recorded, drain replies stashed) — the blocking counterpart
-        of :meth:`_collect_ready` for streaming waits."""
-        import queue as queue_mod
-
-        try:
-            message = self._outbox.get(timeout=timeout)
-        except queue_mod.Empty:
-            return
-        if isinstance(message, AppendAck):
-            self._record_ack(message)
-        else:
-            self._stashed_replies.append(message)
 
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
     def stats(self) -> PoolStats:
         """Lifetime counters (see :class:`PoolStats`)."""
-        self._collect_ready()
+        self._take()
         return PoolStats(
             pool_size=self.pool_size,
             queue_depth=self.queue_depth,
@@ -790,10 +742,12 @@ class SessionPool:
             n_clients=len(self._clients),
         )
 
-    def unique_client_id(self, prefix: str = "client") -> str:
-        """A client id no earlier submit of this pool has used (for
-        callers like ``generate_many`` that invent ids per call)."""
-        while True:
-            candidate = f"{prefix}-{next(self._seq)}"
-            if candidate not in self._clients:
-                return candidate
+
+async def _events(stream: Any) -> AsyncIterator[Any]:
+    """A sync or an async iterable, iterated asynchronously."""
+    if hasattr(stream, "__aiter__"):
+        async for event in stream:
+            yield event
+    else:
+        for event in stream:
+            yield event

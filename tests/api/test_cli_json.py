@@ -233,6 +233,25 @@ class TestCacheCli:
         assert not missing.exists()  # maintenance must not create it
 
 
+class TestUnreadableLog:
+    """A log path that cannot be read is a usage error like every other
+    bad input: ``error: ...`` on stderr and exit 2, never a traceback."""
+
+    @pytest.mark.parametrize("subcommand", ["mine", "serve", "recall", "check"])
+    @pytest.mark.parametrize("target", ["missing", "directory", "not-utf8"])
+    def test_is_a_usage_error(self, tmp_path, capsys, subcommand, target):
+        path = tmp_path / "log.sql"
+        if target == "directory":
+            path.mkdir()
+        elif target == "not-utf8":
+            path.write_bytes(b"SELECT a FROM t WHERE x = '\xff'\n")
+        query = ["SELECT a FROM t"] if subcommand == "check" else []
+        assert main([subcommand, str(path), *query]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err, err
+        assert str(path) in err
+
+
 class TestClosedStdout:
     """A reader that is gone before the first write (``| head`` that
     already exited): every subcommand exits 1 without a traceback, and

@@ -332,6 +332,17 @@ class TestLifecycle:
         assert _wait_until(lambda: not daemon.running)
         daemon.stop()  # idempotent after an RPC shutdown
 
+    def test_idle_daemon_stops_at_once(self, tmp_path, sock_path):
+        """stop() waits for the serve loop's next poll, which came every
+        0.5 s (each stop of an idle daemon took about 450 ms)."""
+        daemon = StoreDaemon(tmp_path / "store", sock_path)
+        daemon.start()
+        time.sleep(0.05)  # the loop is idle in its poll
+        started = time.perf_counter()
+        daemon.stop()
+        assert time.perf_counter() - started < 0.2
+        assert not daemon.running
+
     def test_shutdown_reply_is_written_before_the_teardown(
         self, tmp_path, sock_path, monkeypatch
     ):

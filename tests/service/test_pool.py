@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from repro.api import InterfaceSession, generate, generate_many
+from repro.api import InterfaceSession, generate
 from repro.cache.store import GraphStore
 from repro.core.options import PipelineOptions
 from repro.errors import ServiceError
@@ -205,17 +205,6 @@ class TestConcurrentIntrospection:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_drain_scoped_to_clients_leaves_other_failures_pending(self, pool):
-        pool.submit("scoped-bad", "SELECT FROM WHERE")
-        pool.submit("scoped-good", LOG_A[0])
-        # a drain scoped to the healthy client must not raise for — nor
-        # consume — the other client's failure
-        results = pool.drain(clients=["scoped-good"])
-        assert "scoped-good" in results
-        with pytest.raises(ServiceError) as excinfo:
-            pool.drain()
-        assert "scoped-bad" in excinfo.value.failures[0]
-
     def test_flush_errors_accessor_defaults_empty(self, pool):
         pool.submit("flushless", LOG_A[0])
         pool.drain()
@@ -331,10 +320,63 @@ class TestServeCompile:
 
     def test_compile_mode_resets_after_serve(self, pool):
         asyncio.run(pool.serve([("reset-check", LOG_A[0])], compile="page"))
-        assert pool._compile_mode is None
-        pool.submit("reset-check", LOG_A[1])
+        # the mode rode on that call's appends only: a later serve without
+        # compile= gets uncompiled acks
+        acks = []
+        asyncio.run(
+            pool.serve([("reset-check", LOG_A[1])], on_result=acks.append)
+        )
+        assert [ack.compiled for ack in acks] == [None]
+        pool.submit("reset-check", LOG_A[2])
         results = pool.drain()
         assert "reset-check" in results
+
+
+class TestConcurrentServe:
+    def test_each_serve_call_owns_its_acks_and_compile_mode(self):
+        """Regression: serve() kept its subscriber and compile mode in
+        pool attributes, so of two calls gathered on one event loop the
+        first subscriber got none of its acks (the second got all six),
+        and the second call's compile mode applied to the first call's
+        appends."""
+        from repro.compiler import compile_html
+        from repro.compiler.incremental import apply_patch, page_html
+
+        batches = {
+            "own-patch": [LOG_A[0:2], LOG_A[1:3], LOG_A[0:3:2]],
+            "own-plain": [LOG_B[0:2], LOG_B[1:3], LOG_B[0:3:2]],
+        }
+        modes = {"own-patch": "patch", "own-plain": None}
+        acks = {client: [] for client in batches}
+
+        async def both(pool):
+            await asyncio.gather(
+                *(
+                    pool.serve(
+                        [(client, batch) for batch in batches[client]],
+                        on_result=acks[client].append,
+                        compile=modes[client],
+                        drain=False,
+                    )
+                    for client in batches
+                )
+            )
+
+        with SessionPool(pool_size=1, queue_depth=4) as pool:
+            asyncio.run(both(pool))
+            results = pool.drain()
+        for client, client_acks in acks.items():
+            # exactly this call's three acks, in submit order
+            assert [ack.client_id for ack in client_acks] == [client] * 3
+            assert [ack.n_queries for ack in client_acks] == [2, 4, 6]
+            assert all(ack.ok for ack in client_acks)
+        assert all(ack.compiled is None for ack in acks["own-plain"])
+        state = None
+        for ack in acks["own-patch"]:
+            assert ack.compiled is not None and ack.compiled["kind"] != "error"
+            state = apply_patch(state, ack.compiled)
+        assert page_html(state) == compile_html(results["own-patch"].interface)
+        assert not pool._routes  # every ack was delivered, none kept
 
 
 class TestSharedStore:
@@ -399,18 +441,3 @@ class TestSharedStore:
                 assert after_size - size == after[key].frame_len + TRAILER_FRAME_LEN
             pool.drain()
             assert snapshot()[0] == after_sizes
-
-    def test_generate_many_through_a_pool(self, pool):
-        logs = [LOG_A, LOG_B]
-        pooled = generate_many(logs, pool=pool)
-        serial = generate_many(logs)
-        assert [r.interface.widget_summary() for r in pooled] == [
-            r.interface.widget_summary() for r in serial
-        ]
-        # repeated calls get fresh clients (no accidental accumulation)
-        again = generate_many(logs, pool=pool)
-        assert [r.provenance["n_queries"] for r in again] == [len(LOG_A), len(LOG_B)]
-
-    def test_generate_many_rejects_pool_plus_workers(self, pool):
-        with pytest.raises(ValueError):
-            generate_many([LOG_A], pool=pool, workers=2)

@@ -20,6 +20,7 @@ from repro.cache.store import GraphStore
 from repro.core.options import PipelineOptions
 from repro.errors import ServiceError
 from repro.service import SessionPool
+from repro.service.pool import _Reply
 
 LOG = [
     "SELECT a FROM t WHERE x = 1",
@@ -143,9 +144,10 @@ class TestFlushErrorReporting:
         pool = SessionPool(pool_size=1)
         pool.submit("orphan-err", LOG[0])
         _wait_for_acks(pool)
-        pool._outbox.put(("drained", 0, -1, {}, ["orphan-err: flock timeout"]))
-        pool.close()
+        pool._outbox.put(_Reply(0, -1, {}, ["orphan-err: flock timeout"], []))
+        report = pool.close()
         assert "orphan-err: flock timeout" in pool.flush_errors()
+        assert "orphan-err: flock timeout" in report.flush_errors
 
     def test_close_reports_store_publication_failures(self, tmp_path):
         """A flush that *fails* (rather than wedges) lands in the

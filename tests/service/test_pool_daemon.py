@@ -190,7 +190,7 @@ class TestServeStreaming:
             asyncio.run(pool.serve(self._events()))
             stats = pool.stats()
             assert (stats.n_completed, stats.n_failed) == (4, 0)
-            assert pool._undelivered is None
+            assert not pool._routes
 
     def test_streamed_ack_pickles_small(self):
         """An ack carries counters (and the compiled interface when asked
@@ -219,6 +219,6 @@ class TestServeStreaming:
             pool.submit("later", self.LOG[2])
             while pool.pending():
                 time.sleep(0.02)
-            assert pool._undelivered is None
+            assert not pool._routes
             assert pool.stats().n_completed == 3
             assert [ack.client_id for ack in streamed] == ["scoped"]
