@@ -32,6 +32,17 @@ regression gate compares against
 ``benchmarks/baselines/bench_store_baseline.json`` (dimensionless
 ``speedup_*`` ratios only; absolute seconds differ across hardware).
 
+A second arm, :func:`test_flush_encode`, times the graph encode of a
+flush: one SDSS session's graph, mined one query at a time and encoded
+after every append, through the one :class:`~repro.cache.serialize.
+GraphEncoder` a session keeps (it encodes what the append added and
+renumbers the rest) against ``tests/oracle.py``'s reference encoder,
+which builds every record as a dict and dumps it.  The two records must
+be byte-identical at every flush.  It writes
+``results/BENCH_store_flush.json``: ``speedup_flush_encode`` and the
+exact counters ``n_flush_records`` and ``n_flush_payload_bytes``, gated
+against ``benchmarks/baselines/bench_store_flush_baseline.json``.
+
 Set ``REPRO_BENCH_BUDGET=tiny`` to shrink the key counts (CI smoke);
 the absolute 3x assertion is skipped there because a tiny segment's
 footer decode is not amortised, but the JSON is still produced for the
@@ -43,13 +54,22 @@ import os
 import shutil
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from repro.cache.blockstore import SegmentReader
-from repro.cache.serialize import graph_to_jsonl_bytes
+from repro.cache.serialize import GraphEncoder, graph_to_jsonl_bytes
 from repro.cache.store import TABLES, GraphStore
-from repro.graph.build import build_interaction_graph
+from repro.graph.build import (
+    BuildStats,
+    build_interaction_graph,
+    extend_interaction_graph,
+    in_build_order,
+)
+from repro.graph.interaction import InteractionGraph
 from repro.logs import SDSSLogGenerator
+from repro.treediff.memo import DiffMemo
+from tests import oracle
 
 from helpers import emit, emit_json, run_once
 
@@ -60,6 +80,8 @@ N_KEYS = 1_000 if TINY else 10_000
 PRUNE_KEEP = N_KEYS // 2
 OPTS_FP = "0123456789abcdef"
 WARM_TRIALS = 3
+#: the flush-encode arm's session length (one flush per append)
+FLUSH_QUERIES = 60 if TINY else 300
 
 
 def _log_fp(i: int) -> str:
@@ -232,3 +254,57 @@ def test_store_format_speedups(benchmark):
             f"packed warm load only x{speedup_warm:.2f} vs JSON "
             f"(expected >= x3 at {N_KEYS} keys)"
         )
+
+
+def test_flush_encode(benchmark):
+    """An SDSS session flushed after every append: the session's encoder
+    against the reference encoder, byte-identical at every flush."""
+    asts = SDSSLogGenerator(seed=5).client_log("C2", "object_lookup", FLUSH_QUERIES).asts()
+
+    def run():
+        out = {"flush_seconds": 0.0, "oracle_seconds": 0.0}
+        graph, stats, memo = InteractionGraph(), BuildStats(), DiffMemo()
+        encoder = GraphEncoder()
+        n_records = n_bytes = 0
+        for ast in asts:
+            extend_interaction_graph(graph, [ast], window=2, stats=stats, memo=memo)
+            ordered = in_build_order(graph)
+            # zeroed wall time: the payload bytes are an exact counter
+            flushed = replace(stats, mining_seconds=0.0)
+            t0 = time.perf_counter()
+            record = graph_to_jsonl_bytes(ordered, flushed, encoder=encoder)
+            t1 = time.perf_counter()
+            reference = oracle.graph_to_jsonl_bytes(ordered, flushed)
+            t2 = time.perf_counter()
+            assert record == reference, f"record {n_records} differs from the reference"
+            out["flush_seconds"] += t1 - t0
+            out["oracle_seconds"] += t2 - t1
+            n_records += 1
+            n_bytes += len(record)
+        out["n_flush_records"] = n_records
+        out["n_flush_payload_bytes"] = n_bytes
+        return out
+
+    out = run_once(benchmark, run)
+    speedup = out["oracle_seconds"] / out["flush_seconds"]
+    n_records = out["n_flush_records"]
+    emit(
+        "BENCH_store_flush",
+        f"session: {FLUSH_QUERIES} queries, a flush after every append "
+        f"(tiny budget: {TINY})\n"
+        f"encode   session encoder {out['flush_seconds'] * 1000 / n_records:.3f} ms/flush   "
+        f"reference {out['oracle_seconds'] * 1000 / n_records:.3f} ms/flush   "
+        f"speedup x{speedup:.2f}\n"
+        f"records  {n_records}   payload {out['n_flush_payload_bytes']} B",
+    )
+    emit_json(
+        "BENCH_store_flush",
+        {
+            "workload": {"session_queries": FLUSH_QUERIES, "tiny_budget": TINY},
+            "flush_ms": round(out["flush_seconds"] * 1000 / n_records, 4),
+            "oracle_ms": round(out["oracle_seconds"] * 1000 / n_records, 4),
+            "speedup_flush_encode": round(speedup, 3),
+            "n_flush_records": n_records,
+            "n_flush_payload_bytes": out["n_flush_payload_bytes"],
+        },
+    )

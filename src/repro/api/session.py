@@ -27,7 +27,8 @@ Every append runs :meth:`Pipeline.default <repro.api.pipeline.Pipeline.default>`
 the stages a one-shot :func:`repro.api.generate` runs, over a
 :class:`~repro.api.stages.PipelineState` that carries the session's
 long-lived members (graph, map cache, diff memo, store, running log
-fingerprint and cumulative build stats) from one append to the next.
+fingerprint, cumulative build stats and graph encoder) from one append
+to the next.
 
 Sessions are also durable.  :meth:`InterfaceSession.save` snapshots the
 accumulated graph (via :mod:`repro.cache.serialize`) and
@@ -109,10 +110,8 @@ class InterfaceSession:
             with one-shot ``generate()`` runs: the first append adopts a
             cached graph (and widget set) of the same batch if one exists,
             and :meth:`flush_to_store` publishes the accumulated graph and
-            widget set for later runs to reuse (explicit, because
-            serialising the whole graph on *every* append would cost
-            O(accumulated log) — the very thing the incremental session
-            avoids).
+            widget set for later runs to reuse (explicit, because each
+            flush writes the whole record: O(accumulated log) bytes).
         observers: hooks notified by the pipeline of every append.
     """
 
@@ -391,6 +390,7 @@ class InterfaceSession:
         if restored.cache_store is not None:
             # a graph read back from JSON always fingerprints
             restored.fingerprinter = LogFingerprinter().update(graph.queries)
+            restored.options_fp = actual
         if graph.queries:
             remap = Pipeline([MapStage(), MergeStage()], session.options)
             state, _reports, run = remap.run(
@@ -506,9 +506,13 @@ class InterfaceSession:
         full-hit (Mine, Map, and Merge all skipped).  Records the store
         itself supplied to that append are not written back.
 
-        Explicit rather than automatic: serialising the whole graph costs
-        O(accumulated log), so the caller decides when that is worth
-        paying (typically once, after the last append of a batch window).
+        Encoding costs what was appended since the last flush: the
+        session's :class:`~repro.cache.serialize.GraphEncoder` keeps the
+        text of every subtree and diff it encoded, and only renumbers
+        them.  The bytes written are still the whole record, O(accumulated
+        log), so flushing stays explicit and the caller decides when that
+        is worth paying (typically once, after the last append of a batch
+        window).
         A no-op when no ``cache_dir`` is configured, when the log could
         not be fingerprinted, or when nothing was appended since the last
         flush that published (a failed write is retried by the next one).

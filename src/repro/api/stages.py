@@ -13,9 +13,9 @@ instance can serve many concurrent pipelines.
 One run path serves both the one-shot :func:`repro.api.generate` and every
 :class:`~repro.api.session.InterfaceSession` append: a one-shot run starts
 from an empty graph, a session's run carries the session's long-lived
-members (graph, map cache, diff memo, store, running fingerprint and
-cumulative build stats), and :class:`MineStage` extends the graph with
-the run's new queries either way.
+members (graph, map cache, diff memo, store, running fingerprint,
+cumulative build stats and graph encoder), and :class:`MineStage`
+extends the graph with the run's new queries either way.
 
 The bracketed step is optional: when ``options.cache_dir`` is set, the
 default pipeline inserts a :class:`CacheStage` that consults a persistent
@@ -39,6 +39,7 @@ from dataclasses import dataclass, field, fields
 from typing import Any
 
 from repro.cache.fingerprint import LogFingerprinter, options_fingerprint
+from repro.cache.serialize import GraphEncoder
 from repro.cache.store import GraphStore
 from repro.core.mapper import MapCache, initialize, merge_widgets
 from repro.core.options import PipelineOptions
@@ -113,8 +114,6 @@ class PipelineState:
             :class:`MergeStage`).
         source: free-form label of where the log came from (provenance).
         records: per-stage counters, keyed by stage name.
-        cache_key: the ``(log_fingerprint, options_fingerprint)`` pair
-            :class:`CacheStage` looked up; :func:`publish` writes under it.
         graph_from_cache / widgets_from_cache: set by :class:`CacheStage`
             when the store supplied the graph / the widget set; the stages
             that would compute them skip, and :func:`publish` does not
@@ -138,8 +137,13 @@ class PipelineState:
             ``graph.queries``, kept by :class:`CacheStage` only while a
             store is configured (``None`` on a non-empty graph = a log that
             could not be fingerprinted, so the graph stays uncached).
+        options_fp: the options' fingerprint, computed once; with the
+            fingerprinter's digest it is the store key.
         build_stats: cumulative :class:`~repro.graph.build.BuildStats` of
             the graph, written with it by :func:`publish`.
+        encoder: the :class:`~repro.cache.serialize.GraphEncoder` that
+            :func:`publish` encodes the graph through (created on first
+            use), so a flush encodes only what was added since the last.
     """
 
     options: PipelineOptions
@@ -151,13 +155,14 @@ class PipelineState:
     source: str = "log"
     records: dict[str, dict[str, Any]] = field(default_factory=dict)
     cache_store: GraphStore | None = None
-    cache_key: tuple[str, str] | None = None
     map_cache: MapCache = field(default_factory=MapCache)
     graph_from_cache: bool = False
     widgets_from_cache: bool = False
     diff_memo: DiffMemo | None = None
     fingerprinter: LogFingerprinter | None = None
+    options_fp: str | None = None
     build_stats: BuildStats = field(default_factory=BuildStats)
+    encoder: GraphEncoder | None = None
 
     def record(self, stage_name: str, **stats: Any) -> None:
         """Merge counters into the named stage's record."""
@@ -174,7 +179,9 @@ class PipelineState:
             diff_memo=self.diff_memo,
             cache_store=self.cache_store,
             fingerprinter=self.fingerprinter,
+            options_fp=self.options_fp,
             build_stats=self.build_stats,
+            encoder=self.encoder,
             **per_run,
         )
 
@@ -190,6 +197,10 @@ def publish(state: PipelineState) -> None:
     by index.  A record the store itself supplied to the run is skipped.
     A no-op without a store or a running fingerprint.
 
+    The records hold the whole graph, but ``state.encoder`` keeps what
+    earlier publishes of this graph encoded: encoding costs what was
+    added since the last publish, plus one renumbering pass.
+
     Raises:
         CacheError: when a record cannot be encoded.
         OSError: when the store cannot be written.
@@ -200,15 +211,18 @@ def publish(state: PipelineState) -> None:
     widgets = None if state.widgets_from_cache else state.widgets
     if state.graph_from_cache and widgets is None:
         return
-    log_fp, opts_fp = state.cache_key or (
-        fingerprinter.hexdigest(),
-        options_fingerprint(state.options),
-    )
+    if state.options_fp is None:
+        state.options_fp = options_fingerprint(state.options)
+    if state.encoder is None:
+        state.encoder = GraphEncoder()
+    log_fp, opts_fp = fingerprinter.hexdigest(), state.options_fp
     ordered = in_build_order(graph)
     if not state.graph_from_cache:
-        store.save(log_fp, opts_fp, ordered, state.build_stats)
+        store.save(log_fp, opts_fp, ordered, state.build_stats, state.encoder)
     if widgets is not None:
-        store.save_widget_set(log_fp, opts_fp, widgets, ordered)
+        store.save_widget_set(
+            log_fp, opts_fp, widgets, ordered, state.build_stats, state.encoder
+        )
 
 
 class Stage:
@@ -344,7 +358,7 @@ class CacheStage(Stage):
         store = state.cache_store
         log_fp = fingerprinter.hexdigest()
         state.fingerprinter = fingerprinter
-        state.cache_key = (log_fp, opts_fp)
+        state.options_fp = opts_fp
         key = store.key(log_fp, opts_fp)
         cached = store.load(log_fp, opts_fp)
         if cached is None:

@@ -9,6 +9,9 @@ InteractionGraph` (queries, edges, diffs) plus its
 A graph is encoded as JSON *lines*: a header record followed by one
 record per interned subtree, per query, per diff, and per edge; a
 truncated payload fails loudly on the record count check.
+:class:`GraphEncoder` writes the lines as JSON text and remembers the
+text of what it encoded, so an encoder kept across flushes of a growing
+graph (a session's) encodes only what was added since the last one.
 :func:`graph_to_jsonl_bytes` / :func:`graph_from_jsonl_bytes` are the
 store's graph codec, and :func:`save_graph` / :func:`load_graph` write
 and read the same bytes as a file (the session snapshot).  The store's
@@ -37,9 +40,11 @@ miss and re-mine).
 from __future__ import annotations
 
 import json
+import math
 import os
+from json.encoder import encode_basestring_ascii
 from pathlib import Path as FilePath
-from typing import TYPE_CHECKING, Any, Iterator, Sequence, TypeVar
+from typing import TYPE_CHECKING, Any, Sequence, TypeVar
 from uuid import uuid4
 
 from repro.errors import CacheError
@@ -57,6 +62,7 @@ _T = TypeVar("_T")
 
 __all__ = [
     "FORMAT_VERSION",
+    "GraphEncoder",
     "node_to_dict",
     "node_from_dict",
     "diff_to_dict",
@@ -128,48 +134,22 @@ def _at(table: Sequence[_T], index: Any, what: str) -> _T:
     return table[index]
 
 
-class _TreeInterner:
-    """Assigns one index per structurally-unique subtree (writer side)."""
-
-    def __init__(self) -> None:
-        self.trees: list[Node] = []
-        self._buckets: dict[int, list[tuple[Node, int]]] = {}
-
-    def index_of(self, node: Node) -> int:
-        """The node's index in the unique-tree table, interning it if new."""
-        bucket = self._buckets.setdefault(node.fingerprint, [])
-        for candidate, index in bucket:
-            if candidate.equals(node):
-                return index
-        index = len(self.trees)
-        self.trees.append(node)
-        bucket.append((node, index))
-        return index
-
-
 # ----------------------------------------------------------------------
-# diff records and edges
+# diff records (the standalone form) and their decoding
 # ----------------------------------------------------------------------
-def diff_to_dict(diff: Diff, interner: _TreeInterner | None = None) -> dict[str, Any]:
-    """Encode one diff record; paths use the paper's slash notation
-    (``"/"`` is the root).
+def diff_to_dict(diff: Diff) -> dict[str, Any]:
+    """Encode one diff record with its subtrees inline; paths use the
+    paper's slash notation (``"/"`` is the root).
 
-    With an ``interner`` the subtrees become indices into the unique-tree
-    table (the compact form used inside whole-graph payloads); without
-    one they are embedded inline (the standalone form).
+    Inside a graph record a diff refers to its subtrees by index into the
+    unique-tree table instead (see :class:`GraphEncoder`).
     """
-    if interner is None:
-        t1: Any = node_to_dict(diff.t1) if diff.t1 is not None else None
-        t2: Any = node_to_dict(diff.t2) if diff.t2 is not None else None
-    else:
-        t1 = interner.index_of(diff.t1) if diff.t1 is not None else None
-        t2 = interner.index_of(diff.t2) if diff.t2 is not None else None
     out: dict[str, Any] = {
         "q1": diff.q1,
         "q2": diff.q2,
         "path": str(diff.path),
-        "t1": t1,
-        "t2": t2,
+        "t1": node_to_dict(diff.t1) if diff.t1 is not None else None,
+        "t2": node_to_dict(diff.t2) if diff.t2 is not None else None,
         "kind": diff.kind,
         "leaf": diff.is_leaf,
     }
@@ -181,10 +161,10 @@ def diff_to_dict(diff: Diff, interner: _TreeInterner | None = None) -> dict[str,
 def diff_from_dict(
     payload: dict[str, Any], trees: list[Node] | None = None
 ) -> Diff:
-    """Decode a :func:`diff_to_dict` payload back into a :class:`Diff`.
+    """Decode a diff record back into a :class:`Diff`.
 
-    ``trees`` is the decoded unique-tree table for the compact form;
-    ``None`` decodes the standalone (inline-subtree) form.
+    ``trees`` is the decoded unique-tree table of a graph record;
+    ``None`` decodes the standalone (:func:`diff_to_dict`) form.
     """
 
     def subtree(value: Any) -> Node | None:
@@ -210,18 +190,6 @@ def diff_from_dict(
         raise CacheError(f"malformed diff record: {list(payload)!r}") from exc
 
 
-def _edge_to_dict(edge: Edge, diff_index: dict[int, int]) -> dict[str, Any]:
-    """Encode an edge; ``interaction`` becomes indices into the diffs table."""
-    try:
-        refs = [diff_index[id(d)] for d in edge.interaction]
-    except KeyError as exc:
-        raise CacheError(
-            f"edge ({edge.q1}, {edge.q2}) references a diff that is not in "
-            "the graph's diffs table"
-        ) from exc
-    return {"q1": edge.q1, "q2": edge.q2, "diffs": refs}
-
-
 def _edge_from_dict(payload: dict[str, Any], diffs: list[Diff]) -> Edge:
     try:
         interaction = tuple(
@@ -233,20 +201,202 @@ def _edge_from_dict(payload: dict[str, Any], diffs: list[Diff]) -> Edge:
 
 
 # ----------------------------------------------------------------------
-# whole graphs
+# whole graphs: the encoder
 # ----------------------------------------------------------------------
-def _encode_parts(
-    graph: InteractionGraph,
-) -> tuple[list[dict[str, Any]], list[int], list[dict[str, Any]], list[dict[str, Any]]]:
-    """The four record lists of a graph payload: unique trees, query tree
-    indices, diffs (compact form), and edges."""
-    interner = _TreeInterner()
-    query_refs = [interner.index_of(q) for q in graph.queries]
-    diff_payloads = [diff_to_dict(d, interner) for d in graph.diffs]
-    diff_index = {id(d): i for i, d in enumerate(graph.diffs)}
-    edge_payloads = [_edge_to_dict(e, diff_index) for e in graph.edges]
-    tree_payloads = [node_to_dict(t) for t in interner.trees]
-    return tree_payloads, query_refs, diff_payloads, edge_payloads
+_quote = encode_basestring_ascii
+
+
+def _value_text(value: Any, node: Node) -> str:
+    """``json.dumps(value)`` for an attribute value of ``node``.
+
+    Raises:
+        CacheError: for a value JSON cannot carry; a payload that could
+            not round-trip is refused at save time.
+    """
+    if isinstance(value, str):
+        return _quote(value)
+    if type(value) is int or (type(value) is float and math.isfinite(value)):
+        return repr(value)  # json.dumps' spelling, without its overhead
+    if value is None or isinstance(value, (int, float)):  # bool is an int
+        return json.dumps(value)
+    raise CacheError(
+        f"attribute value {value!r} on {node.node_type} is not JSON-serialisable"
+    )
+
+
+def _node_text(node: Node, texts: dict[int, str]) -> str:
+    """``json.dumps(node_to_dict(node), sort_keys=True)``, written
+    directly.  ``texts`` holds the text of every subtree written so far
+    in one encode, by identity (the parser shares literal-free subtrees
+    between queries, and a diff's subtrees are its queries')."""
+    text = texts.get(id(node))
+    if text is not None:
+        return text
+    text = "{"
+    attributes = node.attributes
+    if attributes:
+        items = sorted(attributes.items()) if len(attributes) > 1 else attributes.items()
+        text += '"a": {' + ", ".join([
+            (_quote(key) if isinstance(key, str) else _quote(_value_text(key, node)))
+            + ": " + _value_text(value, node)
+            for key, value in items
+        ]) + "}, "
+    if node.children:
+        text += '"c": [' + ", ".join([_node_text(child, texts) for child in node.children]) + "], "
+    text += '"t": ' + _quote(node.node_type) + "}"
+    texts[id(node)] = text
+    return text
+
+
+class _Tree:
+    """One row of the unique-tree table: a class of structurally equal
+    subtrees, with the tree line of the first one interned.  Its index
+    is assigned afresh by every encode (``epoch`` names the encode that
+    assigned it)."""
+
+    __slots__ = ("node", "line", "epoch", "index")
+
+    def __init__(self, node: Node, line: str) -> None:
+        self.node = node
+        self.line = line
+        self.epoch = 0
+        self.index = 0
+
+
+#: An encoded diff: the diff, its line up to ``"t1"``, and each
+#: subtree's table row and own tree line (``None`` and ``""`` for an
+#: absent side).
+_DiffLine = tuple[Diff, str, _Tree | None, str, _Tree | None, str]
+
+
+class GraphEncoder:
+    """Writes graph records as JSON text, and remembers what it wrote.
+
+    A record is a header line, then one line per unique subtree (queries
+    interned first, in log order, then each diff's ``t1`` and ``t2``),
+    query, diff and edge, each the ``json.dumps(..., sort_keys=True)``
+    text of that record.  Between calls the encoder keeps, by object
+    identity, the tree line of each query and diff subtree and each diff
+    line up to ``"t1"``, so encoding a graph that grew encodes only the
+    new queries, diffs and edges, then renumbers the rest.  A table row
+    writes the line of the subtree that first reaches it in the call, so
+    the bytes equal a fresh encoder's even where equal subtrees spell a
+    value differently (``5`` and ``5.0``).  Nothing is remembered for a
+    query or diff until all its text is written: a value that cannot be
+    encoded raises :class:`~repro.errors.CacheError` on every call.
+    """
+
+    def __init__(self) -> None:
+        self._epoch = 0
+        #: Node.fingerprint -> the rows of that fingerprint
+        self._rows: dict[int, list[_Tree]] = {}
+        #: id(query) -> the query, its row and its tree line
+        self._queries: dict[int, tuple[Node, _Tree, str]] = {}
+        #: id(diff) -> its encoded line parts
+        self._diffs: dict[int, _DiffLine] = {}
+
+    def _intern(self, node: Node, texts: dict[int, str]) -> tuple[_Tree, str]:
+        """The node's table row and its own tree line."""
+        line = '{"node": ' + _node_text(node, texts) + ', "rec": "tree"}'
+        bucket = self._rows.setdefault(node.fingerprint, [])
+        for row in bucket:
+            if row.node.equals(node):
+                # one string per spelling: the row's, when they agree
+                return row, row.line if line == row.line else line
+        row = _Tree(node, line)
+        bucket.append(row)
+        return row, line
+
+    def _diff(self, diff: Diff, texts: dict[int, str]) -> _DiffLine:
+        row1, line1 = self._intern(diff.t1, texts) if diff.t1 is not None else (None, "")
+        row2, line2 = self._intern(diff.t2, texts) if diff.t2 is not None else (None, "")
+        prefix = (
+            f'{{"kind": {_quote(diff.kind)}, '
+            f'"leaf": {"true" if diff.is_leaf else "false"}, '
+            f'"path": {_quote(str(diff.path))}, '
+            f'"q1": {diff.q1}, "q2": {diff.q2}, "rec": "diff", '
+        )
+        if diff.source_path != diff.path:
+            prefix += f'"source_path": {_quote(str(diff.source_path))}, '
+        entry = (diff, prefix, row1, line1, row2, line2)
+        self._diffs[id(diff)] = entry
+        return entry
+
+    def encode(
+        self,
+        graph: InteractionGraph,
+        stats: BuildStats | None = None,
+        extra: dict[str, Any] | None = None,
+    ) -> bytes:
+        """The graph's record bytes (see :func:`graph_to_jsonl_bytes`).
+
+        Raises:
+            CacheError: for an attribute value JSON cannot carry, or an
+                edge whose diff is not in the graph's diffs table.
+        """
+        self._epoch += 1
+        epoch = self._epoch
+        # subtree texts of this call only: the graph keeps every id valid
+        texts: dict[int, str] = {}
+        tree_lines: list[str] = []
+
+        def index(row: _Tree, line: str) -> int:
+            """The row's index in this call's table, placing the row
+            (written as ``line``) where it is first reached."""
+            if row.epoch != epoch:
+                row.epoch = epoch
+                row.index = len(tree_lines)
+                tree_lines.append(line)
+            return row.index
+
+        query_lines: list[str] = []
+        for query in graph.queries:
+            known = self._queries.get(id(query))
+            if known is None or known[0] is not query:
+                known = self._queries[id(query)] = (query, *self._intern(query, texts))
+            query_lines.append(f'{{"rec": "query", "tree": {index(known[1], known[2])}}}')
+        diff_lines: list[str] = []
+        positions: dict[int, int] = {}
+        for position, diff in enumerate(graph.diffs):
+            entry = self._diffs.get(id(diff))
+            if entry is None or entry[0] is not diff:
+                entry = self._diff(diff, texts)
+            _, prefix, row1, line1, row2, line2 = entry
+            ref1 = "null" if row1 is None else index(row1, line1)
+            ref2 = "null" if row2 is None else index(row2, line2)
+            diff_lines.append(f'{prefix}"t1": {ref1}, "t2": {ref2}}}')
+            positions[id(diff)] = position
+        edge_lines: list[str] = []
+        for edge in graph.edges:
+            try:
+                refs = ", ".join([str(positions[id(d)]) for d in edge.interaction])
+            except KeyError as exc:
+                raise CacheError(
+                    f"edge ({edge.q1}, {edge.q2}) references a diff that is not "
+                    "in the graph's diffs table"
+                ) from exc
+            edge_lines.append(
+                f'{{"diffs": [{refs}], "q1": {edge.q1}, "q2": {edge.q2}, "rec": "edge"}}'
+            )
+        header: dict[str, Any] = {
+            "rec": "header",
+            "version": FORMAT_VERSION,
+            "n_trees": len(tree_lines),
+            "n_queries": len(query_lines),
+            "n_diffs": len(diff_lines),
+            "n_edges": len(edge_lines),
+        }
+        stats_payload = _stats_payload(stats)
+        if stats_payload is not None:
+            header["stats"] = stats_payload
+        if extra:
+            header["extra"] = extra
+        # sort_keys throughout: two processes persisting the same graph
+        # produce byte-identical records
+        return "\n".join(
+            [json.dumps(header, sort_keys=True), *tree_lines, *query_lines,
+             *diff_lines, *edge_lines, ""]
+        ).encode("utf-8")
 
 
 def _stats_payload(stats: BuildStats | None) -> dict[str, Any] | None:
@@ -284,54 +434,25 @@ def _decode_graph(
 
 
 # ----------------------------------------------------------------------
-# JSONL files
+# JSONL records and files
 # ----------------------------------------------------------------------
-def _jsonl_lines(
-    graph: InteractionGraph,
-    stats: BuildStats | None,
-    extra: dict[str, Any] | None,
-) -> Iterator[str]:
-    trees, query_refs, diff_payloads, edge_payloads = _encode_parts(graph)
-    header: dict[str, Any] = {
-        "rec": "header",
-        "version": FORMAT_VERSION,
-        "n_trees": len(trees),
-        "n_queries": len(query_refs),
-        "n_diffs": len(diff_payloads),
-        "n_edges": len(edge_payloads),
-    }
-    stats_payload = _stats_payload(stats)
-    if stats_payload is not None:
-        header["stats"] = stats_payload
-    if extra:
-        header["extra"] = extra
-    # sort_keys throughout: two processes persisting the same graph must
-    # produce byte-identical files (the ROADMAP's checksummed block store
-    # compares payloads by digest)
-    yield json.dumps(header, sort_keys=True)
-    for tree in trees:
-        yield json.dumps({"rec": "tree", "node": tree}, sort_keys=True)
-    for ref in query_refs:
-        yield json.dumps({"rec": "query", "tree": ref}, sort_keys=True)
-    for diff in diff_payloads:
-        yield json.dumps({"rec": "diff", **diff}, sort_keys=True)
-    for edge in edge_payloads:
-        yield json.dumps({"rec": "edge", **edge}, sort_keys=True)
-
-
 def graph_to_jsonl_bytes(
     graph: InteractionGraph,
     stats: BuildStats | None = None,
     extra: dict[str, Any] | None = None,
+    encoder: GraphEncoder | None = None,
 ) -> bytes:
-    """The exact bytes :func:`save_graph` would write for this graph.
+    """The graph's record: the exact bytes :func:`save_graph` writes.
 
-    The store's graph records are these bytes, so a record and a
-    :func:`save_graph` file of the same graph are byte-identical.
+    ``encoder`` is a :class:`GraphEncoder` that encoded an earlier state
+    of this graph (a session keeps one); only what was added since is
+    encoded again.  Without one a fresh encoder writes the record.  The
+    bytes are the same either way.
+
+    Raises:
+        CacheError: for an attribute value JSON cannot carry.
     """
-    return "".join(
-        line + "\n" for line in _jsonl_lines(graph, stats, extra)
-    ).encode("utf-8")
+    return (encoder or GraphEncoder()).encode(graph, stats, extra)
 
 
 def save_graph(
@@ -348,12 +469,11 @@ def save_graph(
     two writers racing on the same key each complete their own rename
     (last one wins) instead of scribbling over a shared temp path.
     """
+    data = graph_to_jsonl_bytes(graph, stats, extra)
     target = FilePath(path)
     tmp = target.with_name(f"{target.name}.{os.getpid()}-{uuid4().hex[:8]}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            for line in _jsonl_lines(graph, stats, extra):
-                handle.write(line + "\n")
+        tmp.write_bytes(data)
         tmp.replace(target)
     finally:
         tmp.unlink(missing_ok=True)

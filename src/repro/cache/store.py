@@ -83,6 +83,7 @@ from repro.cache.blockstore import Segment
 from repro.cache.client import DaemonUnavailable, QuotaExceeded, StoreClient
 from repro.cache.lock import StoreLock
 from repro.cache.serialize import (
+    GraphEncoder,
     graph_from_jsonl_bytes,
     graph_to_jsonl_bytes,
     widgets_from_json_bytes,
@@ -427,18 +428,23 @@ class GraphStore:
         options_fingerprint: str,
         payload: bytes,
         graph: InteractionGraph | None = None,
+        stats: BuildStats | None = None,
+        encoder: GraphEncoder | None = None,
     ) -> None:
         """The typed saves' shared path.
 
         A widget record whose key has no live graph record is refused;
-        it is then resent together with ``graph``, encoded only on that
-        refusal, so a flush encodes each graph once.  A daemon's quota
-        refusal is not retried: saves are an optimisation.
+        it is then resent together with ``graph`` and its ``stats``,
+        encoded (through ``encoder``, when given) only on that refusal,
+        so a flush encodes each graph once and the resent graph record
+        is the one :meth:`save` writes.  A daemon's quota refusal is not
+        retried: saves are an optimisation.
         """
         key = self.key(log_fingerprint, options_fingerprint)
         try:
             if not self._put(table, key, payload) and graph is not None:
-                self._put(table, key, payload, graph_to_jsonl_bytes(graph))
+                graph_payload = graph_to_jsonl_bytes(graph, stats, encoder=encoder)
+                self._put(table, key, payload, graph_payload)
         except QuotaExceeded:
             pass
 
@@ -472,10 +478,16 @@ class GraphStore:
         options_fingerprint: str,
         graph: InteractionGraph,
         stats: BuildStats | None = None,
+        encoder: GraphEncoder | None = None,
     ) -> FilePath:
         """Persist a mined graph under this key; returns the segment file
-        the entry lands in (``graphs.seg``)."""
-        payload = graph_to_jsonl_bytes(graph, stats)
+        the entry lands in (``graphs.seg``).
+
+        ``encoder`` is the :class:`~repro.cache.serialize.GraphEncoder`
+        that encoded this graph's earlier states (a session's), so only
+        what was added since is encoded; the record is the same bytes.
+        """
+        payload = graph_to_jsonl_bytes(graph, stats, encoder=encoder)
         self._save("graphs", log_fingerprint, options_fingerprint, payload)
         return self.root / _BY_NAME["graphs"].segment
 
@@ -505,20 +517,27 @@ class GraphStore:
         options_fingerprint: str,
         widgets: list[Widget],
         graph: InteractionGraph,
+        stats: BuildStats | None = None,
+        encoder: GraphEncoder | None = None,
     ) -> FilePath:
         """Persist a mapped widget set under this key; returns the
         segment file the entry lands in.
 
         If the key's graph entry is gone (a pruner evicted it since the
         caller loaded or saved it), it is re-saved together with the
-        widgets under one lock — the caller holds the graph in hand — so
-        a widget record never exists without its graph.
+        widgets under one lock — the caller holds the graph, its
+        ``stats`` and its ``encoder`` in hand, so the graph record is
+        the one :meth:`save` writes — and a widget record never exists
+        without its graph.
 
         Raises:
             CacheError: when the widgets do not belong to ``graph``.
         """
         payload = widgets_to_json_bytes(widgets, graph)
-        self._save("widget_sets", log_fingerprint, options_fingerprint, payload, graph)
+        self._save(
+            "widget_sets", log_fingerprint, options_fingerprint, payload,
+            graph, stats, encoder,
+        )
         return self.root / _BY_NAME["widget_sets"].segment
 
     def _retired(self, *args: Any, **kwargs: Any) -> None:

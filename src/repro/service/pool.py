@@ -224,7 +224,9 @@ def _worker_main(
                             "kind": "error",
                             "error": f"{type(exc).__name__}: {exc}",
                         }
-            except BaseException as exc:  # the pool must survive bad batches
+            except Exception as exc:  # a bad batch fails only its own ack
+                # (SystemExit, which a SIGTERM raises, and
+                # KeyboardInterrupt end the worker, wedged append or not)
                 error = f"{type(exc).__name__}: {exc}"
             outbox.put(
                 AppendAck(
@@ -446,13 +448,16 @@ class SessionPool:
             if worker.is_alive():  # pragma: no cover - defensive
                 worker.kill()
                 worker.join(timeout=5)
-        for channel in (*self._inboxes, self._outbox):
-            channel.close()
-        self._close_report = CloseReport(
-            flush_errors=tuple(self._flush_errors[n_earlier_errors:]),
-            unflushed_clients=tuple(sorted(unflushed)),
-            terminated_workers=tuple(terminated),
-        )
+        with self._reading:
+            # the report marks the outbox closed: stats() and pending()
+            # answer the final counts from here on
+            for channel in (*self._inboxes, self._outbox):
+                channel.close()
+            self._close_report = CloseReport(
+                flush_errors=tuple(self._flush_errors[n_earlier_errors:]),
+                unflushed_clients=tuple(sorted(unflushed)),
+                terminated_workers=tuple(terminated),
+            )
         return self._close_report
 
     def _clients_of(self, worker_id: int) -> list[str]:
@@ -532,7 +537,8 @@ class SessionPool:
         ``serve`` waiting for its acks, a monitor polling :meth:`stats`).
         An ack is counted and handed to the ``serve`` call that submitted
         it; a barrier reply's flush errors are recorded at once, and the
-        reply is kept for the drain or close that sent the barrier.
+        reply is kept for the drain or close that sent the barrier.  Once
+        :meth:`close` has closed the outbox there is nothing to take.
         """
         if not self._reading.acquire(False):
             # another thread is reading: once it is done, do not wait on
@@ -542,7 +548,7 @@ class SessionPool:
             timeout = 0.0
         taken = False
         try:
-            while True:
+            while self._close_report is None:
                 try:
                     message = self._outbox.get(timeout > 0 and not taken, timeout)
                 except queue.Empty:
@@ -563,6 +569,7 @@ class SessionPool:
                     replies = self._replies.get(message.seq)
                     if replies is not None:
                         replies.append(message)
+            return taken
         finally:
             self._reading.release()
 

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from repro.api import generate
+from repro.api import PipelineObserver, generate
 from repro.cache import (
     GraphStore,
     log_fingerprint,
@@ -167,6 +167,28 @@ class TestFullHitPipeline:
         # ... and the third run full-hits again
         full_warm = generate(SQL, options=options)
         assert full_warm.run.stage("merge").stats["skipped"] is True
+
+    def test_graph_resent_with_the_widgets_keeps_its_stats(self, tmp_path):
+        """A graph-hit run whose graph record is evicted before it saves
+        the widget set resends the graph: byte for byte the record the
+        cold run wrote, build stats included."""
+        log = SDSSLogGenerator(1).full_log(30, n_clients=4).statements()
+        options = PipelineOptions(cache_dir=str(tmp_path))
+        generate(log, options=options)
+        store = GraphStore(tmp_path)
+        (key,) = store.keys()
+        original = store.record_get("graphs", key)
+        store.invalidate_table("widget_sets")
+
+        class EvictAfterMerge(PipelineObserver):
+            def on_stage_end(self, stage, state, report):
+                if stage.name == "merge":
+                    assert GraphStore(tmp_path).invalidate() == 1
+
+        half_warm = generate(log, options=options, observers=[EvictAfterMerge()])
+        assert half_warm.run.stage("mine").stats["skipped"] is True
+        assert GraphStore(tmp_path).record_get("graphs", key) == original
+        assert b'"n_pairs_compared": 29' in original
 
     def test_corrupt_widget_file_degrades_to_graph_hit(self, tmp_path):
         options = PipelineOptions(cache_dir=str(tmp_path))

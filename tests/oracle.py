@@ -19,7 +19,11 @@ be compared against:
   database, the product walk over the widgets' choices;
 * :func:`tokenize` and :func:`parse_sql` — the character-by-character
   :class:`Lexer` and a plain recursive-descent parse of its tokens, with
-  no template cache.
+  no template cache;
+* :func:`graph_to_jsonl_bytes` — a graph record built as JSON values
+  (``node_to_dict`` per subtree, one dict per record) and dumped line by
+  line, with a fresh subtree interner: the reference of the library's
+  :class:`~repro.cache.serialize.GraphEncoder`.
 
 Only the per-pair alignment (``_compare_pair``), the per-widget rendering
 units and the recursive-descent :class:`~repro.sqlparser.parser.Parser`
@@ -28,6 +32,7 @@ are shared with the library.
 
 from __future__ import annotations
 
+import json
 import time
 from itertools import islice, product
 
@@ -43,10 +48,11 @@ from repro.compiler.html import (
     render_widget_spec,
 )
 from repro.compiler.layout import grid_layout
+from repro.cache.serialize import FORMAT_VERSION, node_to_dict
 from repro.core.interface import Interface, as_interface
 from repro.core.mapper import pick_widget
 from repro.core.options import PipelineOptions
-from repro.errors import CompileError, MappingError, SQLSyntaxError
+from repro.errors import CacheError, CompileError, MappingError, SQLSyntaxError
 from repro.graph.build import _FULL, _MEMOISED, BuildStats, _compare_pair
 from repro.graph.interaction import InteractionGraph
 from repro.sqlparser.astnodes import Node
@@ -256,6 +262,90 @@ def mine(
         stats.n_alignments_memoised += outcomes.count(_MEMOISED)
         stats.n_alignments_full += outcomes.count(_FULL)
     return graph
+
+
+# ----------------------------------------------------------------------
+# the graph record: dicts, dumped line by line
+# ----------------------------------------------------------------------
+class _TreeInterner:
+    """One index per structurally unique subtree, in first-seen order."""
+
+    def __init__(self):
+        self.trees = []
+        self._buckets = {}
+
+    def index_of(self, node):
+        bucket = self._buckets.setdefault(node.fingerprint, [])
+        for candidate, index in bucket:
+            if candidate.equals(node):
+                return index
+        index = len(self.trees)
+        self.trees.append(node)
+        bucket.append((node, index))
+        return index
+
+
+def _diff_record(diff, interner):
+    out = {
+        "rec": "diff",
+        "q1": diff.q1,
+        "q2": diff.q2,
+        "path": str(diff.path),
+        "t1": interner.index_of(diff.t1) if diff.t1 is not None else None,
+        "t2": interner.index_of(diff.t2) if diff.t2 is not None else None,
+        "kind": diff.kind,
+        "leaf": diff.is_leaf,
+    }
+    if diff.source_path != diff.path:
+        out["source_path"] = str(diff.source_path)
+    return out
+
+
+def _edge_record(edge, diff_index):
+    try:
+        refs = [diff_index[id(d)] for d in edge.interaction]
+    except KeyError as exc:
+        raise CacheError(f"edge ({edge.q1}, {edge.q2}) references a missing diff") from exc
+    return {"rec": "edge", "q1": edge.q1, "q2": edge.q2, "diffs": refs}
+
+
+def graph_to_jsonl_bytes(graph, stats=None, extra=None) -> bytes:
+    """A graph record: queries interned first, then each diff's ``t1``
+    and ``t2`` in diff order; every line ``json.dumps(record,
+    sort_keys=True)``."""
+    interner = _TreeInterner()
+    query_refs = [interner.index_of(q) for q in graph.queries]
+    diffs = [_diff_record(d, interner) for d in graph.diffs]
+    diff_index = {id(d): i for i, d in enumerate(graph.diffs)}
+    edges = [_edge_record(e, diff_index) for e in graph.edges]
+    trees = [node_to_dict(t) for t in interner.trees]
+    header = {
+        "rec": "header",
+        "version": FORMAT_VERSION,
+        "n_trees": len(trees),
+        "n_queries": len(query_refs),
+        "n_diffs": len(diffs),
+        "n_edges": len(edges),
+    }
+    if stats is not None:
+        header["stats"] = {
+            "n_pairs_compared": stats.n_pairs_compared,
+            "mining_seconds": stats.mining_seconds,
+            "n_alignments_memoised": stats.n_alignments_memoised,
+            "n_alignments_full": stats.n_alignments_full,
+        }
+    if extra:
+        header["extra"] = extra
+    records = [
+        header,
+        *({"rec": "tree", "node": tree} for tree in trees),
+        *({"rec": "query", "tree": ref} for ref in query_refs),
+        *diffs,
+        *edges,
+    ]
+    return "".join(
+        json.dumps(record, sort_keys=True) + "\n" for record in records
+    ).encode("utf-8")
 
 
 # ----------------------------------------------------------------------

@@ -71,6 +71,17 @@ class TestCleanClose:
         assert GraphStore(cache_dir).stats()["n_graphs"] == 2
         _assert_lock_acquirable(cache_dir)
 
+    def test_stats_and_pending_answer_after_close(self):
+        """The final counts, read after the outbox is closed."""
+        pool = SessionPool(pool_size=1)
+        pool.submit("after", LOG)
+        pool.submit("after", "SELECT FROM WHERE")
+        pool.close()
+        stats = pool.stats()
+        assert (stats.n_submitted, stats.n_completed, stats.n_failed) == (2, 1, 1)
+        assert stats.n_clients == 1
+        assert pool.pending() == 0
+
     def test_close_is_idempotent_and_returns_the_same_report(self, tmp_path):
         pool = SessionPool(pool_size=1)
         pool.submit("idem", LOG[0])
@@ -109,15 +120,23 @@ class TestWedgedFlush:
 
     def test_worker_wedged_in_an_append_is_terminated(self, tmp_path):
         """A worker that cannot even answer the close sentinel is
-        escalated to SIGTERM, and its clients are reported unflushed."""
+        escalated to SIGTERM, and its clients are reported unflushed.
+        The ``SystemExit`` the signal raises mid-append ends the worker:
+        it neither acks the append as failed nor answers the barrier."""
         cache_dir = tmp_path / "store"
         options = PipelineOptions(cache_dir=str(cache_dir))
         pool = SessionPool(options=options, pool_size=1)
         pool.submit("stuck", _GlacialBatch())
+        started = time.monotonic()
         report = pool.close(flush_timeout=0.5)
+        elapsed = time.monotonic() - started
         assert not report.clean
         assert len(report.terminated_workers) == 1
         assert "stuck" in report.unflushed_clients
+        assert pool._workers[0].exitcode == 143
+        # the close deadline (flush_timeout + 5 s), then the exit
+        assert elapsed < 0.5 + 5.0 + 2.0
+        assert pool.stats().n_failed == 0
         _assert_lock_acquirable(cache_dir)
 
     def test_sigterm_unwinds_a_worker_instead_of_killing_it(self):

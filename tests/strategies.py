@@ -237,6 +237,28 @@ def session_workloads(draw, max_clients: int = 3):
     return workload
 
 
+#: Literals whose JSON spelling takes care: non-ASCII text, quotes and
+#: backslashes, floats equal to ints (``5`` and ``5.0`` are structurally
+#: equal nodes), a negative zero and booleans.
+_AWKWARD_LITERALS = st.sampled_from(
+    ["1", "5", "5.0", "2.5", "-0.5", "0.0", "-0.0", "'\u00e9t\u00e9'",
+     "'it''s'", "'back\\slash \"q\"'", "'\u2603'", "TRUE", "FALSE"]
+)
+
+
+@st.composite
+def awkward_statements(draw, min_size: int = 1, max_size: int = 6) -> list[str]:
+    """Statements over one table whose literals are
+    :data:`_AWKWARD_LITERALS`, with a boolean-valued ``IS [NOT] NULL``."""
+    n = draw(st.integers(min_value=min_size, max_value=max_size))
+    statements = []
+    for _ in range(n):
+        literal = draw(_AWKWARD_LITERALS)
+        test = draw(st.sampled_from(["IS NULL", "IS NOT NULL"]))
+        statements.append(f"SELECT a FROM t WHERE x = {literal} AND y {test}")
+    return statements
+
+
 @st.composite
 def select_statements(draw) -> Node:
     """A random SELECT AST in canonical clause order."""
